@@ -36,7 +36,13 @@ from .regions import (
     winding_number,
 )
 from .roots import find_roots
-from .separation import check_separation, delta, delta_report, delta_tilde
+from .separation import (
+    DescentStats,
+    check_separation,
+    delta,
+    delta_report,
+    delta_tilde,
+)
 from .svgout import emit_svg, render_svg
 
 DEFAULT_TOLERANCES = {
@@ -472,9 +478,14 @@ def _certify_one(task) -> dict:
         "checks": {},
     }
 
-    lo, up, _ = delta_tilde(A, B, rootsA, rootsB, n_rings=3, n_angles=8)
+    descent = DescentStats()
+    lo, up, _ = delta_tilde(
+        A, B, rootsA, rootsB, n_rings=3, n_angles=8, stats=descent
+    )
     record["tilde_lower"] = lo
     record["tilde_upper"] = up
+    record["tilde_steps"] = descent.steps
+    record["tilde_evals"] = descent.evals
     record["checks"]["sandwich"] = bool(
         lo - config.tol("sandwich") <= up <= rep.delta + config.tol("sandwich")
     )
@@ -706,6 +717,8 @@ def _config_from_args(args) -> RunConfig:
         as_json=args.json,
     )
     if hasattr(args, "count"):
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         config.ensemble_size = args.count
         config.min_degree = args.min_degree
         config.max_degree = args.max_degree

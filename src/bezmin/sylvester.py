@@ -86,7 +86,7 @@ def _factor(M: SylvesterMatrix):
         warnings.simplefilter("ignore")
         lu, piv = lu_factor(M.entries, check_finite=False)
     diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * max(1.0, diag.max()):
+    if diag.min() <= 1e-14 * diag.max():
         raise SingularSystemError(
             "Sylvester system is singular to working precision "
             "(the polynomials share a root)"

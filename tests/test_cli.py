@@ -134,6 +134,7 @@ def test_certify_small_run_and_determinism(tmp_path, capsys):
         assert rec["checks"]["separation"] is True
         assert rec["checks"]["sandwich"] is True
         assert "sylvester" in rec["backends"]
+        assert 0 < rec["tilde_steps"] < rec["tilde_evals"]
 
 
 def test_certify_vacuous_floor(tmp_path, capsys):
@@ -145,6 +146,16 @@ def test_certify_vacuous_floor(tmp_path, capsys):
     assert "no records accepted" in out
     report = json.loads((tmp_path / "certify_report.json").read_text())
     assert report["aggregates"]["records"] == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
+    code = main(["--out", str(tmp_path), "certify", "--count", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err
+    assert "no records accepted" not in captured.out
+    assert not (tmp_path / "certify_report.json").exists()
 
 
 def test_tolerance_override_usage_error():

@@ -1,13 +1,23 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
+from scipy.stats import qmc
 
+import bezmin
 from bezmin.errors import CommonRootError, SeparationViolation
 from bezmin.ensemble import random_pair, sample_degrees
 from bezmin.poly import Polynomial
 from bezmin.roots import find_roots
 from bezmin.separation import (
+    DescentStats,
+    _descent_seeds,
+    _scrambled_halton,
     check_separation,
     delta,
     delta_report,
@@ -92,6 +102,89 @@ def test_delta_tilde_double_root_case():
     lower, upper, _ = delta_tilde(A, B)
     assert upper <= 0.25 + 1e-9
     assert lower == pytest.approx(0.25 / 9.0, rel=1e-9)
+
+
+def _scalar_tilde_upper(A, B, rootsA, rootsB, n_rings, n_angles,
+                        restart_tol=1e-10, max_restarts=8):
+    """Reference for delta_tilde's upper end: one scipy Nelder-Mead run per
+    seed, evaluated by scalar Horner, restarted while it gains restart_tol."""
+
+    def f(xy):
+        z = complex(xy[0], xy[1])
+        return max(abs(A(z)), abs(B(z)))
+
+    best_val = np.inf
+    for s in _descent_seeds(A, B, rootsA, rootsB, n_rings, n_angles):
+        x = np.array([s.real, s.imag])
+        val = f(x)
+        for _ in range(max_restarts):
+            res = optimize.minimize(
+                f, x, method="Nelder-Mead",
+                options={"maxiter": 50, "xatol": 1e-12, "fatol": 1e-14},
+            )
+            if res.fun <= val - restart_tol:
+                val, x = res.fun, res.x
+            else:
+                if res.fun < val:
+                    val, x = res.fun, res.x
+                break
+        best_val = min(best_val, val)
+    return best_val
+
+
+def test_delta_tilde_matches_scalar_nelder_mead():
+    # certify's settings: degrees 1..5, delta >= 0.05, 3 rings of 8 seeds
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        da, db = sample_degrees(rng, 1, 5)
+        inst = random_pair(rng, da, db, delta_floor=0.05)
+        lower, upper, witness = delta_tilde(
+            inst.A, inst.B, inst.rootsA, inst.rootsB, n_rings=3, n_angles=8
+        )
+        ref = _scalar_tilde_upper(
+            inst.A, inst.B, inst.rootsA, inst.rootsB, n_rings=3, n_angles=8
+        )
+        assert upper == pytest.approx(ref, rel=1e-9, abs=0)
+        assert upper <= ref + 1e-12
+        assert lower <= upper <= inst.delta
+        assert max(abs(inst.A(witness)), abs(inst.B(witness))) == pytest.approx(
+            upper, rel=1e-12
+        )
+
+
+def test_delta_tilde_counts_its_work():
+    stats = DescentStats()
+    delta_tilde(Z, ONE_MINUS_Z, stats=stats)
+    # each step evaluates six candidate points; starting each run costs more
+    assert stats.evals > 6 * stats.steps > 0
+    before = stats.evals
+    delta_tilde(Z, ONE_MINUS_Z, stats=stats)
+    assert stats.evals == 2 * before
+
+
+def test_scrambled_halton_is_as_uniform_as_scipy():
+    for seed in range(4):
+        uv = _scrambled_halton(4096, seed)
+        assert uv.shape == (4096, 2)
+        assert uv.min() >= 0.0 and uv.max() < 1.0
+        ref = qmc.Halton(d=2, scramble=True, seed=seed).random(4096)
+        assert qmc.discrepancy(uv) <= 1.5 * qmc.discrepancy(ref)
+    assert not np.array_equal(_scrambled_halton(64, 0), _scrambled_halton(64, 1))
+
+
+def test_cli_import_skips_scipy_optimize_and_stats():
+    code = (
+        "import sys, bezmin.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.optimize', 'scipy.stats'))))"
+    )
+    src = str(Path(bezmin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sublevel_member():

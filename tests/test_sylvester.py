@@ -67,6 +67,15 @@ def test_solve_sharpness_example():
     assert sol.R.norm() == pytest.approx(8.0, rel=1e-12)
 
 
+def test_solve_tiny_scale_pair_is_not_singular():
+    # the pivot test is relative: scaling a coprime pair by 1e-15 keeps it
+    # solvable, with cofactors scaled by 1e15
+    sol = sylvester.solve(Z.scale(1e-15), ONE_MINUS_Z.scale(1e-15))
+    assert sol.R.norm() == pytest.approx(1e15, rel=1e-12)
+    assert sol.S.norm() == pytest.approx(1e15, rel=1e-12)
+    assert sol.residual <= 1e-12
+
+
 def test_solve_common_root_raises():
     with pytest.raises(SingularSystemError):
         sylvester.solve(Z, Z)
