@@ -2,8 +2,9 @@
 
 Core objects: Polynomial (dense complex coefficients), RootSet (certified
 roots), DeltaReport (separation quantities), ContourSystem (circular-arc
-region boundaries), and BezoutSolution (the minimal-degree pair R, S with
-A*R + B*S = P).
+region boundaries, built for a RegionKind), and BezoutSolution (the
+minimal-degree pair R, S with A*R + B*S = P). The monomial family
+P = z^l is solve(A, B, Polynomial.monomial(l)).
 """
 
 from .poly import Polynomial
@@ -14,7 +15,6 @@ from .separation import (
     delta,
     delta_report,
     delta_tilde,
-    sublevel_member,
 )
 from .sylvester import (
     BezoutSolution,
@@ -23,7 +23,6 @@ from .sylvester import (
     inverse_norm_report,
     resultant,
     solve,
-    solve_monomial_all,
     solve_rhs,
 )
 from .regions import (
@@ -31,7 +30,6 @@ from .regions import (
     ContourSystem,
     Disk,
     RegionKind,
-    RegionSpec,
     build_region,
     contour_metrics,
     invert_contour,
@@ -55,21 +53,18 @@ __all__ = [
     "delta",
     "delta_report",
     "delta_tilde",
-    "sublevel_member",
     "check_separation",
     "SylvesterMatrix",
     "BezoutSolution",
     "build",
     "solve",
     "solve_rhs",
-    "solve_monomial_all",
     "resultant",
     "inverse_norm_report",
     "Arc",
     "ContourSystem",
     "Disk",
     "RegionKind",
-    "RegionSpec",
     "build_region",
     "contour_metrics",
     "invert_contour",

@@ -4,9 +4,11 @@ Three routes to the same unique minimal-degree pair:
 
 * residue/interpolation: for simple roots the contour formulas collapse to
   values at the roots, S(a_i) = P(a_i)/B(a_i) and R(b_j) = P(b_j)/A(b_j),
-  so S and R are Lagrange interpolants. This is the well-conditioned form;
-  the literal residue sum is kept as a debug oracle.
-* direct quadrature of the contour integrals over constructed arc systems.
+  so S and R are Lagrange interpolants. This is the well-conditioned form
+  of the residue sum.
+* direct quadrature of the contour integrals over constructed arc systems,
+  with Gauss-Legendre rules cached per order and each contour subdivided
+  once per solve.
 * the reversal pipeline: solve the companion identity with right-hand side
   z^(N+K-1) for the coefficient-reversed pair, then reverse back. This is
   the route that stays bounded when roots are large.
@@ -15,7 +17,7 @@ Three routes to the same unique minimal-degree pair:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,36 +31,9 @@ from .errors import (
     ZeroRootError,
 )
 from .poly import Polynomial
-from .regions import Arc, ContourSystem, winding_number
+from .regions import Arc, ContourSystem, gauss_legendre, winding_number
 from .roots import RootSet, find_roots
 from .sylvester import BezoutSolution
-
-
-class DifferenceQuotientKernel:
-    """g(zeta, z) = (G(zeta) - G(z)) / (zeta - z), a polynomial of degree
-    deg(G) - 1 in z whose coefficients are polynomials in zeta."""
-
-    def __init__(self, base: Polynomial):
-        self.base = base.normalize()
-        self.n = self.base.degree
-
-    def coeffs_in_z(self, zeta):
-        """Array c with c[j] = coefficient of z^j; zeta may be an ndarray,
-        giving shape (n, len(zeta))."""
-        g = self.base
-        zeta = np.asarray(zeta, dtype=complex)
-        c = np.empty((self.n,) + zeta.shape, dtype=complex)
-        c[self.n - 1] = g.coeff(self.n)
-        for j in range(self.n - 2, -1, -1):
-            c[j] = c[j + 1] * zeta + g.coeff(j + 1)
-        return c
-
-    def __call__(self, zeta: complex, z: complex) -> complex:
-        c = self.coeffs_in_z(complex(zeta))
-        acc = 0j
-        for j in range(self.n - 1, -1, -1):
-            acc = acc * z + c[j]
-        return acc
 
 
 def _guard_simple(roots: RootSet, who: str) -> None:
@@ -134,46 +109,6 @@ def solve_residue(
     return BezoutSolution(R=R, S=S, residual=residual, backend="residue")
 
 
-def residue_sum_solution(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    P: Polynomial | None = None,
-) -> BezoutSolution:
-    """Literal residue summation of the coefficient integrals. Identical in
-    exact arithmetic to solve_residue but worse conditioned; debug oracle."""
-    P = P if P is not None else Polynomial([1.0])
-    _guard_simple(rootsA, "A")
-    _guard_simple(rootsB, "B")
-    _guard_coprime(A, B, rootsA, rootsB)
-    An, Bn = A.normalize(), B.normalize()
-    n, k = An.degree, Bn.degree
-    dA, dB = A.derivative(), B.derivative()
-
-    s = np.zeros(n, dtype=complex)
-    for j in range(n):
-        acc = 0j
-        for kk in range(j + 1, n + 1):
-            integral = sum(
-                P(a) * a ** (kk - j - 1) / (dA(a) * B(a)) for a in rootsA.roots
-            )
-            acc += An.coeff(kk) * integral
-        s[j] = acc
-    r = np.zeros(k, dtype=complex)
-    for j in range(k):
-        acc = 0j
-        for kk in range(j + 1, k + 1):
-            integral = sum(
-                P(b) * b ** (kk - j - 1) / (dB(b) * A(b)) for b in rootsB.roots
-            )
-            acc += Bn.coeff(kk) * integral
-        r[j] = acc
-    R, S = Polynomial(r), Polynomial(s)
-    residual = (A * R + B * S - P).norm()
-    return BezoutSolution(R=R, S=S, residual=residual, backend="residue:literal")
-
-
 # ---------------------------------------------------------------------------
 # quadrature backend
 
@@ -190,46 +125,49 @@ class QuadratureRule:
         return complex(np.sum(self.weights * f(self.nodes)))
 
 
-def _subdivide(arcs: list[Arc], max_sweep: float, poles: np.ndarray) -> list[Arc]:
-    """Split arcs until sweeps are below max_sweep and arc length does not
-    exceed the distance to the nearest integrand pole (keeps the
-    Gauss-Legendre convergence rate healthy)."""
-    out: list[Arc] = []
-    stack = list(arcs)
+def _subdivide(
+    contour: ContourSystem, poles: np.ndarray = np.empty(0)
+) -> ContourSystem:
+    """The same contour with arcs split until each sweeps at most a quarter
+    turn and is no longer than the distance from its midpoint to the nearest
+    integrand pole (keeps the Gauss-Legendre convergence rate healthy). Arcs
+    keep their order along the contour, so an already subdivided contour
+    comes back unchanged."""
+    arcs: list[Arc] = []
+    loops: list[int] = []
+    stack = list(zip(contour.arcs, contour.loops))[::-1]
     while stack:
-        a = stack.pop()
-        mid = a.point(0.5)
-        d = float(np.min(np.abs(poles - mid))) if len(poles) else math.inf
-        if abs(a.sweep) > max_sweep or (a.length > d and abs(a.sweep) > 1e-3):
+        a, loop = stack.pop()
+        split = abs(a.sweep) > math.pi / 2.0
+        if not split and len(poles) and abs(a.sweep) > 1e-3:
+            split = a.length > float(np.min(np.abs(poles - a.point(0.5))))
+        if split:
             half = a.start_angle + a.sweep / 2.0
-            stack.append(Arc(a.circle, a.start_angle, half, a.ccw))
-            stack.append(Arc(a.circle, half, a.end_angle, a.ccw))
+            stack.append((Arc(a.circle, half, a.end_angle, a.ccw), loop))
+            stack.append((Arc(a.circle, a.start_angle, half, a.ccw), loop))
         else:
-            out.append(a)
-    return out
+            arcs.append(a)
+            loops.append(loop)
+    return replace(contour, arcs=arcs, loops=loops)
 
 
-def build_rule(
-    contour: ContourSystem,
-    order: int,
-    poles: np.ndarray | None = None,
-) -> QuadratureRule:
-    arcs = _subdivide(
-        contour.arcs, math.pi / 2.0, poles if poles is not None else np.array([])
-    )
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    for a in arcs:
-        t0, t1 = a.start_angle, a.end_angle
-        theta = 0.5 * (t1 - t0) * x + 0.5 * (t1 + t0)
-        e = np.exp(1j * theta)
-        z = a.circle.center + a.circle.radius * e
-        dz = 1j * a.circle.radius * e * 0.5 * (t1 - t0)
-        nodes.append(z)
-        weights.append(w * dz)
+def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
+    """Gauss-Legendre rule of the given order on every arc of the contour,
+    after splitting arcs longer than a quarter turn. Callers that double the
+    order split the contour near the integrand's poles once (_subdivide) and
+    build a rule per order on the result."""
+    arcs = _subdivide(contour).arcs
+    x, w = gauss_legendre(order)
+    t0 = np.array([a.start_angle for a in arcs])
+    t1 = np.array([a.end_angle for a in arcs])
+    center = np.array([a.circle.center for a in arcs])[:, None]
+    radius = np.array([a.circle.radius for a in arcs])[:, None]
+    half = (0.5 * (t1 - t0))[:, None]
+    e = np.exp(1j * (half * x + (0.5 * (t1 + t0))[:, None]))
     return QuadratureRule(
-        nodes=np.concatenate(nodes), weights=np.concatenate(weights), order=order
+        nodes=(center + radius * e).ravel(),
+        weights=(w * (1j * radius * e * half)).ravel(),
+        order=order,
     )
 
 
@@ -284,22 +222,19 @@ def solve_quadrature(
     if P.degree > n + k - 1:
         raise ValueError("deg P must be at most N+K-1")
     poles = np.array(list(rootsA.roots) + list(rootsB.roots))
+    gamma1, gamma2 = _subdivide(gamma1, poles), _subdivide(gamma2, poles)
 
-    def integrand(maxpow):
-        def moments(rule: QuadratureRule) -> np.ndarray:
-            base = rule.weights * P(rule.nodes) / (A(rule.nodes) * B(rule.nodes))
-            out = np.empty(maxpow, dtype=complex)
-            acc = base.copy()
-            for m in range(maxpow):
-                out[m] = np.sum(acc) / (2j * math.pi)
-                acc = acc * rule.nodes
-            return out
-
-        return moments
+    def moments(rule: QuadratureRule, count: int) -> np.ndarray:
+        acc = rule.weights * P(rule.nodes) / (A(rule.nodes) * B(rule.nodes))
+        out = np.empty(count, dtype=complex)
+        for m in range(count):
+            out[m] = np.sum(acc) / (2j * math.pi)
+            acc = acc * rule.nodes
+        return out
 
     def solve_at(order: int) -> tuple[np.ndarray, np.ndarray]:
-        m1 = integrand(n)(build_rule(gamma1, order, poles))
-        m2 = integrand(k)(build_rule(gamma2, order, poles))
+        m1 = moments(build_rule(gamma1, order), n)
+        m2 = moments(build_rule(gamma2, order), k)
         s = _coefficients_from_integrals(An, m1)
         r = _coefficients_from_integrals(Bn, m2)
         return r, s
@@ -335,10 +270,10 @@ def argument_principle_count(
     """(1/2 pi i) * integral of P'/P over the contour: counts enclosed zeros
     of P weighted by winding. Order doubles until stable."""
     dP = P.derivative()
-    roots = np.array(find_roots(P).roots)
+    contour = _subdivide(contour, np.array(find_roots(P).roots))
 
     def value(order):
-        rule = build_rule(contour, order, roots)
+        rule = build_rule(contour, order)
         return rule.integrate(lambda z: dP(z) / P(z)) / (2j * math.pi)
 
     order = start_order
@@ -361,16 +296,13 @@ def argument_principle_count(
 def solve_reversed(
     A: Polynomial,
     B: Polynomial,
-    inner: str = "sylvester",
     translation: complex | None = None,
 ) -> BezoutSolution:
     """Solve via the coefficient-reversed pair and right-hand side z^(N+K-1),
     then reverse the solutions back; A(0) and B(0) must be nonzero (translate
     first when a root sits at the origin)."""
     if translation is not None and translation != 0:
-        shifted = solve_reversed(
-            A.translate(translation), B.translate(translation), inner=inner
-        )
+        shifted = solve_reversed(A.translate(translation), B.translate(translation))
         R = shifted.R.translate(-translation)
         S = shifted.S.translate(-translation)
         residual = (A * R + B * S - Polynomial([1.0])).norm()
@@ -387,17 +319,12 @@ def solve_reversed(
     At = An.reverse(n)
     Bt = Bn.reverse(k)
     Pt = Polynomial.monomial(n + k - 1)
-    if inner == "sylvester":
-        inner_sol = sylvester.solve(At, Bt, Pt)
-    elif inner == "residue":
-        inner_sol = solve_residue(At, Bt, find_roots(At), find_roots(Bt), Pt)
-    else:
-        raise ValueError(f"unknown inner backend {inner!r}")
+    inner_sol = sylvester.solve(At, Bt, Pt)
     R = Polynomial([inner_sol.R.coeff(k - 1 - i) for i in range(k)])
     S = Polynomial([inner_sol.S.coeff(n - 1 - i) for i in range(n)])
     residual = (A * R + B * S - Polynomial([1.0])).norm()
     return BezoutSolution(
-        R=R, S=S, residual=residual, backend=f"reversed[{inner}]"
+        R=R, S=S, residual=residual, backend="reversed[sylvester]"
     )
 
 

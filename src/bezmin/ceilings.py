@@ -15,6 +15,10 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
+
+from .roots import companion_roots
+from .sylvester import layout
 
 DATA_PATH = Path(__file__).parent / "data" / "ceilings.json"
 SAFETY_FACTOR = 10.0
@@ -37,37 +41,6 @@ def _batch_unit_disk(rng: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
 
 
-def _batch_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrices of a (batch, deg+1) coefficient
-    array with nonvanishing leading column."""
-    b, d1 = coeffs.shape
-    d = d1 - 1
-    monic = coeffs / coeffs[:, -1:]
-    comp = np.zeros((b, d, d), dtype=complex)
-    if d > 1:
-        comp[:, 1:, :-1] = np.eye(d - 1)
-    comp[:, :, -1] = -monic[:, :-1]
-    return np.linalg.eigvals(comp)
-
-
-def _batch_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of each row polynomial at each row of points."""
-    acc = np.zeros_like(z)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * z + coeffs[:, k : k + 1]
-    return acc
-
-
-def _batch_sylvester(ca: np.ndarray, cb: np.ndarray, n: int, k: int) -> np.ndarray:
-    b = ca.shape[0]
-    m = np.zeros((b, n + k, n + k), dtype=complex)
-    for c in range(k):
-        m[:, c : c + n + 1, c] = ca
-    for c in range(n):
-        m[:, c : c + k + 1, k + c] = cb
-    return m
-
-
 def max_ratio_for_degrees(
     rng: np.random.Generator,
     n: int,
@@ -81,18 +54,19 @@ def max_ratio_for_degrees(
     ok = (np.abs(ca[:, -1]) > 1e-6) & (np.abs(cb[:, -1]) > 1e-6)
     ca, cb = ca[ok], cb[ok]
 
-    alphas = _batch_roots(ca)
-    betas = _batch_roots(cb)
+    # polyval with tensor=False evaluates coefficient column i at points row i
+    alphas = companion_roots(ca)
+    betas = companion_roots(cb)
     delta = np.minimum(
-        np.min(np.abs(_batch_eval(cb, alphas)), axis=1),
-        np.min(np.abs(_batch_eval(ca, betas)), axis=1),
+        np.min(np.abs(polyval(alphas, cb.T[..., None], tensor=False)), axis=1),
+        np.min(np.abs(polyval(betas, ca.T[..., None], tensor=False)), axis=1),
     )
     keep = delta >= delta_floor
     ca, cb, delta = ca[keep], cb[keep], delta[keep]
     if len(ca) == 0:
         return 0.0
 
-    mats = _batch_sylvester(ca, cb, n, k)
+    mats = layout(ca, cb)
     rhs = np.zeros((len(ca), n + k, 1), dtype=complex)
     rhs[:, 0, 0] = 1.0
     x = np.linalg.solve(mats, rhs)[:, :, 0]

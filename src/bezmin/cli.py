@@ -1,7 +1,8 @@
 """Command-line interface: one-shot solves and reports, the worked example
 families, figure reconstructions, and the randomized certification run.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 numerical
+Exit codes: 0 success, 1 check failure or refused input (any BezminError,
+reported as one "error: <Type>: <message>" line), 2 usage error, 3 numerical
 non-convergence.
 """
 
@@ -29,7 +30,6 @@ from .errors import (
 from .poly import Polynomial
 from .regions import (
     RegionKind,
-    RegionSpec,
     build_region,
     build_region_with_jitter,
     contour_metrics,
@@ -124,13 +124,7 @@ def discontinuity_pair(n: int) -> tuple[Polynomial, Polynomial]:
 
 
 def cmd_roots(args, config: RunConfig) -> int:
-    p = _load_poly(args.poly)
-    rs = find_roots(p)
-    _emit(
-        rs.to_json_dict(),
-        True,
-        [],
-    )
+    _emit(find_roots(_load_poly(args.poly)).to_json_dict(), True, [])
     return EXIT_OK
 
 
@@ -168,11 +162,7 @@ def cmd_solve(args, config: RunConfig) -> int:
     rootsA, rootsB = find_roots(A), find_roots(B)
     n, k = A.normalize().degree, B.normalize().degree
     P = _parse_rhs(args.rhs, n, k)
-    try:
-        rep = delta(A, B, rootsA, rootsB)
-    except CommonRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    rep = delta(A, B, rootsA, rootsB)
 
     wanted = (
         ["sylvester", "residue", "quadrature", "reversed"]
@@ -187,12 +177,8 @@ def cmd_solve(args, config: RunConfig) -> int:
             elif name == "residue":
                 sol = backends.solve_residue(A, B, rootsA, rootsB, P)
             elif name == "quadrature":
-                g1 = build_region_with_jitter(
-                    RegionSpec(RegionKind.E_A), rootsA, rootsB
-                )
-                g2 = build_region_with_jitter(
-                    RegionSpec(RegionKind.E_B), rootsA, rootsB
-                )
+                g1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
+                g2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
                 sol = backends.solve_quadrature(
                     A, B, (g1, g2), P, rootsA, rootsB,
                     tol=config.tol("quadrature"),
@@ -236,14 +222,21 @@ _REGION_FLAGS = {
 
 
 def cmd_regions(args, config: RunConfig) -> int:
+    flags = [f.strip() for f in args.kind.split(",")]
+    unknown = [f for f in flags if f not in _REGION_FLAGS]
+    if unknown:
+        raise ValueError(
+            f"unknown region kind {', '.join(unknown)}; "
+            f"expected {','.join(_REGION_FLAGS)}"
+        )
     A = _load_poly(args.poly_a)
     B = _load_poly(args.poly_b)
     rootsA, rootsB = find_roots(A), find_roots(B)
     contours = []
     info = {}
-    for kind_flag in args.kind.split(","):
-        kind = _REGION_FLAGS[kind_flag.strip()]
-        contour = build_region(RegionSpec(kind), rootsA, rootsB)
+    for flag in flags:
+        kind = _REGION_FLAGS[flag]
+        contour = build_region(kind, rootsA, rootsB)
         contours.append(contour)
         entry = contour.to_json_dict()
         if kind in (RegionKind.GAMMA1,):
@@ -272,11 +265,7 @@ def cmd_sylvester(args, config: RunConfig) -> int:
     rootsA, rootsB = find_roots(A), find_roots(B)
     M = sylvester.build(A, B)
     triple = sylvester.resultant(A, B, rootsA, rootsB)
-    try:
-        rep = delta(A, B, rootsA, rootsB)
-    except CommonRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    rep = delta(A, B, rootsA, rootsB)
     inv = sylvester.inverse_norm_report(A, B, rep.delta)
     out = {
         "matrix": [[[v.real, v.imag] for v in row] for row in M.entries],
@@ -403,8 +392,8 @@ def cmd_figures(args, config: RunConfig) -> int:
     A1 = Polynomial.from_roots(FIG1_ALPHAS)
     B1 = Polynomial.from_roots(FIG1_BETAS)
     ra, rb = find_roots(A1), find_roots(B1)
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
-    eb = build_region(RegionSpec(RegionKind.E_B), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
+    eb = build_region(RegionKind.E_B, ra, rb)
     markers = list(ra.roots) + list(rb.roots)
     emit_svg([ea, eb], markers, out_dir / "fig1_regions.svg")
     (out_dir / "fig3_oriented.svg").write_text(
@@ -416,9 +405,9 @@ def cmd_figures(args, config: RunConfig) -> int:
     A2 = Polynomial.from_roots(FIG45_ALPHAS)
     B2 = Polynomial.from_roots(FIG45_BETAS)
     ra2, rb2 = find_roots(A2), find_roots(B2)
-    ea2 = build_region(RegionSpec(RegionKind.E_A), ra2, rb2)
-    da2 = build_region(RegionSpec(RegionKind.D_A), ra2, rb2)
-    g1 = build_region(RegionSpec(RegionKind.GAMMA1), ra2, rb2)
+    ea2 = build_region(RegionKind.E_A, ra2, rb2)
+    da2 = build_region(RegionKind.D_A, ra2, rb2)
+    g1 = build_region(RegionKind.GAMMA1, ra2, rb2)
     markers2 = list(ra2.roots) + list(rb2.roots)
     emit_svg([ea2, da2], markers2, out_dir / "fig4_ea_da.svg")
     emit_svg([g1], markers2, out_dir / "fig5_gamma1.svg")
@@ -531,8 +520,8 @@ def _certify_one(task) -> dict:
             agree = max(
                 (sol.R - sol_res.R).norm(), (sol.S - sol_res.S).norm()
             )
-            g1 = build_region_with_jitter(RegionSpec(RegionKind.E_A), rootsA, rootsB)
-            g2 = build_region_with_jitter(RegionSpec(RegionKind.E_B), rootsA, rootsB)
+            g1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
+            g2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
             sol_quad = backends.solve_quadrature(
                 A, B, (g1, g2), rootsA=rootsA, rootsB=rootsB,
                 tol=config.tol("quadrature"),
@@ -603,8 +592,6 @@ def cmd_certify(args, config: RunConfig) -> int:
         "separation_samples": config.separation_samples,
         "tolerances": config.tolerances,
     }, "aggregates": aggregates, "records": records}
-    # T_bound_note: empirical max of delta over this ensemble
-    report["T_bound_note"] = aggregates["max_delta_observed"]
 
     path = out_dir / "certify_report.json"
     with open(path, "w") as fh:
@@ -618,8 +605,7 @@ def cmd_certify(args, config: RunConfig) -> int:
     lines = [
         f"records          {len(records)} / {config.ensemble_size} "
         f"(rejections: {rejections or 'none'})",
-        f"max delta        {aggregates['max_delta_observed']:.6g}  "
-        f"(empirical T bound note)",
+        f"max delta        {aggregates['max_delta_observed']:.6g}",
         f"max ratio        {aggregates['max_ratio']:.6g}",
         f"max residual     {aggregates['max_residual_sylvester']:.3e}",
         f"max agreement    {aggregates['max_agreement'] if aggregates['max_agreement'] is not None else float('nan'):.3e}",
@@ -709,6 +695,11 @@ def _config_from_args(args) -> RunConfig:
         name, _, value = spec.partition("=")
         if not value:
             raise ValueError(f"--tol expects NAME=VALUE, got {spec!r}")
+        if name not in DEFAULT_TOLERANCES:
+            raise ValueError(
+                f"unknown tolerance {name!r}; expected one of "
+                f"{', '.join(DEFAULT_TOLERANCES)}"
+            )
         tolerances[name] = float(value)
     config = RunConfig(
         seed=args.seed,
@@ -743,6 +734,9 @@ def main(argv=None) -> int:
     except QuadratureNotConverged as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except BezminError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ return new objects and are safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -200,7 +201,16 @@ class Polynomial:
             pairs = data["coeffs"]
         except (KeyError, TypeError) as exc:
             raise ValueError("polynomial JSON must contain a 'coeffs' list") from exc
-        return cls([complex(re, im) for re, im in pairs])
+        try:
+            coeffs = [complex(re, im) for re, im in pairs]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                "polynomial JSON 'coeffs' must be a list of [re, im] number pairs"
+            ) from exc
+        for k, c in enumerate(coeffs):
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {k} is not finite: {c}")
+        return cls(coeffs)
 
 
 def _as_poly(x) -> Polynomial:

@@ -28,6 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,11 +54,6 @@ class RegionKind(str, Enum):
     D_A = "D_A"
     GAMMA1 = "D_A&E_A"
     GAMMA1_INVERTED = "inverted"
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    kind: RegionKind
 
 
 @dataclass(frozen=True)
@@ -148,9 +144,7 @@ class ContourSystem:
 # membership predicates
 
 
-def membership(
-    spec: RegionSpec, rootsA: RootSet, rootsB: RootSet, z
-):
+def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
     """Pointwise region predicate; `z` may be a scalar or an ndarray."""
     alphas = np.asarray(rootsA.roots)
     betas = np.asarray(rootsB.roots)
@@ -172,7 +166,6 @@ def membership(
             hit |= np.abs(zz - a) < 0.75 * abs(a)
         return hit
 
-    kind = spec.kind
     if kind == RegionKind.E_A:
         res = e_region(alphas, betas)
     elif kind == RegionKind.E_B:
@@ -184,10 +177,7 @@ def membership(
     elif kind == RegionKind.GAMMA1_INVERTED:
         safe = np.abs(zz) > 1e-300
         inv = np.where(safe, 1.0 / np.where(safe, zz, 1.0), 0.0)
-        res = (
-            membership(RegionSpec(RegionKind.GAMMA1), rootsA, rootsB, inv)
-            & safe
-        )
+        res = membership(RegionKind.GAMMA1, rootsA, rootsB, inv) & safe
     else:
         raise ValueError(f"unknown region kind {kind}")
     if np.isscalar(z) or np.asarray(z).shape == ():
@@ -419,7 +409,7 @@ def _check_loop_consistency(arcs: list[Arc], loops: list[int], scale: float) -> 
 
 
 def build_region(
-    spec: RegionSpec, rootsA: RootSet, rootsB: RootSet
+    kind: RegionKind, rootsA: RootSet, rootsB: RootSet
 ) -> ContourSystem:
     """Oriented boundary of the requested region as chained circular arcs.
 
@@ -430,8 +420,8 @@ def build_region(
     winding +1). Identical circles (symmetric configurations produce them)
     are merged before intersection tests.
     """
-    if spec.kind == RegionKind.GAMMA1_INVERTED:
-        inner = build_region(RegionSpec(RegionKind.GAMMA1), rootsA, rootsB)
+    if kind == RegionKind.GAMMA1_INVERTED:
+        inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
         try:
             inverted = invert_contour(inner)
         except OriginTooClose as exc:
@@ -448,7 +438,7 @@ def build_region(
     betas = list(rootsB.roots)
     scale = 1.0 + max(abs(r) for r in alphas + betas)
     circles = _dedupe_circles(
-        _circles_for(spec.kind, alphas, betas, scale), POINT_TOL * scale
+        _circles_for(kind, alphas, betas, scale), POINT_TOL * scale
     )
 
     cuts: list[list[complex]] = [[] for _ in circles]
@@ -482,8 +472,8 @@ def build_region(
             candidates.append(arc)
             probes_in.append(circle.center + (circle.radius - h) * u)
             probes_out.append(circle.center + (circle.radius + h) * u)
-    mem_in = membership(spec, rootsA, rootsB, np.array(probes_in))
-    mem_out = membership(spec, rootsA, rootsB, np.array(probes_out))
+    mem_in = membership(kind, rootsA, rootsB, np.array(probes_in))
+    mem_out = membership(kind, rootsA, rootsB, np.array(probes_out))
     kept = [a for a, i, o in zip(candidates, mem_in, mem_out) if i and not o]
 
     if not kept:
@@ -497,15 +487,15 @@ def build_region(
         arcs=kept, loops=loops, total_length=total_length, scale=scale
     )
     probes: dict[complex, int] = {}
-    if spec.kind in (RegionKind.E_A, RegionKind.D_A, RegionKind.GAMMA1):
+    if kind in (RegionKind.E_A, RegionKind.D_A, RegionKind.GAMMA1):
         for a in alphas:
             probes[complex(a)] = 1
-    if spec.kind == RegionKind.E_B:
+    if kind == RegionKind.E_B:
         for b in betas:
             probes[complex(b)] = 1
         for a in alphas:
             probes[complex(a)] = 0
-    if spec.kind in (RegionKind.E_A, RegionKind.GAMMA1):
+    if kind in (RegionKind.E_A, RegionKind.GAMMA1):
         for b in betas:
             probes[complex(b)] = 0
     _certify(contour, probes)
@@ -620,6 +610,16 @@ class ContourMetrics:
         return dict(self.__dict__)
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (leggauss solves an eigenproblem each call) and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _arc_quadrature_real(arc: Arc, f, start_order: int = 16, tol: float = 1e-9) -> float:
     """Integral of f(zeta) * |dzeta| over the arc with order doubling."""
     c, r = arc.circle.center, arc.circle.radius
@@ -628,7 +628,7 @@ def _arc_quadrature_real(arc: Arc, f, start_order: int = 16, tol: float = 1e-9) 
     prev = None
     order = start_order
     while order <= 2048:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = gauss_legendre(order)
         theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         vals = f(c + r * np.exp(1j * theta))
         total = float(np.sum(weights * vals) * 0.5 * (hi - lo) * r)
@@ -690,7 +690,7 @@ def contour_metrics(
 
 
 def build_region_with_jitter(
-    spec: RegionSpec,
+    kind: RegionKind,
     rootsA: RootSet,
     rootsB: RootSet,
     attempts: int = 4,
@@ -708,7 +708,7 @@ def build_region_with_jitter(
     ra, rb = rootsA, rootsB
     for attempt in range(attempts):
         try:
-            return build_region(spec, ra, rb)
+            return build_region(kind, ra, rb)
         except DegenerateArrangement as exc:
             last = exc
             scale = 1.0 + max(
@@ -730,16 +730,3 @@ def build_region_with_jitter(
                 ),
             )
     raise last
-
-
-def translation_point(rootsA: RootSet, rootsB: RootSet, n: int, k: int) -> complex:
-    """A point z0 in the unit disk whose 2*eps neighborhood avoids all roots,
-    found among N+K+1 packed candidate centers on the real axis; after
-    translating the pair by z0 no root sits near the origin."""
-    eps = 1.0 / (4.0 * (n + k + 2.0))
-    roots = list(rootsA.roots) + list(rootsB.roots)
-    for m in range(n + k + 1):
-        z0 = complex(-1.0 + 2 * eps + 4 * eps * m, 0.0)
-        if all(abs(r - z0) > 2 * eps for r in roots):
-            return z0
-    raise ArithmeticError("pigeonhole failure: no root-free candidate disk")

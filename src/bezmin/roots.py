@@ -1,15 +1,17 @@
 """Root extraction with residual certificates and multiplicity flags.
 
-Roots come from the eigenvalues of the (balanced) companion matrix and are
-then polished with a few Newton steps. Every downstream quantity in the
-package (separation, contours, interpolation) consumes the RootSet produced
-here, so residuals and cluster flags are recorded explicitly rather than
-trusted implicitly.
+Roots come from the eigenvalues of the companion matrix (LAPACK balances it
+before the QR iteration) and are then polished with a few Newton steps.
+Every downstream quantity in the package (separation, contours,
+interpolation) consumes the RootSet produced here, so residuals and cluster
+flags are recorded explicitly rather than trusted implicitly.
+`companion_roots` also serves stacked coefficient rows, which the ceiling
+calibration uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,45 +54,19 @@ class RootSet:
         }
 
 
-def _companion(monic_coeffs: np.ndarray) -> np.ndarray:
-    """Companion matrix of a monic polynomial given by all coefficients
-    (constant first, leading 1 last)."""
-    n = len(monic_coeffs) - 1
-    m = np.zeros((n, n), dtype=complex)
-    m[1:, :-1] = np.eye(n - 1)
-    m[:, -1] = -monic_coeffs[:-1]
-    return m
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices of coefficient rows (constant
+    first, nonzero leading coefficient last); leading axes are batch axes.
 
-
-def _balance(m: np.ndarray) -> np.ndarray:
-    """Osborne-style diagonal balancing in powers of 2; similarity transform,
-    so eigenvalues are unchanged while their conditioning improves."""
-    a = m.copy()
-    n = a.shape[0]
-    for _ in range(8):
-        converged = True
-        for i in range(n):
-            row = np.sum(np.abs(a[i, :])) - abs(a[i, i])
-            col = np.sum(np.abs(a[:, i])) - abs(a[i, i])
-            if row == 0.0 or col == 0.0:
-                continue
-            f = 1.0
-            c, r = col, row
-            while c < r / 2.0:
-                c *= 2.0
-                r /= 2.0
-                f *= 2.0
-            while c > r * 2.0:
-                c /= 2.0
-                r *= 2.0
-                f /= 2.0
-            if f != 1.0:
-                converged = False
-                a[i, :] /= f
-                a[:, i] *= f
-        if converged:
-            break
-    return a
+    LAPACK's zgeev balances each matrix (zgebal) before the QR iteration, so
+    no balancing is done here.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = coeffs.shape[-1] - 1
+    m = np.zeros(coeffs.shape[:-1] + (n, n), dtype=complex)
+    m[..., 1:, :-1] = np.eye(n - 1)
+    m[..., :, -1] = -(coeffs[..., :-1] / coeffs[..., -1:])
+    return np.linalg.eigvals(m)
 
 
 def find_roots(
@@ -109,14 +85,8 @@ def find_roots(
     if n < 1:
         raise DegreeZeroError("cannot extract roots of a constant polynomial")
     cs = np.asarray(q.coeffs[: n + 1], dtype=complex)
-    lead = cs[-1]
-    cauchy_bound = 1.0 + float(np.max(np.abs(cs))) / abs(lead)
-
-    monic = cs / lead
-    if n == 1:
-        roots = np.array([-monic[0]], dtype=complex)
-    else:
-        roots = np.linalg.eigvals(_balance(_companion(monic)))
+    cauchy_bound = 1.0 + float(np.max(np.abs(cs))) / abs(cs[-1])
+    roots = companion_roots(cs)
 
     dp = p.derivative()
     for _ in range(max(0, newton_steps)):

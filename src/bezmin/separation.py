@@ -31,7 +31,6 @@ class DeltaReport:
     delta_tilde_upper: float | None = None
     tilde_witness: complex | None = None
     sandwich_ok: bool | None = None
-    T_bound_note: float | None = None
     common_root: bool = False
 
     def to_json_dict(self) -> dict:
@@ -45,7 +44,6 @@ class DeltaReport:
             "delta_tilde_upper": self.delta_tilde_upper,
             "tilde_witness": c(self.tilde_witness),
             "sandwich_ok": self.sandwich_ok,
-            "T_bound_note": self.T_bound_note,
             "common_root": self.common_root,
         }
 
@@ -332,13 +330,6 @@ def delta_report(
         lower - SANDWICH_TOL <= upper <= report.delta + SANDWICH_TOL
     )
     return report
-
-
-def sublevel_member(p: Polynomial, eps: float, z: complex) -> bool:
-    """Whether |p(z)| < eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return bool(abs(p(z)) < eps)
 
 
 @dataclass(frozen=True)

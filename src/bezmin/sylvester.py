@@ -3,10 +3,14 @@ and the inverse-norm conditioning report.
 
 The matrix layout puts K shifted copies of A's coefficient column first and N
 shifted copies of B's column after, so that S(A,B) @ [r_0..r_{K-1}, s_0..
-s_{N-1}] is exactly the coefficient vector of A*R + B*S. Solves use partial
-pivoting LU plus iterative refinement with an extended-precision residual;
-the refinement is what keeps ill-conditioned instances (tiny separation)
-accurate to ~1e-12 relative instead of eps * cond.
+s_{N-1}] is exactly the coefficient vector of A*R + B*S. `layout` builds it
+for stacked coefficient rows too, which the ceiling calibration uses. The
+inverse's columns are the solutions for P = z^l, l = 0..N+K-1.
+
+Solves use partial pivoting LU plus iterative refinement with an
+extended-precision residual; the refinement is what keeps ill-conditioned
+instances (tiny separation) accurate to ~1e-12 relative instead of
+eps * cond.
 """
 
 from __future__ import annotations
@@ -57,19 +61,26 @@ class BezoutSolution:
         return out
 
 
+def layout(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Sylvester entries for coefficient rows ca (degree N) and cb (degree
+    K), constant term first; leading axes, the same for both, are batch
+    axes."""
+    n, k = ca.shape[-1] - 1, cb.shape[-1] - 1
+    m = np.zeros(ca.shape[:-1] + (n + k, n + k), dtype=complex)
+    for c in range(k):
+        m[..., c : c + n + 1, c] = ca
+    for c in range(n):
+        m[..., c : c + k + 1, k + c] = cb
+    return m
+
+
 def build(A: Polynomial, B: Polynomial) -> SylvesterMatrix:
     """Sylvester matrix of the pair; degrees are taken after normalize()."""
     An, Bn = A.normalize(), B.normalize()
     n, k = An.degree, Bn.degree
     if n < 1 or k < 1:
         raise ConstantPolynomialError("both polynomials must be nonconstant")
-    m = np.zeros((n + k, n + k), dtype=complex)
-    for c in range(k):
-        for i in range(n + 1):
-            m[c + i, c] = An.coeff(i)
-    for c in range(n):
-        for i in range(k + 1):
-            m[c + i, k + c] = Bn.coeff(i)
+    m = layout(np.array(An.coeffs), np.array(Bn.coeffs))
     return SylvesterMatrix(entries=m, N=n, K=k)
 
 
@@ -230,31 +241,3 @@ def inverse_norm_report(
     if not normalized:
         report.unnormalized_bound = bound * max_norm
     return report
-
-
-def solve_monomial_all(A: Polynomial, B: Polynomial) -> list[BezoutSolution]:
-    """Solutions for P = z^l, l = 0..N+K-1, sharing one factorization.
-
-    The packed solution vectors are the columns of the inverse matrix.
-    """
-    M = build(A, B)
-    lu_piv = _factor(M)
-    out = []
-    for ell in range(M.size):
-        P = Polynomial.monomial(ell)
-        x = _refined_solve(M, lu_piv, _rhs_vector(M, P))
-        R, S = _pack(M, x)
-        residual = (A * R + B * S - P).norm()
-        out.append(BezoutSolution(R=R, S=S, residual=residual,
-                                  backend="sylvester:monomial"))
-    return out
-
-
-def assemble_inverse(M: SylvesterMatrix, family: list[BezoutSolution]) -> np.ndarray:
-    """Stack the monomial-family solution vectors into the inverse matrix."""
-    cols = []
-    for sol in family:
-        cols.append(
-            [sol.R.coeff(i) for i in range(M.K)] + [sol.S.coeff(i) for i in range(M.N)]
-        )
-    return np.array(cols, dtype=complex).T

@@ -19,7 +19,6 @@ from bezmin.errors import CommonRootError, DegenerateArrangement
 from bezmin.poly import Polynomial
 from bezmin.regions import (
     RegionKind,
-    RegionSpec,
     build_region_with_jitter,
     contour_metrics,
     winding_number,
@@ -86,10 +85,10 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
         da, db = inst.A.degree, inst.B.degree
         s_res = backends.solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
         g1 = build_region_with_jitter(
-            RegionSpec(RegionKind.E_A), inst.rootsA, inst.rootsB
+            RegionKind.E_A, inst.rootsA, inst.rootsB
         )
         g2 = build_region_with_jitter(
-            RegionSpec(RegionKind.E_B), inst.rootsA, inst.rootsB
+            RegionKind.E_B, inst.rootsA, inst.rootsB
         )
         s_quad = backends.solve_quadrature(
             inst.A, inst.B, (g1, g2), rootsA=inst.rootsA, rootsB=inst.rootsB
@@ -179,7 +178,7 @@ def test_criterion_07_argument_principle():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
         contour = build_region_with_jitter(
-            RegionSpec(RegionKind.E_A), inst.rootsA, inst.rootsB
+            RegionKind.E_A, inst.rootsA, inst.rootsB
         )
         count_a = backends.argument_principle_count(inst.A, contour)
         count_b = backends.argument_principle_count(inst.B, contour)
@@ -205,7 +204,7 @@ def test_criterion_08_contour_log_integral():
             continue
         try:
             g1 = build_region_with_jitter(
-                RegionSpec(RegionKind.GAMMA1), inst.rootsA, inst.rootsB
+                RegionKind.GAMMA1, inst.rootsA, inst.rootsB
             )
         except DegenerateArrangement:
             continue

@@ -205,3 +205,39 @@ def test_solve_quadrature_nonconvergence_exit_code(tmp_path):
 def test_solve_rhs_power_out_of_range_is_usage_error(poly_files):
     a, b = poly_files
     assert main(["solve", a, b, "--rhs", "monomial:9"]) == 2
+
+
+def test_unknown_region_kind_is_usage_error(poly_files, capsys):
+    a, b = poly_files
+    assert main(["regions", a, b, "--kind", "ea,foo"]) == 2
+    assert "foo" in capsys.readouterr().err
+
+
+def test_unknown_tolerance_name_is_usage_error(capsys):
+    assert main(["--tol", "bogus=1", "examples"]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_degenerate_region_exits_one_with_error_line(poly_files, capsys):
+    # z has its root at the origin, so the D_A disks of gamma1 degenerate
+    a, b = poly_files
+    assert main(["regions", a, b, "--kind", "gamma1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateArrangement: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_roots_of_constant_exits_one_with_error_line(tmp_path, capsys):
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps(Polynomial([3.0]).to_json_dict()))
+    assert main(["roots", str(c)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegreeZeroError: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text('{"coeffs": [[1, 0], [NaN, 0]]}')
+    assert main(["roots", str(p)]) == 2
+    assert "coefficient 1" in capsys.readouterr().err

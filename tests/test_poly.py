@@ -129,3 +129,14 @@ def test_json_round_trip():
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         Polynomial.from_json_dict({"nope": 1})
+    for coeffs in (5, [1.0], [["a", 0.0]], [[1.0, 0.0, 2.0]], [None]):
+        with pytest.raises(ValueError, match="pairs"):
+            Polynomial.from_json_dict({"coeffs": coeffs})
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_json_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficient 1"):
+        Polynomial.from_json_dict({"coeffs": [[1.0, 0.0], [float(bad), 0.0]]})
+    with pytest.raises(ValueError, match="coefficient 0"):
+        Polynomial.from_json_dict({"coeffs": [[0.0, float(bad)]]})

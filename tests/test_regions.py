@@ -18,7 +18,6 @@ from bezmin.regions import (
     ContourSystem,
     Disk,
     RegionKind,
-    RegionSpec,
     _circle_intersections,
     build_region,
     build_region_with_jitter,
@@ -26,12 +25,12 @@ from bezmin.regions import (
     contour_metrics,
     invert_contour,
     membership,
-    translation_point,
     winding_number,
 )
 from bezmin.roots import find_roots
 from bezmin.separation import delta
 from bezmin.svgout import render_svg
+from oracles import translation_point
 
 FIG1_ALPHAS = [0.25 + 0.125j, -0.5, 0.4]
 FIG1_BETAS = [1 / 9 + 5j / 6, 1 / 8 + 0.5j, 1j / 3, 1j / 5]
@@ -65,8 +64,8 @@ def test_winding_on_contour_raises():
 
 def test_fig1_component_counts(fig1):
     A, B, ra, rb = fig1
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
-    eb = build_region(RegionSpec(RegionKind.E_B), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
+    eb = build_region(RegionKind.E_B, ra, rb)
     assert ea.n_loops == 2
     assert eb.n_loops == 1
 
@@ -74,10 +73,10 @@ def test_fig1_component_counts(fig1):
 def test_fig1_counts_against_rasterization(fig1):
     # marching-squares style oracle: label the membership grid
     A, B, ra, rb = fig1
-    spec = RegionSpec(RegionKind.E_A)
+    kind = RegionKind.E_A
     xs = np.linspace(-1.0, 1.2, 512)
     X, Y = np.meshgrid(xs, xs)
-    mask = membership(spec, ra, rb, X + 1j * Y)
+    mask = membership(kind, ra, rb, X + 1j * Y)
     _, ncomp = ndimage.label(mask)
     assert ncomp == 2
 
@@ -88,7 +87,7 @@ def test_single_root_region_is_smallest_circle():
     A = Polynomial.from_roots([alpha])
     B = Polynomial.from_roots([1.0, -0.7j, 0.9j])
     ra, rb = find_roots(A), find_roots(B)
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
     assert ea.n_loops == 1
     assert len(ea.arcs) == 1
     want = min(abs(b - alpha) / 3.0 for b in rb.roots)
@@ -100,7 +99,7 @@ def test_loop_closure_and_interior_winding(fig1):
     from bezmin.regions import winding_of_arcs
 
     A, B, ra, rb = fig1
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
     tol = 1e-9 * ea.scale
     for li in range(ea.n_loops):
         arcs = ea.loop_arcs(li)
@@ -116,11 +115,11 @@ def test_loop_closure_and_interior_winding(fig1):
 
 def test_membership_matches_winding_parity(fig1):
     A, B, ra, rb = fig1
-    spec = RegionSpec(RegionKind.E_A)
-    ea = build_region(spec, ra, rb)
+    kind = RegionKind.E_A
+    ea = build_region(kind, ra, rb)
     rng = np.random.default_rng(41)
     pts = 1.4 * (rng.random(10_000) - 0.5) + 1.4j * (rng.random(10_000) - 0.5)
-    member = membership(spec, ra, rb, pts)
+    member = membership(kind, ra, rb, pts)
     checked = 0
     for z, m in zip(pts, member):
         if contour_distance(ea.arcs, z) < 1e-6:
@@ -136,7 +135,7 @@ def test_random_instances_certify_windings():
         da, db = sample_degrees(rng, 1, 4)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
         ea = build_region_with_jitter(
-            RegionSpec(RegionKind.E_A), inst.rootsA, inst.rootsB
+            RegionKind.E_A, inst.rootsA, inst.rootsB
         )
         for a in inst.rootsA.roots:
             assert winding_number(ea, a) == 1
@@ -146,7 +145,7 @@ def test_random_instances_certify_windings():
 
 def test_argument_principle_on_boundaries(fig1):
     A, B, ra, rb = fig1
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
     count_a = backends.argument_principle_count(A, ea)
     count_b = backends.argument_principle_count(B, ea)
     assert abs(count_a - A.degree) < 1e-6
@@ -162,7 +161,7 @@ def test_root_at_origin_rejected_for_da():
     A = Polynomial([0, 1])
     B = Polynomial([1, -1])
     with pytest.raises(DegenerateArrangement):
-        build_region(RegionSpec(RegionKind.D_A), find_roots(A), find_roots(B))
+        build_region(RegionKind.D_A, find_roots(A), find_roots(B))
 
 
 def test_log_integral_scale_invariance():
@@ -191,7 +190,7 @@ def test_gamma1_log_integral_bound_random():
             continue
         try:
             g1 = build_region_with_jitter(
-                RegionSpec(RegionKind.GAMMA1), inst.rootsA, inst.rootsB
+                RegionKind.GAMMA1, inst.rootsA, inst.rootsB
             )
         except DegenerateArrangement:
             continue
@@ -209,7 +208,7 @@ def test_component_length_within_bounding_circle(fig1):
     # of a disk that encloses it
     A, B, ra, rb = fig1
     for kind in (RegionKind.E_A, RegionKind.E_B):
-        region = build_region(RegionSpec(kind), ra, rb)
+        region = build_region(kind, ra, rb)
         for li in range(region.n_loops):
             arcs = region.loop_arcs(li)
             pts = np.array([a.point(t) for a in arcs for t in np.linspace(0, 1, 17)])
@@ -222,13 +221,13 @@ def test_component_length_within_bounding_circle(fig1):
 def test_scale_covariance_of_lengths():
     rng = np.random.default_rng(44)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
-    ea = build_region(RegionSpec(RegionKind.E_A), inst.rootsA, inst.rootsB)
+    ea = build_region(RegionKind.E_A, inst.rootsA, inst.rootsB)
     s = 3.7
     from dataclasses import replace
 
     ra2 = replace(inst.rootsA, roots=tuple(s * r for r in inst.rootsA.roots))
     rb2 = replace(inst.rootsB, roots=tuple(s * r for r in inst.rootsB.roots))
-    ea2 = build_region(RegionSpec(RegionKind.E_A), ra2, rb2)
+    ea2 = build_region(RegionKind.E_A, ra2, rb2)
     assert ea2.total_length == pytest.approx(s * ea.total_length, rel=1e-12)
 
 
@@ -255,7 +254,7 @@ def test_inverted_region_windings():
     A = Polynomial.from_roots(alphas)
     B = Polynomial.from_roots(betas)
     ra, rb = find_roots(A), find_roots(B)
-    inv = build_region(RegionSpec(RegionKind.GAMMA1_INVERTED), ra, rb)
+    inv = build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
     for a in ra.roots:
         assert winding_number(inv, 1.0 / a) == 1
     for b in rb.roots:
@@ -268,7 +267,7 @@ def test_invert_involution():
     A = Polynomial.from_roots(alphas)
     B = Polynomial.from_roots(betas)
     ra, rb = find_roots(A), find_roots(B)
-    g1 = build_region(RegionSpec(RegionKind.GAMMA1), ra, rb)
+    g1 = build_region(RegionKind.GAMMA1, ra, rb)
     back = invert_contour(invert_contour(g1))
     for a in back.arcs:
         for t in np.linspace(0, 1, 9):
@@ -294,7 +293,7 @@ def test_empty_svg_is_valid():
 
 def test_svg_render_deterministic(fig1):
     A, B, ra, rb = fig1
-    ea = build_region(RegionSpec(RegionKind.E_A), ra, rb)
+    ea = build_region(RegionKind.E_A, ra, rb)
     one = render_svg([ea], list(ra.roots))
     two = render_svg([ea], list(ra.roots))
     assert one == two
@@ -314,4 +313,4 @@ def test_inverted_build_near_origin_root_raises():
     ra, rb = find_roots(A), find_roots(B)
     ra = replace(ra, roots=(4.5e-9 + 0j, 0.5 + 0j))
     with pytest.raises(OriginInRegionError):
-        build_region(RegionSpec(RegionKind.GAMMA1_INVERTED), ra, rb)
+        build_region(RegionKind.GAMMA1_INVERTED, ra, rb)

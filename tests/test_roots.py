@@ -126,3 +126,26 @@ def test_perturb_delta_continuity():
     assert errs[0] < 1e-2
     assert errs[-1] < 1e-6
     assert errs[2] <= errs[0]
+
+
+def _robustness_cases():
+    rng = np.random.default_rng(13)
+    for deg in range(2, 9):
+        for _ in range(4):
+            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            yield Polynomial(c * np.logspace(0, 8, deg + 1))
+            radii = 10.0 ** rng.uniform(-3, 3, deg)
+            angles = 2 * np.pi * rng.random(deg)
+            yield Polynomial.from_roots(radii * np.exp(1j * angles))
+
+
+def test_graded_and_spread_roots_verify_and_scale_invariant():
+    for p in _robustness_cases():
+        base = find_roots(p)
+        assert base.verified
+        for c in (1e-8, 1e8, 3 - 4j):
+            rs = find_roots(p.scale(c))
+            assert rs.verified == base.verified
+            assert rs.multiplicity_suspect == base.multiplicity_suspect
+            got, want = np.array(rs.roots), np.array(base.roots)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))

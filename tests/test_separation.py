@@ -22,8 +22,8 @@ from bezmin.separation import (
     delta,
     delta_report,
     delta_tilde,
-    sublevel_member,
 )
+from oracles import sublevel_member
 
 Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])

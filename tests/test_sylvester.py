@@ -29,6 +29,25 @@ def test_build_rejects_constants():
         sylvester.build(Polynomial([1.0]), Z)
 
 
+def test_layout_of_stacked_rows_matches_entrywise_definition():
+    rng = np.random.default_rng(38)
+    n, k = 3, 5
+    ca = rng.standard_normal((4, n + 1)) + 1j * rng.standard_normal((4, n + 1))
+    cb = rng.standard_normal((4, k + 1)) + 1j * rng.standard_normal((4, k + 1))
+    mats = sylvester.layout(ca, cb)
+    for b in range(4):
+        want = np.zeros((n + k, n + k), dtype=complex)
+        for c in range(k):
+            for i in range(n + 1):
+                want[c + i, c] = ca[b, i]
+        for c in range(n):
+            for i in range(k + 1):
+                want[c + i, k + c] = cb[b, i]
+        assert np.array_equal(mats[b], want)
+        M = sylvester.build(Polynomial(ca[b]), Polynomial(cb[b]))
+        assert np.array_equal(M.entries, want)
+
+
 def test_matvec_matches_polynomial_product():
     # S(A,B) @ [r, s] must equal the coefficients of A*R + B*S
     rng = np.random.default_rng(31)
@@ -152,21 +171,30 @@ def test_inverse_norm_requires_positive_delta():
         sylvester.inverse_norm_report(Z, ONE_MINUS_Z, 0.0)
 
 
+def _monomial_family(A, B, size):
+    return [sylvester.solve(A, B, Polynomial.monomial(ell)) for ell in range(size)]
+
+
 def test_monomial_family_assembles_inverse():
+    # the packed solutions for P = z^l are the columns of the inverse
     rng = np.random.default_rng(35)
     inst = random_pair(rng, 3, 4, delta_floor=0.05)
     M = sylvester.build(inst.A, inst.B)
-    family = sylvester.solve_monomial_all(inst.A, inst.B)
-    assert len(family) == M.size
-    R = sylvester.assemble_inverse(M, family)
-    assert np.max(np.abs(M.entries @ R - np.eye(M.size))) < 1e-12
+    family = _monomial_family(inst.A, inst.B, M.size)
+    inv = np.array(
+        [[sol.R.coeff(i) for i in range(M.K)] + [sol.S.coeff(i) for i in range(M.N)]
+         for sol in family]
+    ).T
+    assert np.max(np.abs(M.entries @ inv - np.eye(M.size))) < 1e-12
+    report = sylvester.inverse_norm_report(inst.A, inst.B, inst.delta)
+    assert np.max(np.abs(inv)) == pytest.approx(report.max_entry_norm, rel=1e-12)
 
 
 def test_monomial_family_consistent_with_solve_rhs():
     rng = np.random.default_rng(36)
     inst = random_pair(rng, 2, 3, delta_floor=0.05)
     M = sylvester.build(inst.A, inst.B)
-    family = sylvester.solve_monomial_all(inst.A, inst.B)
+    family = _monomial_family(inst.A, inst.B, M.size)
     direct = sylvester.solve_rhs(M, inst.A, inst.B, Polynomial([1.0]))
     assert (family[0].R - direct.R).norm() < 1e-12
     assert (family[0].S - direct.S).norm() < 1e-12
