@@ -35,6 +35,7 @@ from .regions import (
     invert_contour,
     membership,
     winding_number,
+    winding_numbers,
 )
 from .backends import (
     certify_main_bound,
@@ -70,6 +71,7 @@ __all__ = [
     "invert_contour",
     "membership",
     "winding_number",
+    "winding_numbers",
     "certify_main_bound",
     "solve_quadrature",
     "solve_residue",

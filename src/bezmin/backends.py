@@ -31,7 +31,7 @@ from .errors import (
     ZeroRootError,
 )
 from .poly import Polynomial
-from .regions import Arc, ContourSystem, gauss_legendre, winding_number
+from .regions import Arc, ContourSystem, _first_winding_mismatch, gauss_legendre
 from .roots import RootSet, find_roots
 from .sylvester import BezoutSolution
 
@@ -174,12 +174,15 @@ def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
 def _check_contour(
     contour: ContourSystem, inside: RootSet, outside: RootSet, who: str
 ) -> None:
-    for r in inside.roots:
-        if winding_number(contour, r) != 1:
-            raise BadContour(f"{who} does not wind once around root {r:.6g}")
-    for r in outside.roots:
-        if winding_number(contour, r) != 0:
-            raise BadContour(f"{who} must exclude root {r:.6g}")
+    roots = list(inside.roots) + list(outside.roots)
+    expected = [1] * len(inside.roots) + [0] * len(outside.roots)
+    mismatch = _first_winding_mismatch(contour, roots, expected)
+    if mismatch is None:
+        return
+    r = roots[mismatch[0]]
+    if expected[mismatch[0]]:
+        raise BadContour(f"{who} does not wind once around root {r:.6g}")
+    raise BadContour(f"{who} must exclude root {r:.6g}")
 
 
 def _coefficients_from_integrals(
@@ -202,11 +205,12 @@ def solve_quadrature(
     rootsA: RootSet | None = None,
     rootsB: RootSet | None = None,
     start_order: int = 16,
-    max_order: int = 1024,
+    max_order: int = 2048,
     tol: float = 1e-9,
 ) -> BezoutSolution:
     """Evaluate the coefficient contour integrals by per-arc Gauss-Legendre
-    quadrature, doubling the order until every coefficient is stable.
+    quadrature, doubling the order until every coefficient is stable. The
+    orders run start_order, 2 * start_order, ... up to at most max_order.
 
     contours[0] must wind once around each root of A and zero times around
     each root of B; contours[1] the opposite.
@@ -241,7 +245,7 @@ def solve_quadrature(
 
     order = start_order
     r_prev, s_prev = solve_at(order)
-    while order <= max_order:
+    while 2 * order <= max_order:
         order *= 2
         r_new, s_new = solve_at(order)
         change = max(
@@ -255,37 +259,12 @@ def solve_quadrature(
                 R=R, S=S, residual=residual, backend="quadrature"
             )
         r_prev, s_prev = r_new, s_new
+    if order == start_order:
+        raise QuadratureNotConverged(
+            f"max_order {max_order} leaves no order to compare with {order}"
+        )
     raise QuadratureNotConverged(
-        f"coefficients still moving at order {max_order}"
-    )
-
-
-def argument_principle_count(
-    P: Polynomial,
-    contour: ContourSystem,
-    start_order: int = 16,
-    max_order: int = 512,
-    tol: float = 1e-8,
-) -> complex:
-    """(1/2 pi i) * integral of P'/P over the contour: counts enclosed zeros
-    of P weighted by winding. Order doubles until stable."""
-    dP = P.derivative()
-    contour = _subdivide(contour, np.array(find_roots(P).roots))
-
-    def value(order):
-        rule = build_rule(contour, order)
-        return rule.integrate(lambda z: dP(z) / P(z)) / (2j * math.pi)
-
-    order = start_order
-    prev = value(order)
-    while order <= max_order:
-        order *= 2
-        cur = value(order)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"argument-principle integral unstable at order {max_order}"
+        f"coefficients still moving between orders {order // 2} and {order}"
     )
 
 

@@ -33,7 +33,7 @@ from .regions import (
     build_region,
     build_region_with_jitter,
     contour_metrics,
-    winding_number,
+    winding_numbers,
 )
 from .roots import find_roots
 from .separation import (
@@ -411,10 +411,8 @@ def cmd_figures(args, config: RunConfig) -> int:
     markers2 = list(ra2.roots) + list(rb2.roots)
     emit_svg([ea2, da2], markers2, out_dir / "fig4_ea_da.svg")
     emit_svg([g1], markers2, out_dir / "fig5_gamma1.svg")
-    windings = {
-        "alphas": [winding_number(g1, z) for z in ra2.roots],
-        "betas": [winding_number(g1, z) for z in rb2.roots],
-    }
+    found = winding_numbers(g1, markers2).tolist()
+    windings = {"alphas": found[: len(ra2.roots)], "betas": found[len(ra2.roots) :]}
     summary["fig5"] = windings
     ok &= all(w == 1 for w in windings["alphas"])
     ok &= all(w == 0 for w in windings["betas"])

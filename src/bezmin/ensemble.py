@@ -1,30 +1,15 @@
-"""Random instance generation for stress tests and certification sweeps.
+"""Random polynomials for certification sweeps.
 
-Pairs are drawn from the normalized coefficient ball (every coefficient
-uniform in the closed complex unit disk, so max-coefficient norm <= 1) and
-rejected until the separation value clears the requested floor.
+Coefficients are drawn from the normalized coefficient ball: every
+coefficient uniform in the closed complex unit disk, so the max-coefficient
+norm is at most 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import CommonRootError
 from .poly import Polynomial
-from .roots import RootSet, find_roots
-from .separation import delta
-
-
-@dataclass(frozen=True)
-class Instance:
-    A: Polynomial
-    B: Polynomial
-    rootsA: RootSet
-    rootsB: RootSet
-    delta: float
-    witness: complex
 
 
 def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:
@@ -35,40 +20,3 @@ def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:
         cs = np.sqrt(u) * np.exp(2j * np.pi * v)
         if abs(cs[-1]) > 1e-6:
             return Polynomial(cs)
-
-
-def random_pair(
-    rng: np.random.Generator,
-    deg_a: int,
-    deg_b: int,
-    delta_floor: float = 0.05,
-    require_simple: bool = False,
-    max_tries: int = 10_000,
-) -> Instance:
-    """Rejection-sample a pair with delta >= delta_floor (and optionally no
-    multiplicity-suspect roots)."""
-    for _ in range(max_tries):
-        A = random_polynomial(rng, deg_a)
-        B = random_polynomial(rng, deg_b)
-        rootsA = find_roots(A)
-        rootsB = find_roots(B)
-        if not (rootsA.verified and rootsB.verified):
-            continue
-        if require_simple and (rootsA.any_suspect or rootsB.any_suspect):
-            continue
-        try:
-            rep = delta(A, B, rootsA, rootsB)
-        except CommonRootError:
-            continue
-        if rep.delta < delta_floor:
-            continue
-        return Instance(A, B, rootsA, rootsB, rep.delta, rep.argmin_witness)
-    raise RuntimeError(
-        f"no instance with delta >= {delta_floor} in {max_tries} tries"
-    )
-
-
-def sample_degrees(
-    rng: np.random.Generator, lo: int, hi: int
-) -> tuple[int, int]:
-    return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))

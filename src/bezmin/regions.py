@@ -14,12 +14,15 @@ counterclockwise around its own circle yields the positively oriented
 boundary: winding +1 at interior points, 0 outside. Construction splits every
 circle of the arrangement at all pairwise intersections and keeps a sub-arc
 iff a probe just inside the circle is in the region while the matching probe
-just outside is not.
+just outside is not. It works on arrays: all circle pairs, all cut angles and
+all candidate arcs at once, with the stored angles and endpoints rounded
+exactly as the scalar complex expressions that define them.
 
 Winding numbers are computed exactly per arc: the argument increment along an
 arc equals the principal angle of the chord plus a +-2*pi correction when the
 query point lies in the circular segment between chord and arc. No quadrature
-or subdivision is involved.
+or subdivision is involved. The queries run on a table of arc parameters, all
+arcs against all query points in one pass (winding_numbers).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,21 +154,24 @@ def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
     betas = np.asarray(rootsB.roots)
     zz = np.asarray(z, dtype=complex)
 
+    def distances(centers):
+        # filled one center at a time: a broadcast difference would hold a
+        # complex temporary twice the size of the result
+        out = np.empty(zz.shape + centers.shape)
+        for i, a in enumerate(centers):
+            out[..., i] = np.abs(zz - a)
+        return out
+
     def e_region(centers, others):
+        # every root b of `others` needs a center a with |z - a| < |b - a| / 3
+        dist = distances(centers)
         ok = np.ones(zz.shape, dtype=bool)
-        for b in others:
-            radii = np.abs(b - centers) / 3.0
-            hit = np.zeros(zz.shape, dtype=bool)
-            for a, r in zip(centers, radii):
-                hit |= np.abs(zz - a) < r
-            ok &= hit
+        for radii in np.abs(others[:, None] - centers[None, :]) / 3.0:
+            ok &= np.any(dist < radii, axis=-1)
         return ok
 
     def d_region(centers):
-        hit = np.zeros(zz.shape, dtype=bool)
-        for a in centers:
-            hit |= np.abs(zz - a) < 0.75 * abs(a)
-        return hit
+        return np.any(distances(centers) < 0.75 * np.abs(centers), axis=-1)
 
     if kind == RegionKind.E_A:
         res = e_region(alphas, betas)
@@ -215,197 +222,379 @@ def _circles_for(kind: RegionKind, alphas, betas, scale: float) -> list[Disk]:
     return circles
 
 
-def _dedupe_circles(circles: list[Disk], tol: float) -> list[Disk]:
-    kept: list[Disk] = []
-    for c in circles:
-        dup = any(
-            abs(c.center - k.center) <= tol and abs(c.radius - k.radius) <= tol
-            for k in kept
-        )
-        if not dup:
-            kept.append(c)
-    return kept
+# ---------------------------------------------------------------------------
+# complex arithmetic on (real, imaginary) arrays
+#
+# Arc angles and endpoints are stored, so they must round exactly as the
+# scalar complex expressions that define them (Arc.point). CPython promotes
+# the float in `float * complex` and `complex / float` to a complex with a
+# zero imaginary part, and those zero products keep their signs; `abs` of a
+# complex is hypot. numpy's complex multiply, divide and abs round
+# differently, so the products are spelled out here.
 
 
-def _circle_intersections(c1: Disk, c2: Disk, scale: float) -> list[complex]:
-    """The two transversal intersection points, [] when the circles do not
-    meet. Raises DegenerateArrangement on (near-)tangency."""
-    d = abs(c2.center - c1.center)
-    disc = min(c1.radius + c2.radius - d, d - abs(c1.radius - c2.radius))
-    if abs(disc) < TANGENCY_TOL * scale:
-        raise DegenerateArrangement(
-            f"tangent circles at centers {c1.center:.6g}, {c2.center:.6g}"
-        )
-    if disc < 0:
-        return []
-    e = (c2.center - c1.center) / d
-    a = (d * d + c1.radius**2 - c2.radius**2) / (2 * d)
-    h = math.sqrt(max(c1.radius**2 - a * a, 0.0))
-    base = c1.center + a * e
-    off = 1j * h * e
-    return [base + off, base - off]
-
-
-def _split_angles(circle: Disk, points: list[complex], chord_tol: float) -> list[float]:
-    angles = sorted(
-        math.atan2((p - circle.center).imag, (p - circle.center).real)
-        for p in points
-    )
-    angle_tol = chord_tol / circle.radius
-    out: list[float] = []
-    for t in angles:
-        if not out or t - out[-1] > angle_tol:
-            out.append(t)
-    if len(out) > 1 and (out[0] + 2 * math.pi) - out[-1] <= angle_tol:
-        out.pop()
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
     return out
 
 
-def _candidate_arcs(circle: Disk, angles: list[float]) -> list[Arc]:
-    if not angles:
-        return [Arc(circle, -math.pi, math.pi)]
-    arcs = []
-    for i, t0 in enumerate(angles):
-        t1 = angles[(i + 1) % len(angles)]
-        if i + 1 == len(angles):
-            t1 += 2 * math.pi
-        if t1 - t0 > 1e-14:
-            arcs.append(Arc(circle, t0, t1))
-    return arcs
+def _scaled(f, re, im):
+    """f * (re + i im) for real f."""
+    return f * re - 0.0 * im, f * im + 0.0 * re
+
+
+def _divided(re, im, f):
+    """(re + i im) / f for real f > 0."""
+    return (re + im * 0.0) / f, (im - re * 0.0) / f
+
+
+def _on_circle(cx, cy, radius, theta):
+    """center + radius * exp(i theta)."""
+    e = np.exp(1j * theta)
+    re, im = _scaled(radius, e.real, e.imag)
+    return cx + re, cy + im
 
 
 # ---------------------------------------------------------------------------
-# exact winding accumulation
+# arrangement: circles, cuts, candidate arcs
 
 
-def _arc_delta_arg(arc: Arc, z: complex) -> float:
-    """Continuous increment of arg(zeta - z) along the arc.
-
-    Equals the principal chord angle plus a full turn when z sits inside the
-    circular segment between chord and arc; exact up to rounding.
-    """
-    c, r = arc.circle.center, arc.circle.radius
-    if arc.is_full_circle:
-        inside = abs(z - c) < r
-        return math.copysign(2 * math.pi, arc.sweep) if inside else 0.0
-    p0, p1 = arc.start_point, arc.end_point
-    principal = cmath.phase((p1 - z) / (p0 - z))
-    if abs(z - c) < r:
-        m = arc.point(0.5)
-        chord = p1 - p0
-        side_z = (chord.conjugate() * (z - p0)).imag
-        side_m = (chord.conjugate() * (m - p0)).imag
-        if side_z * side_m > 0:
-            return principal + math.copysign(2 * math.pi, arc.sweep)
-    return principal
+def _dedupe_circles(circles: list[Disk], tol: float) -> list[Disk]:
+    """The circles in order, without those within tol (center and radius) of
+    an earlier kept circle."""
+    c = np.array([d.center for d in circles], dtype=complex)
+    r = np.array([d.radius for d in circles], dtype=float)
+    dc = c[:, None] - c[None, :]
+    near = (np.hypot(dc.real, dc.imag) <= tol) & (np.abs(r[:, None] - r) <= tol)
+    near = np.tril(near, -1)
+    keep = ~near.any(axis=1)
+    # a repeat is dropped only when a circle it repeats was kept
+    for i in np.flatnonzero(~keep):
+        keep[i] = not np.any(near[i, :i] & keep[:i])
+    return [d for d, k in zip(circles, keep) if k]
 
 
-def _distance_to_arc(arc: Arc, z: complex) -> float:
-    c, r = arc.circle.center, arc.circle.radius
-    v = z - c
-    if arc.is_full_circle:
-        return abs(abs(v) - r)
-    phi = math.atan2(v.imag, v.real)
-    lo, hi = sorted((arc.start_angle, arc.end_angle))
-    for shift in (-2 * math.pi, 0.0, 2 * math.pi):
-        if lo <= phi + shift <= hi:
-            return abs(abs(v) - r)
-    return min(abs(z - arc.start_point), abs(z - arc.end_point))
+def _circle_intersections(cx, cy, radii, scale: float):
+    """Transversal intersection points of all circle pairs i < j, as arrays
+    (owner, x, y): each pair lists its two points for circle i, then for
+    circle j, pairs in row-major order. Raises DegenerateArrangement at the
+    first (near-)tangent pair in that order."""
+    i, j = np.triu_indices(len(radii), 1)
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    d = np.hypot(dx, dy)
+    r1, r2 = radii[i], radii[j]
+    disc = np.minimum(r1 + r2 - d, d - np.abs(r1 - r2))
+    tangent = np.abs(disc) < TANGENCY_TOL * scale
+    if tangent.any():
+        k = int(np.argmax(tangent))
+        c1, c2 = complex(cx[i[k]], cy[i[k]]), complex(cx[j[k]], cy[j[k]])
+        raise DegenerateArrangement(f"tangent circles at centers {c1:.6g}, {c2:.6g}")
+    meet = ~(disc < 0)
+    i, j, dx, dy, d = i[meet], j[meet], dx[meet], dy[meet], d[meet]
+    # r**2 as Python's float power rounds it
+    rsq = np.array([r**2 for r in radii.tolist()])
+    ex, ey = _divided(dx, dy, d)
+    a = (d * d + rsq[i] - rsq[j]) / (2 * d)
+    hsq = rsq[i] - a * a
+    h = np.sqrt(np.where(0.0 > hsq, 0.0, hsq))
+    bx, by = _scaled(a, ex, ey)
+    bx, by = cx[i] + bx, cy[i] + by
+    # off = (1j * h) * e
+    hr, hi = 0.0 * h - 0.0, 0.0 + h
+    ox, oy = hr * ex - hi * ey, hr * ey + hi * ex
+    owner = np.array([i, i, j, j]).T.ravel()
+    x = np.array([bx + ox, bx - ox, bx + ox, bx - ox]).T.ravel()
+    y = np.array([by + oy, by - oy, by + oy, by - oy]).T.ravel()
+    return owner, x, y
+
+
+def _group_edges(owner):
+    """Masks of the first and the last entry of each run of equal owners."""
+    first = np.ones(len(owner), dtype=bool)
+    last = np.ones(len(owner), dtype=bool)
+    first[1:] = last[:-1] = owner[1:] != owner[:-1]
+    return first, last
+
+
+def _split_angles(owner, angle, radii, chord_tol: float):
+    """Cut angles per circle, sorted, with near-duplicates merged: an angle
+    within chord_tol / radius of the last kept one on its circle is dropped,
+    and so is the last one when it comes that close to the first one a turn
+    later. Takes and returns (owner, angle) arrays grouped by owner."""
+    order = np.argsort(angle, kind="stable")
+    order = order[np.argsort(owner[order], kind="stable")]
+    owner, angle = owner[order], angle[order]
+    tol = chord_tol / radii[owner]
+    keep, _ = _group_edges(owner)
+    keep[1:] |= angle[1:] - angle[:-1] > tol[1:]
+    # circles with close cuts: keep an angle only if it clears the last kept
+    for ci in np.unique(owner[~keep]):
+        rows = np.flatnonzero(owner == ci)
+        prev = angle[rows[0]]
+        for row in rows[1:]:
+            keep[row] = angle[row] - prev > tol[row]
+            if keep[row]:
+                prev = angle[row]
+    owner, angle, tol = owner[keep], angle[keep], tol[keep]
+    first, last = _group_edges(owner)
+    starts, ends = np.flatnonzero(first), np.flatnonzero(last)
+    wrap = (ends > starts) & (angle[starts] + 2 * math.pi - angle[ends] <= tol[ends])
+    keep = np.ones(len(owner), dtype=bool)
+    keep[ends[wrap]] = False
+    return owner[keep], angle[keep]
+
+
+def _candidate_arcs(n_circles: int, owner, angle):
+    """Arcs between consecutive cuts around each circle as (owner, start,
+    end) arrays, by circle and then by angle; a circle without cuts gives
+    one full arc from -pi to pi."""
+    first, last = _group_edges(owner)
+    end = np.empty_like(angle)
+    end[:-1] = angle[1:]
+    end[last] = angle[first] + 2 * math.pi
+    ok = end - angle > 1e-14
+    uncut = np.flatnonzero(np.bincount(owner, minlength=n_circles) == 0)
+    owner = np.concatenate([owner[ok], uncut])
+    start = np.concatenate([angle[ok], np.full(len(uncut), -math.pi)])
+    end = np.concatenate([end[ok], np.full(len(uncut), math.pi)])
+    order = np.argsort(owner, kind="stable")
+    return owner[order], start[order], end[order]
+
+
+_CLEARANCE_BLOCK = 64
+
+
+def _probe_clearance(mx, my, owner, cx, cy, radii, scale: float, limit):
+    """Per candidate, the distance |abs(mid - c) - r| from its midpoint to
+    the nearest circle other than its own where that is at most `limit`, and
+    inf where a screen shows it is larger. The screen works in units of
+    `scale` with sqrt(dx^2 + dy^2), within 1e-14 * scale of the exact form
+    and several times faster than hypot. Candidates go in blocks: candidates
+    x circles at once would hold a matrix several times the size of the
+    arrangement."""
+    sx, sy, sr = cx / scale, cy / scale, radii / scale
+    smx, smy = mx / scale, my / scale
+    out = np.full(len(owner), math.inf)
+    for lo in range(0, len(owner), _CLEARANCE_BLOCK):
+        rows = np.arange(lo, min(lo + _CLEARANCE_BLOCK, len(owner)))
+        dx, dy = smx[rows, None] - sx, smy[rows, None] - sy
+        gap = np.abs(np.sqrt(dx * dx + dy * dy) - sr)
+        gap[np.arange(len(rows)), owner[rows]] = math.inf
+        rows = rows[~(gap.min(axis=1, initial=math.inf) > limit[rows] / scale + 1e-12)]
+        gap = np.abs(np.hypot(mx[rows, None] - cx, my[rows, None] - cy) - radii)
+        gap[np.arange(len(rows)), owner[rows]] = math.inf
+        out[rows] = gap.min(axis=1, initial=math.inf)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact winding accumulation, all arcs against all query points
+
+
+class _ArcTable(NamedTuple):
+    """Arc parameters as arrays, one entry per arc; the start, end and
+    midpoints round as Arc.point gives them."""
+
+    center: np.ndarray
+    radius: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    full: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    mid: np.ndarray
+
+
+def _arc_table(arcs: list[Arc]) -> _ArcTable:
+    rows = np.array(
+        [(a.circle.center, a.circle.radius, a.start_angle, a.end_angle) for a in arcs],
+        dtype=complex,
+    ).reshape(-1, 4)
+    return _table(rows[:, 0], rows[:, 1].real, rows[:, 2].real, rows[:, 3].real)
+
+
+def _table(center, radius, start, end) -> _ArcTable:
+    sweep = end - start
+    # start, end and midpoint, as Arc.point(0.0), point(1.0) and point(0.5)
+    theta = start + np.array([[0.0], [1.0], [0.5]]) * sweep
+    p0, p1, mid = _complex(*_on_circle(center.real, center.imag, radius, theta))
+    full = np.abs(np.abs(sweep) - 2 * math.pi) < 1e-12
+    return _ArcTable(center, radius, start, end, full, p0, p1, mid)
+
+
+def _hypot(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _delta_args(t: _ArcTable, z: np.ndarray) -> np.ndarray:
+    """Continuous increment of arg(zeta - z) along each arc (columns) for each
+    point (rows): the principal chord angle, plus a full turn in the
+    direction of the sweep when z sits inside the circular segment between
+    chord and arc; full circles add a turn about interior points."""
+    zc = z[:, None]
+    turn = np.copysign(2 * math.pi, t.end - t.start)
+    inside = _hypot(zc - t.center) < t.radius
+    with np.errstate(divide="ignore", invalid="ignore"):
+        principal = np.angle((t.p1 - zc) / (t.p0 - zc))
+    chord = np.conj(t.p1 - t.p0)
+    side_z = (chord * (zc - t.p0)).imag
+    side_m = (chord * (t.mid - t.p0)).imag
+    segment = inside & (side_z * side_m > 0)
+    return np.where(
+        t.full, np.where(inside, turn, 0.0), principal + np.where(segment, turn, 0.0)
+    )
+
+
+_TURN_SHIFTS = np.array([-2 * math.pi, 0.0, 2 * math.pi])
+
+
+def _distances(t: _ArcTable, z: np.ndarray) -> np.ndarray:
+    """Distance from each point (rows) to each arc (columns)."""
+    v = z[:, None] - t.center
+    radial = np.abs(_hypot(v) - t.radius)
+    phi = np.arctan2(v.imag, v.real)[..., None] + _TURN_SHIFTS
+    lo = np.minimum(t.start, t.end)[:, None]
+    hi = np.maximum(t.start, t.end)[:, None]
+    on_span = t.full | np.any((lo <= phi) & (phi <= hi), axis=-1)
+    ends = np.minimum(_hypot(z[:, None] - t.p0), _hypot(z[:, None] - t.p1))
+    return np.where(on_span, radial, ends)
 
 
 def contour_distance(arcs: list[Arc], z: complex) -> float:
-    return min(_distance_to_arc(a, z) for a in arcs)
+    return float(np.min(_distances(_arc_table(arcs), np.array([z], dtype=complex))))
 
 
 def winding_of_arcs(arcs: list[Arc], z: complex) -> float:
-    return sum(_arc_delta_arg(a, z) for a in arcs) / (2 * math.pi)
+    deltas = _delta_args(_arc_table(arcs), np.array([z], dtype=complex))
+    return float(np.sum(deltas) / (2 * math.pi))
+
+
+def _integer_windings(table: _ArcTable, scale: float, points):
+    """Integer winding numbers about the points up to the first point that
+    has none, plus the error for that point (None when every point has one):
+    OnContourError within POINT_TOL * scale of the arcs, else ArithmeticError
+    when the accumulation is not within WINDING_INT_TOL of an integer."""
+    points = list(points)
+    z = np.array(points, dtype=complex).reshape(-1)
+    near = np.min(_distances(table, z), axis=1) <= POINT_TOL * scale
+    w = np.sum(_delta_args(table, z), axis=1) / (2 * math.pi)
+    k = np.round(w)
+    bad = near | ~(np.abs(w - k) <= WINDING_INT_TOL)
+    n = int(np.argmax(bad)) if bad.any() else len(points)
+    ks = k[:n].astype(int)
+    if n == len(points):
+        return ks, None
+    if near[n]:
+        return ks, OnContourError(f"point {points[n]:.6g} lies on the contour")
+    return ks, ArithmeticError(
+        f"winding accumulation {float(w[n])} is not close to an integer"
+    )
+
+
+def winding_numbers(contour: ContourSystem, points) -> np.ndarray:
+    """Integer winding numbers of the whole system about each point, all arcs
+    against all points at once. Raises for the first point that lies on the
+    contour or gets a non-integer accumulation, as winding_number would."""
+    ks, err = _integer_windings(_arc_table(contour.arcs), contour.scale, points)
+    if err is not None:
+        raise err
+    return ks
 
 
 def winding_number(contour: ContourSystem, z: complex) -> int:
     """Integer winding number of the whole system about z."""
-    tol = POINT_TOL * contour.scale
-    if contour_distance(contour.arcs, z) <= tol:
-        raise OnContourError(f"point {z:.6g} lies on the contour")
-    w = winding_of_arcs(contour.arcs, z)
-    k = round(w)
-    if abs(w - k) > WINDING_INT_TOL:
-        raise ArithmeticError(
-            f"winding accumulation {w} is not close to an integer"
-        )
-    return int(k)
+    return int(winding_numbers(contour, [z])[0])
+
+
+def _first_winding_mismatch(
+    contour: ContourSystem, points, expected, table: _ArcTable | None = None
+) -> tuple[int, int] | None:
+    """(index, winding) of the first point whose winding number is not the
+    expected one, or None. A point without a winding number raises instead
+    when it comes first, so checking point after point with winding_number
+    fails the same way. `table` is the contour's arc table when the caller
+    has it."""
+    if table is None:
+        table = _arc_table(contour.arcs)
+    ks, err = _integer_windings(table, contour.scale, points)
+    for i, (w, want) in enumerate(zip(ks.tolist(), expected)):
+        if w != want:
+            return i, w
+    if err is not None:
+        raise err
+    return None
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def _chain_loops(arcs: list[Arc], tol: float) -> tuple[list[Arc], list[int]]:
+def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     """Order arcs into closed loops by matching endpoints within tol.
 
-    Returns the arcs re-ordered so each loop is a contiguous block in
-    traversal order, plus the loop index per arc.
+    Takes the start and end points of the arcs and returns the arc indices
+    so that each loop is a contiguous block in traversal order, plus the loop
+    index per arc. Each step takes the unused arc whose start is nearest to
+    the current end, the last such arc on ties.
     """
-    n = len(arcs)
-    used = [False] * n
-    ordered: list[Arc] = []
+    n = len(start)
+    gap = np.hypot(
+        start.real[None, :] - end.real[:, None], start.imag[None, :] - end.imag[:, None]
+    )
+    used = np.zeros(n, dtype=bool)
+    order: list[int] = []
     loop_ids: list[int] = []
     loop_id = 0
     for seed in range(n):
         if used[seed]:
             continue
         used[seed] = True
-        chain = [arcs[seed]]
-        start_pt = arcs[seed].start_point
+        chain = [seed]
         while True:
-            end_pt = chain[-1].end_point
-            if abs(end_pt - start_pt) <= tol and len(chain) > 1:
+            last = chain[-1]
+            closed = gap[last, seed] <= tol
+            if closed and len(chain) > 1:
                 break
-            best = None
-            best_d = tol
-            for j in range(n):
-                if used[j]:
-                    continue
-                d = abs(arcs[j].start_point - end_pt)
-                if d <= best_d:
-                    best_d = d
-                    best = j
-            if best is None:
+            row = np.where(used, math.inf, gap[last])
+            best = n - 1 - int(np.argmin(row[::-1]))
+            if not row[best] <= tol:
                 # single full-circle arcs close onto themselves
-                if abs(end_pt - start_pt) <= tol:
+                if closed:
                     break
                 raise DegenerateArrangement(
-                    f"open arc chain near {end_pt:.6g}; loop did not close"
+                    f"open arc chain near {complex(end[last]):.6g}; loop did not close"
                 )
             used[best] = True
-            chain.append(arcs[best])
-        ordered.extend(chain)
+            chain.append(best)
+        order.extend(chain)
         loop_ids.extend([loop_id] * len(chain))
         loop_id += 1
-    return ordered, loop_ids
+    return order, loop_ids
 
 
-def _check_loop_consistency(arcs: list[Arc], loops: list[int], scale: float) -> None:
+def _check_loop_consistency(table: _ArcTable, loops: list[int], scale: float) -> None:
     """Every loop must see total winding 1 just inside itself and 0 just
     outside. Holes (nested loops bounding a complement component) satisfy
     this automatically under the per-arc ccw orientation; anything else is an
     unsupported nesting structure."""
     n_loops = max(loops) + 1 if loops else 0
-    for li in range(n_loops):
-        first = next(a for a, l in zip(arcs, loops) if l == li)
-        c, r = first.circle.center, first.circle.radius
-        u = (first.point(0.5) - c) / r
-        h = min(PROBE_OFFSET * scale, 0.3 * r)
-        for offset, expected in ((r - h, 1), (r + h, 0)):
-            probe = c + offset * u
-            try:
-                w = round(winding_of_arcs(arcs, probe))
-            except OnContourError:
-                continue
-            if w != expected:
-                raise ContourNestingError(
-                    f"loop {li} winding probe at {probe:.6g} gives {w}, "
-                    f"expected {expected}; unsupported nesting structure"
-                )
+    first = [loops.index(li) for li in range(n_loops)]
+    c, r = table.center[first], table.radius[first]
+    u = (table.mid[first] - c) / r
+    h = np.minimum(PROBE_OFFSET * scale, 0.3 * r)
+    # per loop, the probe inside and then the one outside its first arc
+    probes = np.stack([c + (r - h) * u, c + (r + h) * u], axis=1).ravel()
+    expected = [1, 0] * n_loops
+    windings = np.sum(_delta_args(table, probes), axis=1) / (2 * math.pi)
+    for k, (w, want) in enumerate(zip(windings.tolist(), expected)):
+        w = round(w)
+        if w != want:
+            raise ContourNestingError(
+                f"loop {k // 2} winding probe at {probes[k]:.6g} gives {w}, "
+                f"expected {want}; unsupported nesting structure"
+            )
 
 
 def build_region(
@@ -418,7 +607,9 @@ def build_region(
     region and offset outward does not. Kept arcs run counterclockwise around
     their own circles, which orients the boundary positively (interior
     winding +1). Identical circles (symmetric configurations produce them)
-    are merged before intersection tests.
+    are merged before intersection tests. The construction works on arrays
+    (all circle pairs, all cuts, all candidate arcs at once), and its arcs
+    round exactly as the scalar expressions that define them.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
         inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
@@ -440,51 +631,51 @@ def build_region(
     circles = _dedupe_circles(
         _circles_for(kind, alphas, betas, scale), POINT_TOL * scale
     )
+    centers = np.array([c.center for c in circles], dtype=complex)
+    cx, cy = centers.real, centers.imag
+    radii = np.array([c.radius for c in circles], dtype=float)
 
-    cuts: list[list[complex]] = [[] for _ in circles]
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            pts = _circle_intersections(circles[i], circles[j], scale)
-            cuts[i].extend(pts)
-            cuts[j].extend(pts)
+    owner, px, py = _circle_intersections(cx, cy, radii, scale)
+    # math.atan2, not np.arctan2: the two differ in the last bit
+    angle = np.fromiter(
+        map(math.atan2, py - cy[owner], px - cx[owner]), dtype=float, count=len(owner)
+    )
+    owner, angle = _split_angles(owner, angle, radii, POINT_TOL * scale)
+    owner, t0, t1 = _candidate_arcs(len(circles), owner, angle)
 
-    h_floor = 64.0 * np.finfo(float).eps * scale
-    candidates: list[Arc] = []
-    probes_in: list[complex] = []
-    probes_out: list[complex] = []
-    for ci, (circle, pts) in enumerate(zip(circles, cuts)):
-        for arc in _candidate_arcs(circle, _split_angles(circle, pts, POINT_TOL * scale)):
-            mid = arc.point(0.5)
-            u = (mid - circle.center) / abs(mid - circle.center)
-            # probes must not jump across another circle that passes close to
-            # this arc (near-tangent configurations), so the offset shrinks
-            # below the local clearance
-            clearance = min(
-                (
-                    abs(abs(mid - c2.center) - c2.radius)
-                    for cj, c2 in enumerate(circles)
-                    if cj != ci
-                ),
-                default=math.inf,
-            )
-            h = min(PROBE_OFFSET * scale, 0.3 * circle.radius, 0.25 * clearance)
-            h = max(h, h_floor)
-            candidates.append(arc)
-            probes_in.append(circle.center + (circle.radius - h) * u)
-            probes_out.append(circle.center + (circle.radius + h) * u)
-    mem_in = membership(kind, rootsA, rootsB, np.array(probes_in))
-    mem_out = membership(kind, rootsA, rootsB, np.array(probes_out))
-    kept = [a for a, i, o in zip(candidates, mem_in, mem_out) if i and not o]
+    ox, oy, r = cx[owner], cy[owner], radii[owner]
+    mx, my = _on_circle(ox, oy, r, t0 + 0.5 * (t1 - t0))
+    ux, uy = _divided(mx - ox, my - oy, np.hypot(mx - ox, my - oy))
+    # probes must not jump across another circle that passes close to this
+    # arc (near-tangent configurations), so the offset shrinks below the
+    # local clearance
+    h = np.minimum(PROBE_OFFSET * scale, 0.3 * r)
+    clearance = _probe_clearance(mx, my, owner, cx, cy, radii, scale, 4.0 * h)
+    h = np.minimum(h, 0.25 * clearance)
+    h = np.maximum(h, 64.0 * np.finfo(float).eps * scale)
+    inner_outer = np.concatenate([
+        _complex(ox + dx, oy + dy)
+        for dx, dy in (_scaled(r - h, ux, uy), _scaled(r + h, ux, uy))
+    ])
+    mem_in, mem_out = np.split(membership(kind, rootsA, rootsB, inner_outer), 2)
+    kept = np.flatnonzero(mem_in & ~mem_out)
 
-    if not kept:
+    if not len(kept):
         raise DegenerateArrangement("region boundary is empty")
 
-    kept, loops = _chain_loops(kept, POINT_TOL * scale)
-    _check_loop_consistency(kept, loops, scale)
-    total_length = sum(a.length for a in kept)
+    owner = owner[kept]
+    table = _table(centers[owner], radii[owner], t0[kept], t1[kept])
+    order, loops = _chain_loops(table.p0, table.p1, POINT_TOL * scale)
+    owner, table = owner[order], _ArcTable(*(col[order] for col in table))
+    arcs = [
+        Arc(circles[o], t_0, t_1)
+        for o, t_0, t_1 in zip(owner.tolist(), table.start.tolist(), table.end.tolist())
+    ]
+    _check_loop_consistency(table, loops, scale)
+    total_length = sum(a.length for a in arcs)
 
     contour = ContourSystem(
-        arcs=kept, loops=loops, total_length=total_length, scale=scale
+        arcs=arcs, loops=loops, total_length=total_length, scale=scale
     )
     probes: dict[complex, int] = {}
     if kind in (RegionKind.E_A, RegionKind.D_A, RegionKind.GAMMA1):
@@ -498,18 +689,21 @@ def build_region(
     if kind in (RegionKind.E_A, RegionKind.GAMMA1):
         for b in betas:
             probes[complex(b)] = 0
-    _certify(contour, probes)
+    _certify(contour, probes, table)
     return contour
 
 
-def _certify(contour: ContourSystem, probes: dict[complex, int]) -> None:
-    for z, expected in probes.items():
-        w = winding_number(contour, z)
-        if w != expected:
-            raise DegenerateArrangement(
-                f"winding certificate failed at {z:.6g}: got {w}, "
-                f"expected {expected}"
-            )
+def _certify(
+    contour: ContourSystem, probes: dict[complex, int], table: _ArcTable | None = None
+) -> None:
+    mismatch = _first_winding_mismatch(contour, probes, probes.values(), table)
+    if mismatch is not None:
+        i, w = mismatch
+        z, expected = list(probes.items())[i]
+        raise DegenerateArrangement(
+            f"winding certificate failed at {z:.6g}: got {w}, "
+            f"expected {expected}"
+        )
     contour.orientation_certificate = dict(probes)
 
 
@@ -657,14 +851,17 @@ def contour_metrics(
         _arc_quadrature_real(a, lambda z: 1.0 / np.abs(z)) for a in contour.arcs
     )
 
-    min_a = math.inf
-    min_b = math.inf
-    for arc in contour.arcs:
-        m = max(16, int(64 * abs(arc.sweep) / math.pi))
-        ts = (np.arange(m) + 0.5) / m
-        zs = np.array([arc.point(t) for t in ts])
-        min_a = min(min_a, float(np.min(np.abs(A(zs)))))
-        min_b = min(min_b, float(np.min(np.abs(B(zs)))))
+    # m midpoint samples per arc, at least 16 and 64 per half turn
+    table = _arc_table(contour.arcs)
+    sweep = table.end - table.start
+    m = np.maximum(16, (64 * np.abs(sweep) / math.pi).astype(int))
+    arc = np.repeat(np.arange(len(m)), m)
+    sample = np.arange(len(arc)) - np.repeat(np.cumsum(m) - m, m)
+    theta = table.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
+    center = table.center[arc]
+    zs = _complex(*_on_circle(center.real, center.imag, table.radius[arc], theta))
+    min_a = float(np.min(np.abs(A(zs)), initial=math.inf))
+    min_b = float(np.min(np.abs(B(zs)), initial=math.inf))
 
     eps = 1.0 / (4.0 * (n + k + 2.0))
     c5 = min(1.0, eps**n)

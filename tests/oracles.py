@@ -1,14 +1,24 @@
 """Reference helpers that only the tests use: the literal residue sum (an
-oracle for the interpolation backend), a root-free translation point, and a
-sub-level set predicate."""
+oracle for the interpolation backend), a root-free translation point, a
+sub-level set predicate, the scalar per-arc winding increment and distance
+(references for the array queries in regions), the argument-principle zero
+count, and rejection sampling of random pairs."""
 
 from __future__ import annotations
 
+import cmath
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from bezmin.backends import _guard_coprime, _guard_simple
+from bezmin.backends import _guard_coprime, _guard_simple, _subdivide, build_rule
+from bezmin.ensemble import random_polynomial
+from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
-from bezmin.roots import RootSet
+from bezmin.regions import Arc, ContourSystem
+from bezmin.roots import RootSet, find_roots
+from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution
 
 
@@ -70,3 +80,114 @@ def sublevel_member(p: Polynomial, eps: float, z: complex) -> bool:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return bool(abs(p(z)) < eps)
+
+
+def arc_delta_arg(arc: Arc, z: complex) -> float:
+    """Continuous increment of arg(zeta - z) along the arc, one arc and one
+    point at a time: the scalar reference for regions.winding_numbers."""
+    c, r = arc.circle.center, arc.circle.radius
+    if arc.is_full_circle:
+        inside = abs(z - c) < r
+        return math.copysign(2 * math.pi, arc.sweep) if inside else 0.0
+    p0, p1 = arc.start_point, arc.end_point
+    principal = cmath.phase((p1 - z) / (p0 - z))
+    if abs(z - c) < r:
+        m = arc.point(0.5)
+        chord = p1 - p0
+        side_z = (chord.conjugate() * (z - p0)).imag
+        side_m = (chord.conjugate() * (m - p0)).imag
+        if side_z * side_m > 0:
+            return principal + math.copysign(2 * math.pi, arc.sweep)
+    return principal
+
+
+def distance_to_arc(arc: Arc, z: complex) -> float:
+    """Distance from z to the arc: the scalar reference for
+    regions.contour_distance."""
+    c, r = arc.circle.center, arc.circle.radius
+    v = z - c
+    if arc.is_full_circle:
+        return abs(abs(v) - r)
+    phi = math.atan2(v.imag, v.real)
+    lo, hi = sorted((arc.start_angle, arc.end_angle))
+    for shift in (-2 * math.pi, 0.0, 2 * math.pi):
+        if lo <= phi + shift <= hi:
+            return abs(abs(v) - r)
+    return min(abs(z - arc.start_point), abs(z - arc.end_point))
+
+
+def argument_principle_count(
+    P: Polynomial,
+    contour: ContourSystem,
+    start_order: int = 16,
+    max_order: int = 1024,
+    tol: float = 1e-8,
+) -> complex:
+    """(1/2 pi i) * integral of P'/P over the contour: counts enclosed zeros
+    of P weighted by winding. Order doubles until stable."""
+    dP = P.derivative()
+    contour = _subdivide(contour, np.array(find_roots(P).roots))
+
+    def value(order):
+        rule = build_rule(contour, order)
+        return rule.integrate(lambda z: dP(z) / P(z)) / (2j * math.pi)
+
+    order = start_order
+    prev = value(order)
+    while 2 * order <= max_order:
+        order *= 2
+        cur = value(order)
+        if abs(cur - prev) <= tol:
+            return cur
+        prev = cur
+    raise QuadratureNotConverged(
+        f"argument-principle integral unstable between orders {order // 2} "
+        f"and {order}"
+    )
+
+
+@dataclass(frozen=True)
+class Instance:
+    A: Polynomial
+    B: Polynomial
+    rootsA: RootSet
+    rootsB: RootSet
+    delta: float
+    witness: complex
+
+
+def random_pair(
+    rng: np.random.Generator,
+    deg_a: int,
+    deg_b: int,
+    delta_floor: float = 0.05,
+    require_simple: bool = False,
+    max_tries: int = 10_000,
+) -> Instance:
+    """Rejection-sample a pair with delta >= delta_floor (and optionally no
+    multiplicity-suspect roots)."""
+    for _ in range(max_tries):
+        A = random_polynomial(rng, deg_a)
+        B = random_polynomial(rng, deg_b)
+        rootsA = find_roots(A)
+        rootsB = find_roots(B)
+        if not (rootsA.verified and rootsB.verified):
+            continue
+        if require_simple and (rootsA.any_suspect or rootsB.any_suspect):
+            continue
+        try:
+            rep = delta(A, B, rootsA, rootsB)
+        except CommonRootError:
+            continue
+        if rep.delta < delta_floor:
+            continue
+        return Instance(A, B, rootsA, rootsB, rep.delta, rep.argmin_witness)
+    raise RuntimeError(
+        f"no instance with delta >= {delta_floor} in {max_tries} tries"
+    )
+
+
+def sample_degrees(
+    rng: np.random.Generator, lo: int, hi: int
+) -> tuple[int, int]:
+    return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))

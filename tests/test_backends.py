@@ -13,19 +13,24 @@ from bezmin.backends import (
     solve_residue,
     solve_reversed,
 )
-from bezmin.ensemble import random_pair, sample_degrees
 from bezmin.errors import (
     BadContour,
     CommonRootError,
     IllConditionedInterpolation,
     MultipleRootsError,
+    QuadratureNotConverged,
     ZeroRootError,
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import RegionKind, build_region_with_jitter
 from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
-from oracles import residue_sum_solution
+from oracles import (
+    argument_principle_count,
+    random_pair,
+    residue_sum_solution,
+    sample_degrees,
+)
 
 Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])
@@ -200,7 +205,7 @@ def test_quadrature_winding_sanity():
     rng = np.random.default_rng(57)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
     g1, g2 = _regions_for(inst)
-    count = backends.argument_principle_count(inst.A, g1)
+    count = argument_principle_count(inst.A, g1)
     assert abs(count - inst.A.degree) < 1e-6
 
 
@@ -223,6 +228,43 @@ def test_quadrature_stable_under_doubling():
                          rootsA=inst.rootsA, rootsB=inst.rootsB)
     assert _coeff_diff(a.R, b.R, 3) < 1e-9
     assert _coeff_diff(a.S, b.S, 4) < 1e-9
+
+
+def test_quadrature_never_exceeds_max_order(monkeypatch):
+    # an unreachable tolerance doubles the order until max_order, which is
+    # the last order evaluated, and the error names the last two compared
+    rng = np.random.default_rng(64)
+    inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
+    g1, g2 = _regions_for(inst)
+    built = []
+
+    def spy(contour, order):
+        built.append(order)
+        return build_rule(contour, order)
+
+    monkeypatch.setattr(backends, "build_rule", spy)
+    with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
+        solve_quadrature(inst.A, inst.B, (g1, g2), max_order=64, tol=1e-30,
+                         rootsA=inst.rootsA, rootsB=inst.rootsB)
+    assert max(built) == 64
+
+
+def test_argument_principle_count_never_exceeds_max_order(monkeypatch):
+    import oracles
+
+    rng = np.random.default_rng(64)
+    inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
+    g1, _ = _regions_for(inst)
+    built = []
+
+    def spy(contour, order):
+        built.append(order)
+        return build_rule(contour, order)
+
+    monkeypatch.setattr(oracles, "build_rule", spy)
+    with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
+        argument_principle_count(inst.A, g1, max_order=64, tol=1e-30)
+    assert max(built) == 64
 
 
 def test_quadrature_solution_values_at_roots():

@@ -189,7 +189,7 @@ def test_solve_quadrature_nonconvergence_exit_code(tmp_path):
     # absurd tolerance cannot be met and the command reports non-convergence
     import numpy as np
 
-    from bezmin.ensemble import random_pair
+    from oracles import random_pair
 
     inst = random_pair(np.random.default_rng(63), 5, 5, delta_floor=0.05,
                        require_simple=True)

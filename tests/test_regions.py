@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from bezmin import backends
-from bezmin.ensemble import random_pair, sample_degrees
 from bezmin.errors import (
     DegenerateArrangement,
     OnContourError,
@@ -30,7 +28,12 @@ from bezmin.regions import (
 from bezmin.roots import find_roots
 from bezmin.separation import delta
 from bezmin.svgout import render_svg
-from oracles import translation_point
+from oracles import (
+    argument_principle_count,
+    random_pair,
+    sample_degrees,
+    translation_point,
+)
 
 FIG1_ALPHAS = [0.25 + 0.125j, -0.5, 0.4]
 FIG1_BETAS = [1 / 9 + 5j / 6, 1 / 8 + 0.5j, 1j / 3, 1j / 5]
@@ -146,15 +149,15 @@ def test_random_instances_certify_windings():
 def test_argument_principle_on_boundaries(fig1):
     A, B, ra, rb = fig1
     ea = build_region(RegionKind.E_A, ra, rb)
-    count_a = backends.argument_principle_count(A, ea)
-    count_b = backends.argument_principle_count(B, ea)
+    count_a = argument_principle_count(A, ea)
+    count_b = argument_principle_count(B, ea)
     assert abs(count_a - A.degree) < 1e-6
     assert abs(count_b) < 1e-6
 
 
 def test_tangent_circles_raise():
     with pytest.raises(DegenerateArrangement):
-        _circle_intersections(Disk(0j, 1.0), Disk(2.0 + 0j, 1.0), 1.0)
+        _circle_intersections(np.array([0.0, 2.0]), np.zeros(2), np.ones(2), 1.0)
 
 
 def test_root_at_origin_rejected_for_da():
@@ -314,3 +317,16 @@ def test_inverted_build_near_origin_root_raises():
     ra = replace(ra, roots=(4.5e-9 + 0j, 0.5 + 0j))
     with pytest.raises(OriginInRegionError):
         build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
+
+
+def test_winding_checks_stop_at_the_first_bad_point():
+    from bezmin.regions import _first_winding_mismatch, winding_numbers
+
+    c = _unit_circle_contour()
+    assert winding_numbers(c, [0.0, 3.0, 0.5j]).tolist() == [1, 0, 1]
+    with pytest.raises(OnContourError, match="point 1 lies"):
+        winding_numbers(c, [0.0, 1.0, 1j])
+    # a wrong winding ahead of a point on the contour is what gets reported
+    assert _first_winding_mismatch(c, [0.0, 3.0, 1.0], [1, 1, 0]) == (1, 0)
+    with pytest.raises(OnContourError):
+        _first_winding_mismatch(c, [0.0, 1.0, 3.0], [1, 0, 1])

@@ -11,7 +11,6 @@ from scipy.stats import qmc
 
 import bezmin
 from bezmin.errors import CommonRootError, SeparationViolation
-from bezmin.ensemble import random_pair, sample_degrees
 from bezmin.poly import Polynomial
 from bezmin.roots import find_roots
 from bezmin.separation import (
@@ -23,7 +22,7 @@ from bezmin.separation import (
     delta_report,
     delta_tilde,
 )
-from oracles import sublevel_member
+from oracles import random_pair, sample_degrees, sublevel_member
 
 Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bezmin import sylvester
-from bezmin.ensemble import random_pair, sample_degrees
 from bezmin.errors import ConstantPolynomialError, SingularSystemError
 from bezmin.poly import Polynomial
 from bezmin.roots import find_roots
+from oracles import random_pair, sample_degrees
 
 Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])
