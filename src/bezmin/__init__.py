@@ -4,7 +4,7 @@ Core objects: Polynomial (dense complex coefficients), RootSet (certified
 roots), DeltaReport (separation quantities), ContourSystem (circular-arc
 region boundaries, built for a RegionKind), and BezoutSolution (the
 minimal-degree pair R, S with A*R + B*S = P). The monomial family
-P = z^l is solve(A, B, Polynomial.monomial(l)).
+P = z^l is solve(build(A, B), Polynomial.monomial(l)).
 """
 
 from .poly import Polynomial
@@ -23,7 +23,6 @@ from .sylvester import (
     inverse_norm_report,
     resultant,
     solve,
-    solve_rhs,
 )
 from .regions import (
     Arc,
@@ -59,7 +58,6 @@ __all__ = [
     "BezoutSolution",
     "build",
     "solve",
-    "solve_rhs",
     "resultant",
     "inverse_norm_report",
     "Arc",

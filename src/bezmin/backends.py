@@ -24,7 +24,6 @@ import numpy as np
 from . import sylvester
 from .errors import (
     BadContour,
-    CommonRootError,
     IllConditionedInterpolation,
     MultipleRootsError,
     QuadratureNotConverged,
@@ -33,6 +32,7 @@ from .errors import (
 from .poly import Polynomial
 from .regions import Arc, ContourSystem, _first_winding_mismatch, gauss_legendre
 from .roots import RootSet, find_roots
+from .separation import delta
 from .sylvester import BezoutSolution
 
 
@@ -41,18 +41,6 @@ def _guard_simple(roots: RootSet, who: str) -> None:
         raise MultipleRootsError(
             f"{who} has multiplicity-suspect roots; use the Sylvester "
             "backend or perturb_to_simple first"
-        )
-
-
-def _guard_coprime(A: Polynomial, B: Polynomial, rootsA: RootSet, rootsB: RootSet) -> None:
-    threshold = 1e-12 * max(A.norm(), B.norm())
-    worst = min(
-        min(abs(B(r)) for r in rootsA.roots),
-        min(abs(A(r)) for r in rootsB.roots),
-    )
-    if worst < threshold:
-        raise CommonRootError(
-            f"separation {worst:.3e} under the common-root threshold"
         )
 
 
@@ -98,7 +86,7 @@ def solve_residue(
     P = P if P is not None else Polynomial([1.0])
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
-    _guard_coprime(A, B, rootsA, rootsB)
+    delta(A, B, rootsA, rootsB)  # raises CommonRootError on a shared root
     n = A.normalize().degree
     k = B.normalize().degree
     if P.degree > n + k - 1:
@@ -152,11 +140,10 @@ def _subdivide(
 
 
 def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order on every arc of the contour,
-    after splitting arcs longer than a quarter turn. Callers that double the
-    order split the contour near the integrand's poles once (_subdivide) and
-    build a rule per order on the result."""
-    arcs = _subdivide(contour).arcs
+    """Gauss-Legendre rule of the given order on every arc of a contour that
+    _subdivide has already split. Callers that double the order subdivide the
+    contour once and build a rule per order on the result."""
+    arcs = contour.arcs
     x, w = gauss_legendre(order)
     t0 = np.array([a.start_angle for a in arcs])
     t1 = np.array([a.end_angle for a in arcs])
@@ -186,10 +173,10 @@ def _check_contour(
 
 
 def _coefficients_from_integrals(
-    G: Polynomial, moments: np.ndarray
+    g: Polynomial, moments: np.ndarray
 ) -> np.ndarray:
-    """c_j = sum_{k=j+1}^{n} g_k moments[k-j-1] (the expanded kernel form)."""
-    g = G.normalize()
+    """c_j = sum_{k=j+1}^{n} g_k moments[k-j-1] (the expanded kernel form),
+    for g already normalized."""
     n = g.degree
     out = np.zeros(n, dtype=complex)
     for j in range(n):
@@ -298,7 +285,7 @@ def solve_reversed(
     At = An.reverse(n)
     Bt = Bn.reverse(k)
     Pt = Polynomial.monomial(n + k - 1)
-    inner_sol = sylvester.solve(At, Bt, Pt)
+    inner_sol = sylvester.solve(sylvester.build(At, Bt), Pt)
     R = Polynomial([inner_sol.R.coeff(k - 1 - i) for i in range(k)])
     S = Polynomial([inner_sol.S.coeff(n - 1 - i) for i in range(n)])
     residual = (A * R + B * S - Polynomial([1.0])).norm()
@@ -333,7 +320,6 @@ def certify_main_bound(
     B: Polynomial,
     solution: BezoutSolution,
     delta_value: float,
-    ceiling: float | None = None,
 ) -> BoundCertification:
     """Ratios norm(R) * delta^2 / max(1, max-norm) (and for S), checked
     against the empirical per-degree ceiling table when available."""
@@ -347,10 +333,9 @@ def certify_main_bound(
     ratio_s = ns * delta_value**2 / cap
     crude_r = nr * delta_value ** min(n, k)
     crude_s = ns * delta_value ** min(n, k)
-    if ceiling is None:
-        from .ceilings import lookup_ceiling
+    from .ceilings import lookup_ceiling
 
-        ceiling = lookup_ceiling(n, k)
+    ceiling = lookup_ceiling(n, k)
     passed = None if ceiling is None else bool(max(ratio_r, ratio_s) <= ceiling)
     return BoundCertification(
         ratio_r=ratio_r,

@@ -173,7 +173,7 @@ def cmd_solve(args, config: RunConfig) -> int:
     for name in wanted:
         try:
             if name == "sylvester":
-                sol = sylvester.solve(A, B, P)
+                sol = sylvester.solve(sylvester.build(A, B), P)
             elif name == "residue":
                 sol = backends.solve_residue(A, B, rootsA, rootsB, P)
             elif name == "quadrature":
@@ -264,9 +264,9 @@ def cmd_sylvester(args, config: RunConfig) -> int:
     B = _load_poly(args.poly_b)
     rootsA, rootsB = find_roots(A), find_roots(B)
     M = sylvester.build(A, B)
-    triple = sylvester.resultant(A, B, rootsA, rootsB)
+    triple = sylvester.resultant(M, rootsA, rootsB)
     rep = delta(A, B, rootsA, rootsB)
-    inv = sylvester.inverse_norm_report(A, B, rep.delta)
+    inv = sylvester.inverse_norm_report(M, rep.delta)
     out = {
         "matrix": [[[v.real, v.imag] for v in row] for row in M.entries],
         "resultant": {
@@ -308,7 +308,7 @@ def cmd_examples(args, config: RunConfig) -> int:
             A, B = sharpness_instance(n, a)
             rootsA, rootsB = find_roots(A), find_roots(B)
             rep = delta(A, B, rootsA, rootsB)
-            sol = sylvester.solve(A, B)
+            sol = sylvester.solve(sylvester.build(A, B))
             predicted = rep.delta ** (-2.0 + 1.0 / n)
             err = abs(sol.R.norm() - predicted) / predicted
             passed = err <= tol and abs(rep.delta - a**n) <= 1e-9
@@ -334,7 +334,7 @@ def cmd_examples(args, config: RunConfig) -> int:
             A1, B1 = A.scale(a**-2), B.scale(a**-2)
             rootsA, rootsB = find_roots(A1), find_roots(B1)
             rep = delta(A1, B1, rootsA, rootsB)
-            sol = sylvester.solve(A1, B1)
+            sol = sylvester.solve(sylvester.build(A1, B1))
             ratio = sol.R.norm() * rep.delta**2
             err = abs(ratio - 1.0 / a) * a
             passed = err <= tol
@@ -486,7 +486,8 @@ def _certify_one(task) -> dict:
     except SeparationViolation:
         record["checks"]["separation"] = False
 
-    sol = sylvester.solve(A, B)
+    M = sylvester.build(A, B)
+    sol = sylvester.solve(M)
     record["residual_sylvester"] = sol.residual
     record["norm_r"] = sol.R.norm()
     record["norm_s"] = sol.S.norm()
@@ -495,7 +496,7 @@ def _certify_one(task) -> dict:
     record["ratio"] = max(cert.ratio_r, cert.ratio_s)
     record["checks"]["ratio_ceiling"] = cert.passed
 
-    triple = sylvester.resultant(A, B, rootsA, rootsB)
+    triple = sylvester.resultant(M, rootsA, rootsB)
     m = abs(triple.det_value)
     rel = max(
         abs(m - triple.product_via_roots_of_B),
@@ -504,7 +505,7 @@ def _certify_one(task) -> dict:
     record["resultant_rel_spread"] = rel
     record["checks"]["resultant"] = rel <= config.tol("resultant")
 
-    inv = sylvester.inverse_norm_report(A, B, rep.delta)
+    inv = sylvester.inverse_norm_report(M, rep.delta)
     record["sylvester_inverse_ratio"] = inv.tightness_ratio
 
     simple = not (rootsA.any_suspect or rootsB.any_suspect)

@@ -74,12 +74,12 @@ class Polynomial:
             return Polynomial([0])
         return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])
 
-    def normalize(self, rel_tol: float = _TRIM_REL) -> "Polynomial":
-        """Trim trailing coefficients below rel_tol * norm()."""
+    def normalize(self) -> "Polynomial":
+        """Trim trailing coefficients below _TRIM_REL * norm()."""
         nrm = self.norm()
         if nrm == 0.0:
             return Polynomial([0])
-        cut = rel_tol * nrm
+        cut = _TRIM_REL * nrm
         last = 0
         for k, c in enumerate(self._coeffs):
             if abs(c) > cut:

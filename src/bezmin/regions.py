@@ -890,10 +890,9 @@ def build_region_with_jitter(
     kind: RegionKind,
     rootsA: RootSet,
     rootsB: RootSet,
-    attempts: int = 4,
-    jitter: float = 1e-9,
 ) -> ContourSystem:
-    """build_region, retrying degenerate arrangements with tiny root jitter.
+    """build_region, retrying degenerate arrangements up to 4 times with tiny
+    root jitter.
 
     Jitter only perturbs the contour; any admissible contour is equally valid
     for winding and quadrature purposes, and 1e-9 offsets cannot move a
@@ -903,7 +902,7 @@ def build_region_with_jitter(
 
     last: DegenerateArrangement | None = None
     ra, rb = rootsA, rootsB
-    for attempt in range(attempts):
+    for attempt in range(4):
         try:
             return build_region(kind, ra, rb)
         except DegenerateArrangement as exc:
@@ -911,7 +910,7 @@ def build_region_with_jitter(
             scale = 1.0 + max(
                 abs(r) for r in rootsA.roots + rootsB.roots
             )
-            step = jitter * scale * (attempt + 1)
+            step = 1e-9 * scale * (attempt + 1)
             ra = replace(
                 rootsA,
                 roots=tuple(

@@ -27,7 +27,7 @@ class RootSet:
     """All roots of one polynomial plus the certificates downstream code needs.
 
     residuals[i] = |p(roots[i])|. The set is `verified` when every residual is
-    below residual_tolerance * norm(p) * (1 + |root|)**degree. Roots closer to
+    below DEFAULT_RESIDUAL_TOL * norm(p) * (1 + |root|)**degree. Roots closer to
     each other than the cluster tolerance are flagged multiplicity_suspect;
     the interpolation backends refuse flagged sets, the Sylvester backend does
     not care.
@@ -38,7 +38,6 @@ class RootSet:
     multiplicity_suspect: tuple[bool, ...]
     cauchy_bound: float
     verified: bool
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL
 
     @property
     def any_suspect(self) -> bool:
@@ -69,12 +68,9 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def find_roots(
-    p: Polynomial,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    newton_steps: int = 3,
-) -> RootSet:
-    """All complex roots of p, with residuals and cluster flags.
+def find_roots(p: Polynomial) -> RootSet:
+    """All complex roots of p, polished by three Newton steps, with residuals
+    and cluster flags.
 
     Raises DegreeZeroError for constant input. A set whose polished residuals
     still exceed tolerance is returned with verified=False rather than raised,
@@ -89,7 +85,7 @@ def find_roots(
     roots = companion_roots(cs)
 
     dp = p.derivative()
-    for _ in range(max(0, newton_steps)):
+    for _ in range(3):
         vals = p(roots)
         dvals = dp(roots)
         ok = np.abs(dvals) > 0
@@ -102,7 +98,7 @@ def find_roots(
 
     residuals = np.abs(p(roots))
     nrm = p.norm()
-    caps = residual_tolerance * nrm * (1.0 + np.abs(roots)) ** n
+    caps = DEFAULT_RESIDUAL_TOL * nrm * (1.0 + np.abs(roots)) ** n
     verified = bool(np.all(residuals <= caps))
 
     cluster_tol = CLUSTER_TOL_FACTOR * (1.0 + cauchy_bound)
@@ -124,7 +120,6 @@ def find_roots(
         multiplicity_suspect=tuple(suspect),
         cauchy_bound=cauchy_bound,
         verified=verified,
-        residual_tolerance=residual_tolerance,
     )
 
 

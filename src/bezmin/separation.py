@@ -62,14 +62,13 @@ def delta(
     B: Polynomial,
     rootsA: RootSet,
     rootsB: RootSet,
-    zero_threshold_factor: float = ZERO_THRESHOLD_FACTOR,
 ) -> DeltaReport:
     """Exact-by-construction min over roots; raises CommonRootError when the
     value underflows the zero threshold (downstream solvers must refuse)."""
     if A.normalize().degree < 1 or B.normalize().degree < 1:
         raise ValueError("delta requires two nonconstant polynomials")
     value, witness = _delta_value(A, B, rootsA, rootsB)
-    threshold = zero_threshold_factor * max(A.norm(), B.norm())
+    threshold = ZERO_THRESHOLD_FACTOR * max(A.norm(), B.norm())
     report = DeltaReport(delta=value, argmin_witness=witness,
                          common_root=value < threshold)
     if report.common_root:

@@ -1,16 +1,24 @@
 """Sylvester matrix: construction, linear-system backend, resultant checks,
 and the inverse-norm conditioning report.
 
+`build(A, B)` gives the pair's one system, a SylvesterMatrix that keeps A and
+B as given, their degrees after normalize(), the entries, and the LU factors
+with partial pivoting, computed at most once. `solve`, `resultant` and
+`inverse_norm_report` all read that matrix, so a pair is built and factored
+once however many of them it needs.
+
 The matrix layout puts K shifted copies of A's coefficient column first and N
 shifted copies of B's column after, so that S(A,B) @ [r_0..r_{K-1}, s_0..
 s_{N-1}] is exactly the coefficient vector of A*R + B*S. `layout` builds it
 for stacked coefficient rows too, which the ceiling calibration uses. The
-inverse's columns are the solutions for P = z^l, l = 0..N+K-1.
+inverse's columns are the solutions for P = z^l, l = 0..N+K-1, that is
+solve(M, Polynomial.monomial(l)).
 
-Solves use partial pivoting LU plus iterative refinement with an
+Solves use the LU factors plus iterative refinement with an
 extended-precision residual; the refinement is what keeps ill-conditioned
 instances (tiny separation) accurate to ~1e-12 relative instead of
-eps * cond.
+eps * cond. The determinant is read from the same factors, as the product
+of U's diagonal times the sign of the row permutation.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -27,18 +36,30 @@ from .errors import ConstantPolynomialError, SingularSystemError
 from .poly import Polynomial
 from .roots import RootSet
 
-RESIDUAL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SylvesterMatrix:
-    entries: np.ndarray
+    """The Sylvester system of one pair: A and B as given, N and K their
+    degrees after normalize(), and the entries. The LU factors are computed
+    on first use and kept."""
+
+    A: Polynomial
+    B: Polynomial
     N: int
     K: int
+    entries: np.ndarray
 
     @property
     def size(self) -> int:
         return self.N + self.K
+
+    @cached_property
+    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
+        with warnings.catch_warnings():
+            # a singular matrix is refused by _factor and has det 0 in
+            # resultant; neither wants scipy's LinAlgWarning
+            warnings.simplefilter("ignore")
+            return lu_factor(self.entries, check_finite=False)
 
 
 @dataclass
@@ -81,21 +102,11 @@ def build(A: Polynomial, B: Polynomial) -> SylvesterMatrix:
     if n < 1 or k < 1:
         raise ConstantPolynomialError("both polynomials must be nonconstant")
     m = layout(np.array(An.coeffs), np.array(Bn.coeffs))
-    return SylvesterMatrix(entries=m, N=n, K=k)
-
-
-def _rhs_vector(M: SylvesterMatrix, P: Polynomial) -> np.ndarray:
-    size = M.size
-    if P.degree > size - 1:
-        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {size - 1}")
-    return np.array([P.coeff(i) for i in range(size)], dtype=complex)
+    return SylvesterMatrix(A=A, B=B, N=n, K=k, entries=m)
 
 
 def _factor(M: SylvesterMatrix):
-    with warnings.catch_warnings():
-        # singularity is detected below and raised as SingularSystemError
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(M.entries, check_finite=False)
+    lu, piv = M._lu
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystemError(
@@ -126,24 +137,17 @@ def _refined_solve(M: SylvesterMatrix, lu_piv, b: np.ndarray, steps: int = 3) ->
     return best
 
 
-def _pack(M: SylvesterMatrix, x: np.ndarray) -> tuple[Polynomial, Polynomial]:
-    R = Polynomial(x[: M.K])
-    S = Polynomial(x[M.K :])
-    return R, S
-
-
-def solve_rhs(M: SylvesterMatrix, A: Polynomial, B: Polynomial, P: Polynomial) -> BezoutSolution:
-    """Minimal-degree (R, S) with A*R + B*S = P via the linear system."""
-    b = _rhs_vector(M, P)
+def solve(M: SylvesterMatrix, P: Polynomial | None = None) -> BezoutSolution:
+    """Minimal-degree (R, S) with A*R + B*S = P via the linear system
+    (default P = 1)."""
+    P = P if P is not None else Polynomial([1.0])
+    if P.degree > M.size - 1:
+        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {M.size - 1}")
+    b = np.array([P.coeff(i) for i in range(M.size)], dtype=complex)
     x = _refined_solve(M, _factor(M), b)
-    R, S = _pack(M, x)
-    residual = (A * R + B * S - P).norm()
+    R, S = Polynomial(x[: M.K]), Polynomial(x[M.K :])
+    residual = (M.A * R + M.B * S - P).norm()
     return BezoutSolution(R=R, S=S, residual=residual, backend="sylvester")
-
-
-def solve(A: Polynomial, B: Polynomial, P: Polynomial | None = None) -> BezoutSolution:
-    """Convenience wrapper: build the matrix and solve (default P = 1)."""
-    return solve_rhs(build(A, B), A, B, P if P is not None else Polynomial([1.0]))
 
 
 class ResultantTriple(NamedTuple):
@@ -152,18 +156,17 @@ class ResultantTriple(NamedTuple):
     product_via_roots_of_A: float  # |a_N|^K * prod |B(alpha_i)|
 
 
-def resultant(
-    A: Polynomial, B: Polynomial, rootsA: RootSet, rootsB: RootSet
-) -> ResultantTriple:
+def resultant(M: SylvesterMatrix, rootsA: RootSet, rootsB: RootSet) -> ResultantTriple:
     """Determinant of the Sylvester matrix and the two root-product formulas
-    for its modulus; all three magnitudes must agree for coprime inputs."""
-    M = build(A, B)
-    det = complex(np.linalg.det(M.entries))
-    An, Bn = A.normalize(), B.normalize()
-    a_lead = An.coeffs[An.degree]
-    b_lead = Bn.coeffs[Bn.degree]
-    via_b = abs(b_lead) ** M.N * float(np.prod([abs(A(b)) for b in rootsB.roots]))
-    via_a = abs(a_lead) ** M.K * float(np.prod([abs(B(a)) for a in rootsA.roots]))
+    for its modulus; all three magnitudes must agree for coprime inputs. A
+    singular matrix gives det 0."""
+    lu, piv = M._lu
+    swaps = np.count_nonzero(piv != np.arange(M.size))
+    det = complex(np.prod(np.diag(lu)) * (-1) ** swaps)
+    a_lead = M.A.coeff(M.N)
+    b_lead = M.B.coeff(M.K)
+    via_b = abs(b_lead) ** M.N * float(np.prod([abs(M.A(b)) for b in rootsB.roots]))
+    via_a = abs(a_lead) ** M.K * float(np.prod([abs(M.B(a)) for a in rootsA.roots]))
     return ResultantTriple(det, via_b, via_a)
 
 
@@ -195,12 +198,7 @@ class InverseNormReport:
         return dict(self.__dict__)
 
 
-def inverse_norm_report(
-    A: Polynomial,
-    B: Polynomial,
-    delta_value: float,
-    C3: float | None = None,
-) -> InverseNormReport:
+def inverse_norm_report(M: SylvesterMatrix, delta_value: float) -> InverseNormReport:
     """Exact max-entry norm of the inverse (via N+K solves against the
     identity) against the degree- and leading-coefficient-driven bound.
 
@@ -209,17 +207,15 @@ def inverse_norm_report(
     """
     if delta_value <= 0:
         raise ValueError("inverse-norm report requires delta > 0")
-    M = build(A, B)
-    lu_piv = _factor(M)
-    inv = lu_solve(lu_piv, np.eye(M.size, dtype=complex), check_finite=False)
+    inv = lu_solve(_factor(M), np.eye(M.size, dtype=complex), check_finite=False)
     max_entry = float(np.max(np.abs(inv)))
 
-    An, Bn = A.normalize(), B.normalize()
-    a_lead = abs(An.coeffs[An.degree])
-    b_lead = abs(Bn.coeffs[Bn.degree])
+    A, B = M.A, M.B
+    a_lead = abs(A.coeff(M.N))
+    b_lead = abs(B.coeff(M.K))
     m_ratio = max(A.norm() / a_lead, B.norm() / b_lead)
     exponent = M.N + M.K + max(M.N, M.K) - 1
-    c3 = default_c3(M.N, M.K) if C3 is None else float(C3)
+    c3 = default_c3(M.N, M.K)
     bound = c3 * m_ratio**exponent / delta_value**2
     ratio = max_entry * delta_value**2 / m_ratio**exponent
 

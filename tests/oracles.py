@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bezmin.backends import _guard_coprime, _guard_simple, _subdivide, build_rule
+from bezmin.backends import _guard_simple, _subdivide, build_rule
 from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
@@ -34,7 +34,7 @@ def residue_sum_solution(
     P = P if P is not None else Polynomial([1.0])
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
-    _guard_coprime(A, B, rootsA, rootsB)
+    delta(A, B, rootsA, rootsB)
     An, Bn = A.normalize(), B.normalize()
     n, k = An.degree, Bn.degree
     dA, dB = A.derivative(), B.derivative()

@@ -62,7 +62,7 @@ def test_criterion_01_sharpness_family():
         for a in (0.9, 0.5, 0.25, 0.1):
             A, B = sharpness_instance(n, a)
             d = a**n
-            sol = sylvester.solve(A, B)
+            sol = sylvester.solve(sylvester.build(A, B))
             predicted = d ** (-2.0 + 1.0 / n)
             worst = max(worst, abs(sol.R.norm() - predicted) / predicted)
     elapsed = time.perf_counter() - t0
@@ -77,7 +77,7 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
     worst_agree = 0.0
     n_simple = 0
     for inst in ensemble_500:
-        sol = sylvester.solve(inst.A, inst.B)
+        sol = sylvester.solve(sylvester.build(inst.A, inst.B))
         worst_res = max(worst_res, sol.residual)
         if inst.rootsA.any_suspect or inst.rootsB.any_suspect:
             continue
@@ -109,7 +109,7 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
 def test_criterion_03_resultant_triple(ensemble_500):
     worst = 0.0
     for inst in ensemble_500:
-        t = sylvester.resultant(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        t = sylvester.resultant(sylvester.build(inst.A, inst.B), inst.rootsA, inst.rootsB)
         m = abs(t.det_value)
         worst = max(
             worst,
@@ -228,7 +228,7 @@ def test_criterion_09_sylvester_inverse_sweep():
     for a in [2.0**-i for i in range(11)]:
         A = Polynomial([0, a])
         B = Polynomial([1, a])
-        rep = sylvester.inverse_norm_report(A, B, 1.0)
+        rep = sylvester.inverse_norm_report(sylvester.build(A, B), 1.0)
         want = max(1.0, 1.0 / a)
         worst_err = max(worst_err, abs(rep.max_entry_norm - want))
         ok &= abs(rep.max_entry_norm - want) <= 1e-12 * want

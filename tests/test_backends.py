@@ -7,6 +7,7 @@ import pytest
 from bezmin import backends, sylvester
 from bezmin.backends import (
     _coefficients_from_integrals,
+    _subdivide,
     build_rule,
     certify_main_bound,
     solve_quadrature,
@@ -105,7 +106,7 @@ def test_residue_sharpness_line():
     A = Polynomial.from_roots([1e-5, -1e-5])
     sol = solve_residue(A, B, find_roots(A), find_roots(B))
     assert abs(sol.R.coeff(1) - 8.0) < 1e-3  # perturbed instance, loose
-    sol_exact = sylvester.solve(Polynomial.monomial(n), B)
+    sol_exact = sylvester.solve(sylvester.build(Polynomial.monomial(n), B))
     assert abs(sol_exact.R.coeff(1) - 8.0) < 1e-9
 
 
@@ -141,7 +142,7 @@ def test_residue_matches_sylvester_random():
     for _ in range(25):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
-        s_lin = sylvester.solve(inst.A, inst.B)
+        s_lin = sylvester.solve(sylvester.build(inst.A, inst.B))
         s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
         assert _coeff_diff(s_lin.R, s_res.R, db) <= 1e-8
         assert _coeff_diff(s_lin.S, s_res.S, da) <= 1e-8
@@ -168,7 +169,7 @@ def test_rule_integrates_powers_to_tolerance():
     rng = np.random.default_rng(54)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
     g1, _ = _regions_for(inst)
-    rule = build_rule(g1, order=16)
+    rule = build_rule(_subdivide(g1), order=16)
     for k in range(8):
         want = 0j
         for arc in g1.arcs:
@@ -287,7 +288,7 @@ def test_quadrature_solution_values_at_roots():
 def test_reversed_matches_direct():
     A = Polynomial([-0.5, 1.0])  # z - 1/2
     B = Polynomial([0.5, 1.0])  # z + 1/2
-    direct = sylvester.solve(A, B)
+    direct = sylvester.solve(sylvester.build(A, B))
     rev = solve_reversed(A, B)
     assert _coeff_diff(direct.R, rev.R, 1) <= 1e-9
     assert _coeff_diff(direct.S, rev.S, 1) <= 1e-9
@@ -314,7 +315,7 @@ def test_reversed_random_round_trip():
         inst = random_pair(rng, da, db, delta_floor=0.05)
         if abs(inst.A(0)) < 1e-3 or abs(inst.B(0)) < 1e-3:
             continue
-        direct = sylvester.solve(inst.A, inst.B)
+        direct = sylvester.solve(sylvester.build(inst.A, inst.B))
         rev = solve_reversed(inst.A, inst.B)
         scale = max(1.0, direct.R.norm(), direct.S.norm())
         assert _coeff_diff(direct.R, rev.R, db) <= 1e-8 * scale
@@ -328,7 +329,7 @@ def test_reversed_inner_residue():
     rng = np.random.default_rng(62)
     inst = random_pair(rng, 3, 3, delta_floor=0.1, require_simple=True)
     if abs(inst.A(0)) > 1e-3 and abs(inst.B(0)) > 1e-3:
-        direct = sylvester.solve(inst.A, inst.B)
+        direct = sylvester.solve(sylvester.build(inst.A, inst.B))
         At, Bt = inst.A.reverse(3), inst.B.reverse(3)
         inner = solve_residue(
             At, Bt, find_roots(At), find_roots(Bt), Polynomial.monomial(5)
@@ -346,7 +347,7 @@ def test_three_way_agreement_batch():
     for _ in range(15):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
-        s_lin = sylvester.solve(inst.A, inst.B)
+        s_lin = sylvester.solve(sylvester.build(inst.A, inst.B))
         s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
         g1, g2 = _regions_for(inst)
         s_quad = solve_quadrature(inst.A, inst.B, (g1, g2),
@@ -365,7 +366,7 @@ def test_certify_sharpness_family():
             A = Polynomial.monomial(n)
             B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
             rep = delta(A, B, find_roots(A), find_roots(B))
-            sol = sylvester.solve(A, B)
+            sol = sylvester.solve(sylvester.build(A, B))
             assert sol.R.norm() == pytest.approx(
                 rep.delta ** (-2.0 + 1.0 / n), rel=1e-8
             )
@@ -379,7 +380,7 @@ def test_certify_sharpness_family():
 
 def test_certify_trivial_pair():
     rep = delta(Z, ONE_MINUS_Z, find_roots(Z), find_roots(ONE_MINUS_Z))
-    sol = sylvester.solve(Z, ONE_MINUS_Z)
+    sol = sylvester.solve(sylvester.build(Z, ONE_MINUS_Z))
     cert = certify_main_bound(Z, ONE_MINUS_Z, sol, rep.delta)
     assert cert.ratio_r == pytest.approx(1.0)
     assert cert.ratio_s == pytest.approx(1.0)
@@ -393,7 +394,7 @@ def test_certify_unnormalized_blowup():
         A1 = Polynomial.monomial(n).scale(a**-2)
         B1 = Polynomial.from_roots([a * w**j for j in range(1, n + 1)]).scale(a**-2)
         rep = delta(A1, B1, find_roots(A1), find_roots(B1))
-        sol = sylvester.solve(A1, B1)
+        sol = sylvester.solve(sylvester.build(A1, B1))
         raw = sol.R.norm() * rep.delta**2
         assert raw == pytest.approx(1.0 / a, rel=1e-9)
         cert = certify_main_bound(A1, B1, sol, rep.delta)
@@ -405,7 +406,7 @@ def test_monomial_family_matches_residue_backend():
     inst = random_pair(rng, 3, 3, delta_floor=0.1, require_simple=True)
     for ell in range(6):
         P = Polynomial.monomial(ell)
-        sol = sylvester.solve(inst.A, inst.B, P)
+        sol = sylvester.solve(sylvester.build(inst.A, inst.B), P)
         s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB, P)
         assert _coeff_diff(sol.R, s_res.R, 3) <= 1e-8
         assert _coeff_diff(sol.S, s_res.S, 3) <= 1e-8

@@ -88,6 +88,57 @@ def test_sylvester_command(poly_files, capsys):
     assert out["inverse_norm"]["max_entry_norm"] == pytest.approx(1.0)
 
 
+def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypatch):
+    # a certify pair and a sylvester call build the Sylvester matrix once,
+    # factor it once, and read the determinant from that factorisation
+    import numpy as np
+
+    from bezmin import sylvester
+
+    calls = {"build": 0, "lu_factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(sylvester, "build", counted("build", sylvester.build))
+    monkeypatch.setattr(
+        sylvester, "lu_factor", counted("lu_factor", sylvester.lu_factor)
+    )
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    out = tmp_path / "c"
+    args = ["--out", str(out), "--seed", "3", "certify", "--count", "5",
+            "--separation-samples", "200"]
+    assert main(args) == 0
+    records = json.loads((out / "certify_report.json").read_text())["records"]
+    assert len(records) >= 3
+    assert calls == {"build": len(records), "lu_factor": len(records)}
+
+    calls.update(build=0, lu_factor=0)
+    a, b = poly_files
+    assert main(["--json", "sylvester", a, b]) == 0
+    assert calls == {"build": 1, "lu_factor": 1}
+
+
+def test_sylvester_common_root_exits_one_with_error_line(tmp_path, capsys):
+    # z and z + z^2 share the root 0: det 0 is reported without a raise, and
+    # the separation check then refuses the pair
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(Polynomial([0, 1]).to_json_dict()))
+    b.write_text(json.dumps(Polynomial([0, 1, 1]).to_json_dict()))
+    assert main(["sylvester", str(a), str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CommonRootError: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_examples_command(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,7 @@ def test_matvec_matches_polynomial_product():
 
 
 def test_solve_monomial_pair():
-    sol = sylvester.solve(Z, ONE_MINUS_Z)
+    sol = sylvester.solve(sylvester.build(Z, ONE_MINUS_Z))
     assert sol.R == Polynomial([1.0])
     assert sol.S == Polynomial([1.0])
     assert sol.residual == 0.0
@@ -79,7 +81,7 @@ def test_solve_sharpness_example():
     w = cmath.exp(2j * cmath.pi / (2 * n - 1))
     A = Polynomial.monomial(n)
     B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
-    sol = sylvester.solve(A, B)
+    sol = sylvester.solve(sylvester.build(A, B))
     # R = z^(N-1) / a^(2N-1) = 8 z
     assert abs(sol.R.coeff(1) - 8.0) < 1e-9
     assert abs(sol.R.coeff(0)) < 1e-9
@@ -89,7 +91,7 @@ def test_solve_sharpness_example():
 def test_solve_tiny_scale_pair_is_not_singular():
     # the pivot test is relative: scaling a coprime pair by 1e-15 keeps it
     # solvable, with cofactors scaled by 1e15
-    sol = sylvester.solve(Z.scale(1e-15), ONE_MINUS_Z.scale(1e-15))
+    sol = sylvester.solve(sylvester.build(Z.scale(1e-15), ONE_MINUS_Z.scale(1e-15)))
     assert sol.R.norm() == pytest.approx(1e15, rel=1e-12)
     assert sol.S.norm() == pytest.approx(1e15, rel=1e-12)
     assert sol.residual <= 1e-12
@@ -97,7 +99,7 @@ def test_solve_tiny_scale_pair_is_not_singular():
 
 def test_solve_common_root_raises():
     with pytest.raises(SingularSystemError):
-        sylvester.solve(Z, Z)
+        sylvester.solve(sylvester.build(Z, Z))
 
 
 def test_degree_bounds_hold():
@@ -105,7 +107,7 @@ def test_degree_bounds_hold():
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.02)
-        sol = sylvester.solve(inst.A, inst.B)
+        sol = sylvester.solve(sylvester.build(inst.A, inst.B))
         assert sol.R.degree <= db - 1 or sol.R.is_zero
         assert sol.S.degree <= da - 1 or sol.S.is_zero
         assert sol.residual <= 1e-10
@@ -113,7 +115,7 @@ def test_degree_bounds_hold():
 
 def test_resultant_monomial_pair():
     ra, rb = find_roots(Z), find_roots(ONE_MINUS_Z)
-    triple = sylvester.resultant(Z, ONE_MINUS_Z, ra, rb)
+    triple = sylvester.resultant(sylvester.build(Z, ONE_MINUS_Z), ra, rb)
     assert abs(triple.det_value) == pytest.approx(1.0)
     assert triple.product_via_roots_of_B == pytest.approx(1.0)
     assert triple.product_via_roots_of_A == pytest.approx(1.0)
@@ -123,7 +125,7 @@ def test_resultant_leading_coefficient_family():
     for a in (0.5, 0.125, 2.0):
         A = Polynomial([0, a])
         B = Polynomial([1, a])
-        triple = sylvester.resultant(A, B, find_roots(A), find_roots(B))
+        triple = sylvester.resultant(sylvester.build(A, B), find_roots(A), find_roots(B))
         assert abs(triple.det_value) == pytest.approx(abs(a), rel=1e-12)
         assert triple.product_via_roots_of_B == pytest.approx(abs(a), rel=1e-12)
         assert triple.product_via_roots_of_A == pytest.approx(abs(a), rel=1e-12)
@@ -133,12 +135,14 @@ def test_resultant_scaling_homogeneity():
     rng = np.random.default_rng(33)
     inst = random_pair(rng, 3, 2, delta_floor=0.02)
     base = abs(
-        sylvester.resultant(inst.A, inst.B, inst.rootsA, inst.rootsB).det_value
+        sylvester.resultant(sylvester.build(inst.A, inst.B), inst.rootsA, inst.rootsB).det_value
     )
     c = 1.3 - 0.4j
     scaled = abs(
         sylvester.resultant(
-            inst.A.scale(c), inst.B.scale(c), inst.rootsA, inst.rootsB
+            sylvester.build(inst.A.scale(c), inst.B.scale(c)),
+            inst.rootsA,
+            inst.rootsB,
         ).det_value
     )
     assert scaled == pytest.approx(abs(c) ** (3 + 2) * base, rel=1e-10)
@@ -149,10 +153,37 @@ def test_resultant_triple_agreement_random():
     for _ in range(30):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.05)
-        t = sylvester.resultant(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        t = sylvester.resultant(sylvester.build(inst.A, inst.B), inst.rootsA, inst.rootsB)
         m = abs(t.det_value)
         assert t.product_via_roots_of_B == pytest.approx(m, rel=1e-6)
         assert t.product_via_roots_of_A == pytest.approx(m, rel=1e-6)
+
+
+def test_lu_determinant_matches_numpy_det():
+    # det from the cached LU factors, prod(diag(U)) * (-1)^(row swaps),
+    # against numpy's own determinant, with odd swap counts among the pairs
+    rng = np.random.default_rng(39)
+    odd = 0
+    for _ in range(200):
+        da, db = sample_degrees(rng, 1, 8)
+        A = Polynomial(rng.standard_normal(da + 1) + 1j * rng.standard_normal(da + 1))
+        B = Polynomial(rng.standard_normal(db + 1) + 1j * rng.standard_normal(db + 1))
+        M = sylvester.build(A, B)
+        _, piv = M._lu
+        odd += np.count_nonzero(piv != np.arange(M.size)) % 2
+        got = sylvester.resultant(M, find_roots(A), find_roots(B)).det_value
+        want = np.linalg.det(M.entries)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert odd >= 1
+
+
+def test_resultant_of_common_root_pair_is_zero():
+    A, B = Z, Polynomial([0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triple = sylvester.resultant(sylvester.build(A, B), find_roots(A), find_roots(B))
+    assert triple.det_value == 0
+    assert isinstance(triple.det_value, complex)
 
 
 def test_inverse_norm_remark_family():
@@ -160,7 +191,7 @@ def test_inverse_norm_remark_family():
     for a in [2.0**-i for i in range(11)]:
         A = Polynomial([0, a])
         B = Polynomial([1, a])
-        rep = sylvester.inverse_norm_report(A, B, 1.0)
+        rep = sylvester.inverse_norm_report(sylvester.build(A, B), 1.0)
         assert rep.max_entry_norm == pytest.approx(max(1.0, 1.0 / a), abs=1e-12)
         # M = 1/a, exponent = 2; ratio = (1/a) / (1/a)^2 = a stays bounded
         assert rep.tightness_ratio <= 1.0 + 1e-12
@@ -168,11 +199,11 @@ def test_inverse_norm_remark_family():
 
 def test_inverse_norm_requires_positive_delta():
     with pytest.raises(ValueError):
-        sylvester.inverse_norm_report(Z, ONE_MINUS_Z, 0.0)
+        sylvester.inverse_norm_report(sylvester.build(Z, ONE_MINUS_Z), 0.0)
 
 
-def _monomial_family(A, B, size):
-    return [sylvester.solve(A, B, Polynomial.monomial(ell)) for ell in range(size)]
+def _monomial_family(M, size):
+    return [sylvester.solve(M, Polynomial.monomial(ell)) for ell in range(size)]
 
 
 def test_monomial_family_assembles_inverse():
@@ -180,13 +211,13 @@ def test_monomial_family_assembles_inverse():
     rng = np.random.default_rng(35)
     inst = random_pair(rng, 3, 4, delta_floor=0.05)
     M = sylvester.build(inst.A, inst.B)
-    family = _monomial_family(inst.A, inst.B, M.size)
+    family = _monomial_family(M, M.size)
     inv = np.array(
         [[sol.R.coeff(i) for i in range(M.K)] + [sol.S.coeff(i) for i in range(M.N)]
          for sol in family]
     ).T
     assert np.max(np.abs(M.entries @ inv - np.eye(M.size))) < 1e-12
-    report = sylvester.inverse_norm_report(inst.A, inst.B, inst.delta)
+    report = sylvester.inverse_norm_report(M, inst.delta)
     assert np.max(np.abs(inv)) == pytest.approx(report.max_entry_norm, rel=1e-12)
 
 
@@ -194,8 +225,8 @@ def test_monomial_family_consistent_with_solve_rhs():
     rng = np.random.default_rng(36)
     inst = random_pair(rng, 2, 3, delta_floor=0.05)
     M = sylvester.build(inst.A, inst.B)
-    family = _monomial_family(inst.A, inst.B, M.size)
-    direct = sylvester.solve_rhs(M, inst.A, inst.B, Polynomial([1.0]))
+    family = _monomial_family(M, M.size)
+    direct = sylvester.solve(M, Polynomial([1.0]))
     assert (family[0].R - direct.R).norm() < 1e-12
     assert (family[0].S - direct.S).norm() < 1e-12
 
@@ -207,7 +238,7 @@ def test_residual_bound_invariant():
         inst = random_pair(rng, da, db, delta_floor=1e-3)
         M = sylvester.build(inst.A, inst.B)
         P = Polynomial(rng.standard_normal(da + db) + 1j * rng.standard_normal(da + db))
-        sol = sylvester.solve_rhs(M, inst.A, inst.B, P)
-        inv = sylvester.inverse_norm_report(inst.A, inst.B, inst.delta)
+        sol = sylvester.solve(M, P)
+        inv = sylvester.inverse_norm_report(M, inst.delta)
         cap = 1e-10 * (1.0 + inv.max_entry_norm) * P.norm()
         assert sol.residual <= cap
