@@ -1,14 +1,17 @@
 """Minimal Bezout cofactors for coprime complex polynomials.
 
-Core objects: Polynomial (dense complex coefficients), RootSet (certified
-roots), DeltaReport (separation quantities), ContourSystem (circular-arc
-region boundaries, built for a RegionKind), and BezoutSolution (the
-minimal-degree pair R, S with A*R + B*S = P). The monomial family
-P = z^l is solve(build(A, B), Polynomial.monomial(l)).
+Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
+from build(A, B): its degrees, Sylvester entries, and the roots, delta and
+LU factors, each computed once on first use), RootSet (certified roots),
+DeltaReport (separation quantities), ContourSystem (circular-arc region
+boundaries, built for a RegionKind), and BezoutSolution (the minimal-degree
+pair R, S with A*R + B*S = P). The separation quantities, solvers and
+reports all take the Pair; the monomial family P = z^l is
+solve(build(A, B), Polynomial.monomial(l)).
 """
 
 from .poly import Polynomial
-from .roots import RootSet, find_roots, perturb_to_simple
+from .roots import RootSet, find_roots
 from .separation import (
     DeltaReport,
     check_separation,
@@ -18,7 +21,7 @@ from .separation import (
 )
 from .sylvester import (
     BezoutSolution,
-    SylvesterMatrix,
+    Pair,
     build,
     inverse_norm_report,
     resultant,
@@ -33,7 +36,6 @@ from .regions import (
     contour_metrics,
     invert_contour,
     membership,
-    winding_number,
     winding_numbers,
 )
 from .backends import (
@@ -48,13 +50,12 @@ __all__ = [
     "Polynomial",
     "RootSet",
     "find_roots",
-    "perturb_to_simple",
     "DeltaReport",
     "delta",
     "delta_report",
     "delta_tilde",
     "check_separation",
-    "SylvesterMatrix",
+    "Pair",
     "BezoutSolution",
     "build",
     "solve",
@@ -68,7 +69,6 @@ __all__ = [
     "contour_metrics",
     "invert_contour",
     "membership",
-    "winding_number",
     "winding_numbers",
     "certify_main_bound",
     "solve_quadrature",

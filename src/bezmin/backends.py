@@ -31,16 +31,19 @@ from .errors import (
 )
 from .poly import Polynomial
 from .regions import Arc, ContourSystem, _first_winding_mismatch, gauss_legendre
-from .roots import RootSet, find_roots
+from .roots import RootSet
 from .separation import delta
-from .sylvester import BezoutSolution
+from .sylvester import BezoutSolution, Pair
+
+# the first quadrature order; solve_quadrature doubles it until the
+# coefficients settle
+START_ORDER = 16
 
 
 def _guard_simple(roots: RootSet, who: str) -> None:
     if roots.any_suspect:
         raise MultipleRootsError(
-            f"{who} has multiplicity-suspect roots; use the Sylvester "
-            "backend or perturb_to_simple first"
+            f"{who} has multiplicity-suspect roots; use the Sylvester backend"
         )
 
 
@@ -74,22 +77,15 @@ def _interpolate(nodes, values) -> Polynomial:
     return Polynomial(out)
 
 
-def solve_residue(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    P: Polynomial | None = None,
-) -> BezoutSolution:
+def solve_residue(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Closed-form evaluation of the contour formulas for simple roots:
     interpolate P/B at the roots of A and P/A at the roots of B."""
     P = P if P is not None else Polynomial([1.0])
+    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
-    delta(A, B, rootsA, rootsB)  # raises CommonRootError on a shared root
-    n = A.normalize().degree
-    k = B.normalize().degree
-    if P.degree > n + k - 1:
+    delta(pair)  # raises CommonRootError on a shared root
+    if P.degree > pair.size - 1:
         raise ValueError("deg P must be at most N+K-1")
     S = _interpolate(rootsA.roots, [P(a) / B(a) for a in rootsA.roots])
     R = _interpolate(rootsB.roots, [P(b) / A(b) for b in rootsB.roots])
@@ -185,31 +181,25 @@ def _coefficients_from_integrals(
 
 
 def solve_quadrature(
-    A: Polynomial,
-    B: Polynomial,
+    pair: Pair,
     contours: tuple[ContourSystem, ContourSystem],
     P: Polynomial | None = None,
-    rootsA: RootSet | None = None,
-    rootsB: RootSet | None = None,
-    start_order: int = 16,
     max_order: int = 2048,
     tol: float = 1e-9,
 ) -> BezoutSolution:
     """Evaluate the coefficient contour integrals by per-arc Gauss-Legendre
     quadrature, doubling the order until every coefficient is stable. The
-    orders run start_order, 2 * start_order, ... up to at most max_order.
+    orders run START_ORDER, 2 * START_ORDER, ... up to at most max_order.
 
     contours[0] must wind once around each root of A and zero times around
     each root of B; contours[1] the opposite.
     """
     P = P if P is not None else Polynomial([1.0])
-    rootsA = rootsA or find_roots(A)
-    rootsB = rootsB or find_roots(B)
+    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     gamma1, gamma2 = contours
     _check_contour(gamma1, rootsA, rootsB, "contour 1")
     _check_contour(gamma2, rootsB, rootsA, "contour 2")
-    An, Bn = A.normalize(), B.normalize()
-    n, k = An.degree, Bn.degree
+    n, k = pair.N, pair.K
     if P.degree > n + k - 1:
         raise ValueError("deg P must be at most N+K-1")
     poles = np.array(list(rootsA.roots) + list(rootsB.roots))
@@ -226,11 +216,11 @@ def solve_quadrature(
     def solve_at(order: int) -> tuple[np.ndarray, np.ndarray]:
         m1 = moments(build_rule(gamma1, order), n)
         m2 = moments(build_rule(gamma2, order), k)
-        s = _coefficients_from_integrals(An, m1)
-        r = _coefficients_from_integrals(Bn, m2)
+        s = _coefficients_from_integrals(pair.An, m1)
+        r = _coefficients_from_integrals(pair.Bn, m2)
         return r, s
 
-    order = start_order
+    order = START_ORDER
     r_prev, s_prev = solve_at(order)
     while 2 * order <= max_order:
         order *= 2
@@ -246,7 +236,7 @@ def solve_quadrature(
                 R=R, S=S, residual=residual, backend="quadrature"
             )
         r_prev, s_prev = r_new, s_new
-    if order == start_order:
+    if order == START_ORDER:
         raise QuadratureNotConverged(
             f"max_order {max_order} leaves no order to compare with {order}"
         )
@@ -259,33 +249,15 @@ def solve_quadrature(
 # reversal pipeline
 
 
-def solve_reversed(
-    A: Polynomial,
-    B: Polynomial,
-    translation: complex | None = None,
-) -> BezoutSolution:
+def solve_reversed(pair: Pair) -> BezoutSolution:
     """Solve via the coefficient-reversed pair and right-hand side z^(N+K-1),
-    then reverse the solutions back; A(0) and B(0) must be nonzero (translate
-    first when a root sits at the origin)."""
-    if translation is not None and translation != 0:
-        shifted = solve_reversed(A.translate(translation), B.translate(translation))
-        R = shifted.R.translate(-translation)
-        S = shifted.S.translate(-translation)
-        residual = (A * R + B * S - Polynomial([1.0])).norm()
-        return BezoutSolution(
-            R=R, S=S, residual=residual, backend=shifted.backend + "+translate"
-        )
-
-    An, Bn = A.normalize(), B.normalize()
-    n, k = An.degree, Bn.degree
+    then reverse the solutions back; A(0) and B(0) must be nonzero (the
+    Sylvester backend solves pairs with a root at the origin)."""
+    A, B, n, k = pair.A, pair.B, pair.N, pair.K
     if abs(A(0)) < 1e-12 * A.norm() or abs(B(0)) < 1e-12 * B.norm():
-        raise ZeroRootError(
-            "A(0) or B(0) vanishes; pass a translation to move roots off 0"
-        )
-    At = An.reverse(n)
-    Bt = Bn.reverse(k)
-    Pt = Polynomial.monomial(n + k - 1)
-    inner_sol = sylvester.solve(sylvester.build(At, Bt), Pt)
+        raise ZeroRootError("A(0) or B(0) vanishes; use the Sylvester backend")
+    inner = sylvester.build(pair.An.reverse(n), pair.Bn.reverse(k))
+    inner_sol = sylvester.solve(inner, Polynomial.monomial(n + k - 1))
     R = Polynomial([inner_sol.R.coeff(k - 1 - i) for i in range(k)])
     S = Polynomial([inner_sol.S.coeff(n - 1 - i) for i in range(n)])
     residual = (A * R + B * S - Polynomial([1.0])).norm()
@@ -316,18 +288,14 @@ class BoundCertification:
 
 
 def certify_main_bound(
-    A: Polynomial,
-    B: Polynomial,
-    solution: BezoutSolution,
-    delta_value: float,
+    pair: Pair, solution: BezoutSolution, delta_value: float
 ) -> BoundCertification:
     """Ratios norm(R) * delta^2 / max(1, max-norm) (and for S), checked
     against the empirical per-degree ceiling table when available."""
     if delta_value <= 0:
         raise ValueError("certification requires delta > 0")
-    n = A.normalize().degree
-    k = B.normalize().degree
-    cap = max(1.0, A.norm(), B.norm())
+    n, k = pair.N, pair.K
+    cap = max(1.0, pair.A.norm(), pair.B.norm())
     nr, ns = solution.R.norm(), solution.S.norm()
     ratio_r = nr * delta_value**2 / cap
     ratio_s = ns * delta_value**2 / cap

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -96,6 +97,12 @@ def _load_poly(path: str) -> Polynomial:
         return Polynomial.from_json_dict(json.load(fh))
 
 
+def _load_pair(args) -> sylvester.Pair:
+    """The Pair of the files poly_a and poly_b; its roots, delta and LU
+    factors are computed when a command first needs them."""
+    return sylvester.build(_load_poly(args.poly_a), _load_poly(args.poly_b))
+
+
 def _emit(obj, as_json: bool, text_lines: list[str]) -> None:
     if as_json:
         print(json.dumps(obj, indent=1, sort_keys=True))
@@ -129,9 +136,7 @@ def cmd_roots(args, config: RunConfig) -> int:
 
 
 def cmd_delta(args, config: RunConfig) -> int:
-    A = _load_poly(args.poly_a)
-    B = _load_poly(args.poly_b)
-    report = delta_report(A, B)
+    report = delta_report(_load_pair(args))
     lines = [
         f"delta            {report.delta:.12g}",
         f"witness          {report.argmin_witness:.12g}",
@@ -156,13 +161,18 @@ def _parse_rhs(spec: str, n: int, k: int) -> Polynomial:
     return _load_poly(spec)
 
 
+def _quadrature_contours(pair: sylvester.Pair) -> tuple:
+    """Contours around the roots of A and of B for solve_quadrature."""
+    return tuple(
+        build_region_with_jitter(kind, pair.rootsA, pair.rootsB)
+        for kind in (RegionKind.E_A, RegionKind.E_B)
+    )
+
+
 def cmd_solve(args, config: RunConfig) -> int:
-    A = _load_poly(args.poly_a)
-    B = _load_poly(args.poly_b)
-    rootsA, rootsB = find_roots(A), find_roots(B)
-    n, k = A.normalize().degree, B.normalize().degree
-    P = _parse_rhs(args.rhs, n, k)
-    rep = delta(A, B, rootsA, rootsB)
+    pair = _load_pair(args)
+    P = _parse_rhs(args.rhs, pair.N, pair.K)
+    rep = delta(pair)
 
     wanted = (
         ["sylvester", "residue", "quadrature", "reversed"]
@@ -173,18 +183,16 @@ def cmd_solve(args, config: RunConfig) -> int:
     for name in wanted:
         try:
             if name == "sylvester":
-                sol = sylvester.solve(sylvester.build(A, B), P)
+                sol = sylvester.solve(pair, P)
             elif name == "residue":
-                sol = backends.solve_residue(A, B, rootsA, rootsB, P)
+                sol = backends.solve_residue(pair, P)
             elif name == "quadrature":
-                g1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
-                g2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
                 sol = backends.solve_quadrature(
-                    A, B, (g1, g2), P, rootsA, rootsB,
+                    pair, _quadrature_contours(pair), P,
                     tol=config.tol("quadrature"),
                 )
             elif name == "reversed":
-                sol = backends.solve_reversed(A, B)
+                sol = backends.solve_reversed(pair)
             else:
                 raise ValueError(name)
         except QuadratureNotConverged as exc:
@@ -194,7 +202,7 @@ def cmd_solve(args, config: RunConfig) -> int:
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
         if P == Polynomial([1.0]):
-            cert = backends.certify_main_bound(A, B, sol, rep.delta)
+            cert = backends.certify_main_bound(pair, sol, rep.delta)
             sol.bound_report = cert.to_json_dict()
         results[name] = sol.to_json_dict()
 
@@ -229,9 +237,8 @@ def cmd_regions(args, config: RunConfig) -> int:
             f"unknown region kind {', '.join(unknown)}; "
             f"expected {','.join(_REGION_FLAGS)}"
         )
-    A = _load_poly(args.poly_a)
-    B = _load_poly(args.poly_b)
-    rootsA, rootsB = find_roots(A), find_roots(B)
+    pair = _load_pair(args)
+    rootsA, rootsB = pair.rootsA, pair.rootsB
     contours = []
     info = {}
     for flag in flags:
@@ -240,10 +247,8 @@ def cmd_regions(args, config: RunConfig) -> int:
         contours.append(contour)
         entry = contour.to_json_dict()
         if kind in (RegionKind.GAMMA1,):
-            rep = delta(A, B, rootsA, rootsB)
-            entry["metrics"] = contour_metrics(
-                contour, rootsA, rootsB, A, B, rep.delta
-            ).to_json_dict()
+            rep = delta(pair)
+            entry["metrics"] = contour_metrics(contour, pair, rep.delta).to_json_dict()
         info[kind.value] = entry
     markers = list(rootsA.roots) + list(rootsB.roots)
     if args.svg:
@@ -260,15 +265,12 @@ def cmd_regions(args, config: RunConfig) -> int:
 
 
 def cmd_sylvester(args, config: RunConfig) -> int:
-    A = _load_poly(args.poly_a)
-    B = _load_poly(args.poly_b)
-    rootsA, rootsB = find_roots(A), find_roots(B)
-    M = sylvester.build(A, B)
-    triple = sylvester.resultant(M, rootsA, rootsB)
-    rep = delta(A, B, rootsA, rootsB)
-    inv = sylvester.inverse_norm_report(M, rep.delta)
+    pair = _load_pair(args)
+    triple = sylvester.resultant(pair)
+    rep = delta(pair)
+    inv = sylvester.inverse_norm_report(pair, rep.delta)
     out = {
-        "matrix": [[[v.real, v.imag] for v in row] for row in M.entries],
+        "matrix": [[[v.real, v.imag] for v in row] for row in pair.entries],
         "resultant": {
             "det": [triple.det_value.real, triple.det_value.imag],
             "abs_det": abs(triple.det_value),
@@ -277,8 +279,8 @@ def cmd_sylvester(args, config: RunConfig) -> int:
         },
         "inverse_norm": inv.to_json_dict(),
     }
-    lines = [f"Sylvester matrix ({M.size} x {M.size}):"]
-    for row in M.entries:
+    lines = [f"Sylvester matrix ({pair.size} x {pair.size}):"]
+    for row in pair.entries:
         lines.append("  " + "  ".join(f"{v:10.4g}" for v in row))
     lines += [
         f"|resultant|   det {abs(triple.det_value):.9g}   "
@@ -305,10 +307,9 @@ def cmd_examples(args, config: RunConfig) -> int:
                  f"{'predicted':>14} {'rel err':>10}")
     for n in (2, 3, 4, 5):
         for a in (1.0, 0.9, 0.5, 0.25, 0.1):
-            A, B = sharpness_instance(n, a)
-            rootsA, rootsB = find_roots(A), find_roots(B)
-            rep = delta(A, B, rootsA, rootsB)
-            sol = sylvester.solve(sylvester.build(A, B))
+            pair = sylvester.build(*sharpness_instance(n, a))
+            rep = delta(pair)
+            sol = sylvester.solve(pair)
             predicted = rep.delta ** (-2.0 + 1.0 / n)
             err = abs(sol.R.norm() - predicted) / predicted
             passed = err <= tol and abs(rep.delta - a**n) <= 1e-9
@@ -331,10 +332,9 @@ def cmd_examples(args, config: RunConfig) -> int:
     for n in (2, 3, 4):
         for a in (0.9, 0.5, 0.25, 0.1):
             A, B = sharpness_instance(n, a)
-            A1, B1 = A.scale(a**-2), B.scale(a**-2)
-            rootsA, rootsB = find_roots(A1), find_roots(B1)
-            rep = delta(A1, B1, rootsA, rootsB)
-            sol = sylvester.solve(sylvester.build(A1, B1))
+            pair = sylvester.build(A.scale(a**-2), B.scale(a**-2))
+            rep = delta(pair)
+            sol = sylvester.solve(pair)
             ratio = sol.R.norm() * rep.delta**2
             err = abs(ratio - 1.0 / a) * a
             passed = err <= tol
@@ -355,7 +355,7 @@ def cmd_examples(args, config: RunConfig) -> int:
     lines.append(f"{'n':>3} {'delta(A_n,B_n)':>16} {'norm(A_n - A)':>15}")
     A0 = Polynomial([0.0, 1.0])
     B0 = Polynomial([1.0, -1.0])
-    rep0 = delta(A0, B0, find_roots(A0), find_roots(B0))
+    rep0 = delta(sylvester.build(A0, B0))
     base_ok = abs(rep0.delta - 1.0) < 1e-15
     ok &= base_ok
     rows.append({"family": "discontinuity", "n": None,
@@ -363,7 +363,7 @@ def cmd_examples(args, config: RunConfig) -> int:
     for n in range(2, 11):
         An, Bn = discontinuity_pair(n)
         try:
-            rep = delta(An, Bn, find_roots(An), find_roots(Bn))
+            rep = delta(sylvester.build(An, Bn))
             dval = rep.delta
         except CommonRootError as exc:
             dval = exc.report.delta
@@ -389,9 +389,10 @@ def cmd_figures(args, config: RunConfig) -> int:
     summary = {}
     ok = True
 
-    A1 = Polynomial.from_roots(FIG1_ALPHAS)
-    B1 = Polynomial.from_roots(FIG1_BETAS)
-    ra, rb = find_roots(A1), find_roots(B1)
+    pair = sylvester.build(
+        Polynomial.from_roots(FIG1_ALPHAS), Polynomial.from_roots(FIG1_BETAS)
+    )
+    ra, rb = pair.rootsA, pair.rootsB
     ea = build_region(RegionKind.E_A, ra, rb)
     eb = build_region(RegionKind.E_B, ra, rb)
     markers = list(ra.roots) + list(rb.roots)
@@ -402,9 +403,10 @@ def cmd_figures(args, config: RunConfig) -> int:
     summary["fig1"] = {"E_A_components": ea.n_loops, "E_B_components": eb.n_loops}
     ok &= ea.n_loops == 2 and eb.n_loops == 1
 
-    A2 = Polynomial.from_roots(FIG45_ALPHAS)
-    B2 = Polynomial.from_roots(FIG45_BETAS)
-    ra2, rb2 = find_roots(A2), find_roots(B2)
+    pair = sylvester.build(
+        Polynomial.from_roots(FIG45_ALPHAS), Polynomial.from_roots(FIG45_BETAS)
+    )
+    ra2, rb2 = pair.rootsA, pair.rootsB
     ea2 = build_region(RegionKind.E_A, ra2, rb2)
     da2 = build_region(RegionKind.D_A, ra2, rb2)
     g1 = build_region(RegionKind.GAMMA1, ra2, rb2)
@@ -443,13 +445,13 @@ def _certify_one(task) -> dict:
     deg_b = int(rng.integers(config.min_degree, config.max_degree + 1))
     from .ensemble import random_polynomial
 
-    A = random_polynomial(rng, deg_a)
-    B = random_polynomial(rng, deg_b)
-    rootsA, rootsB = find_roots(A), find_roots(B)
-    if not (rootsA.verified and rootsB.verified):
+    pair = sylvester.build(
+        random_polynomial(rng, deg_a), random_polynomial(rng, deg_b)
+    )
+    if not (pair.rootsA.verified and pair.rootsB.verified):
         return {"index": index, "rejected": "unverified_roots"}
     try:
-        rep = delta(A, B, rootsA, rootsB)
+        rep = delta(pair)
     except CommonRootError:
         return {"index": index, "rejected": "common_root"}
     if rep.delta < config.delta_floor:
@@ -466,9 +468,7 @@ def _certify_one(task) -> dict:
     }
 
     descent = DescentStats()
-    lo, up, _ = delta_tilde(
-        A, B, rootsA, rootsB, n_rings=3, n_angles=8, stats=descent
-    )
+    lo, up, _ = delta_tilde(pair, n_rings=3, n_angles=8, stats=descent)
     record["tilde_lower"] = lo
     record["tilde_upper"] = up
     record["tilde_steps"] = descent.steps
@@ -479,24 +479,23 @@ def _certify_one(task) -> dict:
 
     try:
         check_separation(
-            A, B, rootsA, rootsB, rep.delta,
-            config.separation_samples, seed=int(rng.integers(2**31)),
+            pair, rep.delta, config.separation_samples,
+            seed=int(rng.integers(2**31)),
         )
         record["checks"]["separation"] = True
     except SeparationViolation:
         record["checks"]["separation"] = False
 
-    M = sylvester.build(A, B)
-    sol = sylvester.solve(M)
+    sol = sylvester.solve(pair)
     record["residual_sylvester"] = sol.residual
     record["norm_r"] = sol.R.norm()
     record["norm_s"] = sol.S.norm()
     record["checks"]["residual"] = sol.residual <= config.tol("residual")
-    cert = backends.certify_main_bound(A, B, sol, rep.delta)
+    cert = backends.certify_main_bound(pair, sol, rep.delta)
     record["ratio"] = max(cert.ratio_r, cert.ratio_s)
     record["checks"]["ratio_ceiling"] = cert.passed
 
-    triple = sylvester.resultant(M, rootsA, rootsB)
+    triple = sylvester.resultant(pair)
     m = abs(triple.det_value)
     rel = max(
         abs(m - triple.product_via_roots_of_B),
@@ -505,25 +504,22 @@ def _certify_one(task) -> dict:
     record["resultant_rel_spread"] = rel
     record["checks"]["resultant"] = rel <= config.tol("resultant")
 
-    inv = sylvester.inverse_norm_report(M, rep.delta)
+    inv = sylvester.inverse_norm_report(pair, rep.delta)
     record["sylvester_inverse_ratio"] = inv.tightness_ratio
 
-    simple = not (rootsA.any_suspect or rootsB.any_suspect)
+    simple = not (pair.rootsA.any_suspect or pair.rootsB.any_suspect)
     record["simple_roots"] = simple
     if simple:
         agree = 0.0
         try:
-            sol_res = backends.solve_residue(A, B, rootsA, rootsB)
+            sol_res = backends.solve_residue(pair)
             record["backends"].append("residue")
             record["residual_residue"] = sol_res.residual
             agree = max(
                 (sol.R - sol_res.R).norm(), (sol.S - sol_res.S).norm()
             )
-            g1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
-            g2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
             sol_quad = backends.solve_quadrature(
-                A, B, (g1, g2), rootsA=rootsA, rootsB=rootsB,
-                tol=config.tol("quadrature"),
+                pair, _quadrature_contours(pair), tol=config.tol("quadrature")
             )
             record["backends"].append("quadrature")
             record["residual_quadrature"] = sol_quad.residual
@@ -620,7 +616,9 @@ def cmd_certify(args, config: RunConfig) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: main() may run many times."""
     ap = argparse.ArgumentParser(
         prog="bezmin",
         description="Minimal Bezout cofactors with separation certificates",

@@ -6,7 +6,8 @@ class BezminError(Exception):
 
 
 class DegreeZeroError(BezminError):
-    """Root finding was asked for on a constant polynomial."""
+    """A constant polynomial was given where roots are needed: root finding,
+    or the Pair of A and B, which needs both degrees at least 1."""
 
 
 class CommonRootError(BezminError):
@@ -45,10 +46,6 @@ class OriginInRegionError(OriginTooClose):
     """A region construction that requires inversion found 0 on the contour."""
 
 
-class ConstantPolynomialError(BezminError):
-    """Sylvester construction requires both degrees to be at least 1."""
-
-
 class SingularSystemError(BezminError):
     """The Sylvester system is numerically singular (common roots)."""
 
@@ -70,4 +67,5 @@ class QuadratureNotConverged(BezminError):
 
 
 class ZeroRootError(BezminError):
-    """The reversal pipeline needs A(0) != 0 and B(0) != 0; translate first."""
+    """The reversal pipeline needs A(0) != 0 and B(0) != 0; the Sylvester
+    backend has no such restriction."""

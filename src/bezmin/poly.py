@@ -104,31 +104,6 @@ class Polynomial:
         c = complex(c)
         return Polynomial([c * a for a in self._coeffs])
 
-    def translate(self, z0: complex) -> "Polynomial":
-        """Return p(z + z0) by binomial convolution.
-
-        Accumulates in extended precision: the shifted coefficients can be
-        (1 + |z0|)^degree times larger than the inputs, and round-trip
-        translations would otherwise lose those amplified digits.
-        """
-        z0 = complex(z0)
-        n = self.degree
-        if z0 == 0:
-            return Polynomial(self._coeffs[: n + 1])
-        ze = np.clongdouble(z0)
-        out = np.zeros(n + 1, dtype=np.clongdouble)
-        # out[j] = sum_k a_k * C(k, j) * z0^(k-j)
-        for k in range(n + 1):
-            a = np.clongdouble(self.coeff(k))
-            if a == 0:
-                continue
-            binom = np.longdouble(1.0)
-            for j in range(k, -1, -1):
-                out[j] += a * binom * ze ** (k - j)
-                if j > 0:
-                    binom = binom * j / (k - j + 1)
-        return Polynomial(out.astype(complex))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         other = _as_poly(other)
         n = max(len(self._coeffs), len(other._coeffs))

@@ -43,8 +43,8 @@ from .errors import (
     OriginInRegionError,
     OriginTooClose,
 )
-from .poly import Polynomial
 from .roots import RootSet
+from .sylvester import Pair
 
 TANGENCY_TOL = 1e-12
 POINT_TOL = 1e-9
@@ -216,7 +216,7 @@ def _circles_for(kind: RegionKind, alphas, betas, scale: float) -> list[Disk]:
         for a in alphas:
             if abs(a) < 1e-12 * scale:
                 raise DegenerateArrangement(
-                    "a root of A lies at the origin; translate the pair first"
+                    "a root of A lies at the origin; use the Sylvester backend"
                 )
             circles.append(Disk(a, 0.75 * abs(a)))
     return circles
@@ -496,16 +496,11 @@ def _integer_windings(table: _ArcTable, scale: float, points):
 def winding_numbers(contour: ContourSystem, points) -> np.ndarray:
     """Integer winding numbers of the whole system about each point, all arcs
     against all points at once. Raises for the first point that lies on the
-    contour or gets a non-integer accumulation, as winding_number would."""
+    contour (OnContourError) or gets a non-integer accumulation."""
     ks, err = _integer_windings(_arc_table(contour.arcs), contour.scale, points)
     if err is not None:
         raise err
     return ks
-
-
-def winding_number(contour: ContourSystem, z: complex) -> int:
-    """Integer winding number of the whole system about z."""
-    return int(winding_numbers(contour, [z])[0])
 
 
 def _first_winding_mismatch(
@@ -513,9 +508,8 @@ def _first_winding_mismatch(
 ) -> tuple[int, int] | None:
     """(index, winding) of the first point whose winding number is not the
     expected one, or None. A point without a winding number raises instead
-    when it comes first, so checking point after point with winding_number
-    fails the same way. `table` is the contour's arc table when the caller
-    has it."""
+    when it comes first, so checking point after point fails the same way.
+    `table` is the contour's arc table when the caller has it."""
     if table is None:
         table = _arc_table(contour.arcs)
     ks, err = _integer_windings(table, contour.scale, points)
@@ -834,18 +828,12 @@ def _arc_quadrature_real(arc: Arc, f, start_order: int = 16, tol: float = 1e-9) 
 
 
 def contour_metrics(
-    contour: ContourSystem,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    A: Polynomial,
-    B: Polynomial,
-    delta_value: float,
+    contour: ContourSystem, pair: Pair, delta_value: float
 ) -> ContourMetrics:
     """Length, the scale-invariant integral of |du|/|u|, and the lower bounds
     on |A| and |B| along the contour. Violated bounds are reported, not
     raised; they validate the theory rather than gate the build."""
-    n = A.normalize().degree
-    k = B.normalize().degree
+    A, B, n, k = pair.A, pair.B, pair.N, pair.K
 
     log_int = sum(
         _arc_quadrature_real(a, lambda z: 1.0 / np.abs(z)) for a in contour.arcs

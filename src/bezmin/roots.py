@@ -122,58 +122,3 @@ def find_roots(p: Polynomial) -> RootSet:
         verified=verified,
     )
 
-
-def _jittered_roots(roots: np.ndarray, spread: float, cluster_tol: float) -> np.ndarray:
-    """Separate clustered roots by deterministic offsets of size `spread`."""
-    out = roots.astype(complex).copy()
-    n = len(out)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(out[i] - out[j]) < cluster_tol:
-                # rotate the pair apart; direction varies with indices so
-                # triple clusters separate too
-                phase = np.exp(2j * np.pi * (i + 2 * j) / (2 * n + 3))
-                out[j] = out[j] + spread * phase
-    return out
-
-
-def perturb_to_simple(
-    A: Polynomial, B: Polynomial, epsilon: float
-) -> tuple[Polynomial, Polynomial]:
-    """Nearby pair with pairwise-distinct roots in each polynomial.
-
-    The construction jitters clustered roots, re-expands, and rescales back to
-    the original coefficient norm, so the returned norms match the inputs
-    exactly and the coefficient change stays below epsilon.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-
-    def one(p: Polynomial, budget: float) -> Polynomial:
-        q = p.normalize()
-        if q.degree < 1:
-            return p
-        rs = find_roots(q)
-        if not rs.any_suspect:
-            return p
-        lead = q.coeffs[q.degree]
-        nrm = p.norm()
-        cluster_tol = CLUSTER_TOL_FACTOR * (1.0 + rs.cauchy_bound)
-        spread = budget
-        while True:
-            jr = _jittered_roots(np.asarray(rs.roots), spread, cluster_tol)
-            cand = Polynomial.from_roots(jr, lead)
-            cand = cand.scale(nrm / cand.norm())
-            delta_norm = (cand - p).norm()
-            sep = min(
-                abs(jr[i] - jr[j])
-                for i in range(len(jr))
-                for j in range(i + 1, len(jr))
-            ) if len(jr) > 1 else np.inf
-            if delta_norm <= budget and sep > 0:
-                return cand
-            spread /= 2.0
-            if spread < 1e-300:
-                raise ArithmeticError("jitter underflow in perturb_to_simple")
-
-    return one(A, epsilon / 2.0), one(B, epsilon / 2.0)

@@ -1,12 +1,13 @@
 """Separation quantities for a coprime pair (A, B).
 
-delta(A, B) is the min of |B| over the roots of A and |A| over the roots of B.
-delta_tilde(A, B) is the global minimum over the plane of max(|A(z)|, |B(z)|);
-it cannot be certified cheaply, so it is reported as a bracket: a rigorous
-lower bound delta / 3**max(N, K) from the sub-level separation result, and an
-upper bound from a multistart Nelder-Mead descent. The descent advances all
-seeds together through one vectorised simplex loop that follows scipy's
-non-adaptive Nelder-Mead rule seed by seed.
+delta(pair) is the min of |B| over the roots of A and |A| over the roots of
+B. delta_tilde(pair) is the global minimum over the plane of max(|A(z)|,
+|B(z)|); it cannot be certified cheaply, so it is reported as a bracket: a
+rigorous lower bound delta / 3**max(N, K) from the sub-level separation
+result, and an upper bound from a multistart Nelder-Mead descent. The descent
+advances all seeds together through one vectorised simplex loop that follows
+scipy's non-adaptive Nelder-Mead rule seed by seed. All of them read the
+roots, degrees and delta's value from the Pair, which computes each once.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommonRootError, SeparationViolation
-from .poly import Polynomial
-from .roots import RootSet, find_roots
+from .roots import find_roots
+from .sylvester import Pair
 
 ZERO_THRESHOLD_FACTOR = 1e-12
 SANDWICH_TOL = 1e-9
@@ -48,27 +49,11 @@ class DeltaReport:
         }
 
 
-def _delta_value(
-    A: Polynomial, B: Polynomial, rootsA: RootSet, rootsB: RootSet
-) -> tuple[float, complex]:
-    vals_a = [(abs(B(r)), r) for r in rootsA.roots]
-    vals_b = [(abs(A(r)), r) for r in rootsB.roots]
-    value, witness = min(vals_a + vals_b, key=lambda t: t[0])
-    return float(value), complex(witness)
-
-
-def delta(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-) -> DeltaReport:
+def delta(pair: Pair) -> DeltaReport:
     """Exact-by-construction min over roots; raises CommonRootError when the
     value underflows the zero threshold (downstream solvers must refuse)."""
-    if A.normalize().degree < 1 or B.normalize().degree < 1:
-        raise ValueError("delta requires two nonconstant polynomials")
-    value, witness = _delta_value(A, B, rootsA, rootsB)
-    threshold = ZERO_THRESHOLD_FACTOR * max(A.norm(), B.norm())
+    value, witness = pair.delta_min
+    threshold = ZERO_THRESHOLD_FACTOR * max(pair.A.norm(), pair.B.norm())
     report = DeltaReport(delta=value, argmin_witness=witness,
                          common_root=value < threshold)
     if report.common_root:
@@ -86,6 +71,10 @@ _RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 _MAXITER = 50
 _XATOL, _FATOL = 1e-12, 1e-14
+# a run's result restarts the descent while it gains at least _RESTART_TOL,
+# up to _MAX_RESTARTS runs per seed
+_RESTART_TOL = 1e-10
+_MAX_RESTARTS = 8
 # candidates a * xbar - b * worst: reflect, expand, outside and inside
 # contraction (columns 3..6 of the working array)
 _CAND_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])
@@ -111,17 +100,11 @@ def _grid_seeds(radius: float, n_rings: int, n_angles: int) -> list[complex]:
     return seeds
 
 
-def _descent_seeds(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    n_rings: int,
-    n_angles: int,
-) -> np.ndarray:
+def _descent_seeds(pair: Pair, n_rings: int, n_angles: int) -> np.ndarray:
     """Roots of A, B, A', B', then the polar grid over the joint Cauchy disk."""
+    rootsA, rootsB = pair.rootsA, pair.rootsB
     seeds: list[complex] = list(rootsA.roots) + list(rootsB.roots)
-    for q in (A.derivative(), B.derivative()):
+    for q in (pair.A.derivative(), pair.B.derivative()):
         qn = q.normalize()
         if qn.degree >= 1:
             seeds.extend(find_roots(qn).roots)
@@ -134,7 +117,8 @@ class _MaxModulus:
     """max(|A(z)|, |B(z)|) on an array of points, by in-place Horner on both
     polynomials at once (the shorter coefficient vector is zero-padded)."""
 
-    def __init__(self, A: Polynomial, B: Polynomial):
+    def __init__(self, pair: Pair):
+        A, B = pair.A, pair.B
         size = max(len(A.coeffs), len(B.coeffs))
         table = np.zeros((size, 2), dtype=complex)
         table[: len(A.coeffs), 0] = A.coeffs
@@ -165,10 +149,7 @@ def _initial_vertices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batched_nelder_mead(
-    f: _MaxModulus,
-    seeds: np.ndarray,
-    restart_tol: float,
-    max_restarts: int,
+    f: _MaxModulus, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Restarted Nelder-Mead from every seed at once; returns each seed's best
     value and point, and the number of steps taken over all seeds.
@@ -176,7 +157,7 @@ def _batched_nelder_mead(
     Each seed follows scipy's non-adaptive rule step for step: a run stops
     when its vertices are within xatol and their values within fatol, or
     after 49 steps. A run's result is kept, and the descent restarted from
-    it, while it gains at least restart_tol, up to max_restarts runs.
+    it, while it gains at least _RESTART_TOL, up to _MAX_RESTARTS runs.
 
     Row i of the working arrays z (points) and fz (values) holds seed i's
     simplex, sorted by value, in columns 0..2, and the step's candidates in
@@ -193,8 +174,6 @@ def _batched_nelder_mead(
     fz = np.zeros((n, 9))
     z[:, 0] = x
     fz[:, 0] = val = f(x[:, None])[:, 0]
-    if max_restarts < 1:
-        return val, x, 0
     restart = np.ones(n, dtype=bool)  # every seed starts its first run
     run = np.zeros(n, dtype=int)
     it = np.zeros(n, dtype=int)
@@ -246,11 +225,11 @@ def _batched_nelder_mead(
             continue
         steps += int(np.sum(it[done] - 1))
         fun = fz[:, 0]
-        gain = done & (fun <= val - restart_tol)
+        gain = done & (fun <= val - _RESTART_TOL)
         take = gain | (done & (fun < val))
         val = np.where(take, fun, val)
         x = np.where(take, z[:, 0], x)
-        restart = gain & (run + 1 < max_restarts)
+        restart = gain & (run + 1 < _MAX_RESTARTS)
         run += restart
         it[restart] = 0
         finish = done & ~restart
@@ -269,14 +248,9 @@ def _batched_nelder_mead(
 
 
 def delta_tilde(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet | None = None,
-    rootsB: RootSet | None = None,
+    pair: Pair,
     n_rings: int = 5,
     n_angles: int = 10,
-    restart_tol: float = 1e-10,
-    max_restarts: int = 8,
     stats: DescentStats | None = None,
 ) -> tuple[float, float, complex]:
     """Bracket (lower, upper) for the global min of max(|A|, |B|) plus the
@@ -285,19 +259,15 @@ def delta_tilde(
     Seeds: all roots of A, B, A', B' and a polar grid over the joint Cauchy
     disk. All seeds run derivative-free simplex descent together (the
     objective is not smooth at the zeros), each restarted until its gains
-    fall below restart_tol. Ties between seeds go to the first. When `stats`
+    fall below _RESTART_TOL. Ties between seeds go to the first. When `stats`
     is given, the descent's step and evaluation counts are added to it.
     """
-    rootsA = rootsA or find_roots(A)
-    rootsB = rootsB or find_roots(B)
-    dval, _ = _delta_value(A, B, rootsA, rootsB)
-    n = A.normalize().degree
-    k = B.normalize().degree
-    lower = max(dval / 3.0 ** max(n, k), 0.0)
+    dval, _ = pair.delta_min
+    lower = max(dval / 3.0 ** max(pair.N, pair.K), 0.0)
 
-    seeds = _descent_seeds(A, B, rootsA, rootsB, n_rings, n_angles)
-    f = _MaxModulus(A, B)
-    vals, points, steps = _batched_nelder_mead(f, seeds, restart_tol, max_restarts)
+    seeds = _descent_seeds(pair, n_rings, n_angles)
+    f = _MaxModulus(pair)
+    vals, points, steps = _batched_nelder_mead(f, seeds)
     if stats is not None:
         stats.steps += steps
         stats.evals += f.evals
@@ -305,23 +275,16 @@ def delta_tilde(
     return lower, float(vals[best]), complex(points[best])
 
 
-def delta_report(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet | None = None,
-    rootsB: RootSet | None = None,
-) -> DeltaReport:
+def delta_report(pair: Pair) -> DeltaReport:
     """Full report: delta, the delta-tilde bracket, and the sandwich flag.
 
     Unlike delta(), a common root is reported (delta ~ 0) instead of raised.
     """
-    rootsA = rootsA or find_roots(A)
-    rootsB = rootsB or find_roots(B)
     try:
-        report = delta(A, B, rootsA, rootsB)
+        report = delta(pair)
     except CommonRootError as exc:
         report = exc.report
-    lower, upper, witness = delta_tilde(A, B, rootsA, rootsB)
+    lower, upper, witness = delta_tilde(pair)
     report.delta_tilde_lower = lower
     report.delta_tilde_upper = upper
     report.tilde_witness = witness
@@ -359,13 +322,7 @@ def _scrambled_halton(n: int, seed: int) -> np.ndarray:
 
 
 def check_separation(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    delta_value: float,
-    n_samples: int,
-    seed: int = 0,
+    pair: Pair, delta_value: float, n_samples: int, seed: int = 0
 ) -> SeparationReport:
     """Sample the plane and verify the sub-level sets L(A, delta/3^N) and
     L(B, delta/3^K) never intersect.
@@ -374,15 +331,14 @@ def check_separation(
     every root at the separation-relevant scale. A joint hit is a numerical
     bug (the sets are provably disjoint), so it raises SeparationViolation.
     """
+    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     if A.norm() > 1 + 1e-12 or B.norm() > 1 + 1e-12:
         raise ValueError("separation check requires norm(A), norm(B) <= 1")
     if delta_value <= 0:
         raise ValueError("separation check requires delta > 0")
 
-    n = A.normalize().degree
-    k = B.normalize().degree
-    eps_a = delta_value / 3.0**n
-    eps_b = delta_value / 3.0**k
+    eps_a = delta_value / 3.0**pair.N
+    eps_b = delta_value / 3.0**pair.K
 
     radius = max(rootsA.cauchy_bound, rootsB.cauchy_bound)
     n_disk = max(1, int(0.7 * n_samples))

@@ -1,18 +1,19 @@
-"""Sylvester matrix: construction, linear-system backend, resultant checks,
-and the inverse-norm conditioning report.
+"""The pair object, the Sylvester matrix's linear-system backend, resultant
+checks, and the inverse-norm conditioning report.
 
-`build(A, B)` gives the pair's one system, a SylvesterMatrix that keeps A and
-B as given, their degrees after normalize(), the entries, and the LU factors
-with partial pivoting, computed at most once. `solve`, `resultant` and
-`inverse_norm_report` all read that matrix, so a pair is built and factored
-once however many of them it needs.
+`build(A, B)` gives the one Pair of an input pair: A and B as given, An and
+Bn after normalize() with their degrees N and K, and the Sylvester entries.
+The roots of A and B, delta's value and witness, and the LU factors with
+partial pivoting are computed on first use and kept. Every layer of the
+package (separation, the solvers, the reports, the contour metrics) reads
+the same Pair, so no per-pair quantity is computed twice.
 
 The matrix layout puts K shifted copies of A's coefficient column first and N
 shifted copies of B's column after, so that S(A,B) @ [r_0..r_{K-1}, s_0..
 s_{N-1}] is exactly the coefficient vector of A*R + B*S. `layout` builds it
 for stacked coefficient rows too, which the ceiling calibration uses. The
 inverse's columns are the solutions for P = z^l, l = 0..N+K-1, that is
-solve(M, Polynomial.monomial(l)).
+solve(pair, Polynomial.monomial(l)).
 
 Solves use the LU factors plus iterative refinement with an
 extended-precision residual; the refinement is what keeps ill-conditioned
@@ -32,19 +33,21 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import ConstantPolynomialError, SingularSystemError
+from .errors import DegreeZeroError, SingularSystemError
 from .poly import Polynomial
-from .roots import RootSet
+from .roots import RootSet, find_roots
 
 
-@dataclass(frozen=True)
-class SylvesterMatrix:
-    """The Sylvester system of one pair: A and B as given, N and K their
-    degrees after normalize(), and the entries. The LU factors are computed
-    on first use and kept."""
+@dataclass(frozen=True, eq=False)
+class Pair:
+    """One input pair: A and B as given, An and Bn after normalize() with
+    degrees N and K, and the Sylvester entries. The roots, delta's value and
+    witness, and the LU factors are computed on first use and kept."""
 
     A: Polynomial
     B: Polynomial
+    An: Polynomial
+    Bn: Polynomial
     N: int
     K: int
     entries: np.ndarray
@@ -52,6 +55,23 @@ class SylvesterMatrix:
     @property
     def size(self) -> int:
         return self.N + self.K
+
+    @cached_property
+    def rootsA(self) -> RootSet:
+        return find_roots(self.A)
+
+    @cached_property
+    def rootsB(self) -> RootSet:
+        return find_roots(self.B)
+
+    @cached_property
+    def delta_min(self) -> tuple[float, complex]:
+        """delta's value, the min of |B| over the roots of A and |A| over the
+        roots of B, and the first root where it is attained."""
+        vals = [(abs(self.B(r)), r) for r in self.rootsA.roots]
+        vals += [(abs(self.A(r)), r) for r in self.rootsB.roots]
+        value, witness = min(vals, key=lambda t: t[0])
+        return float(value), complex(witness)
 
     @cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -95,18 +115,20 @@ def layout(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return m
 
 
-def build(A: Polynomial, B: Polynomial) -> SylvesterMatrix:
-    """Sylvester matrix of the pair; degrees are taken after normalize()."""
+def build(A: Polynomial, B: Polynomial) -> Pair:
+    """The Pair of A and B; degrees are taken after normalize()."""
     An, Bn = A.normalize(), B.normalize()
     n, k = An.degree, Bn.degree
     if n < 1 or k < 1:
-        raise ConstantPolynomialError("both polynomials must be nonconstant")
+        # find_roots's error: a constant input fails the same way whether
+        # the pair or its roots come first
+        raise DegreeZeroError("cannot extract roots of a constant polynomial")
     m = layout(np.array(An.coeffs), np.array(Bn.coeffs))
-    return SylvesterMatrix(A=A, B=B, N=n, K=k, entries=m)
+    return Pair(A=A, B=B, An=An, Bn=Bn, N=n, K=k, entries=m)
 
 
-def _factor(M: SylvesterMatrix):
-    lu, piv = M._lu
+def _factor(pair: Pair):
+    lu, piv = pair._lu
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystemError(
@@ -116,10 +138,10 @@ def _factor(M: SylvesterMatrix):
     return lu, piv
 
 
-def _refined_solve(M: SylvesterMatrix, lu_piv, b: np.ndarray, steps: int = 3) -> np.ndarray:
+def _refined_solve(pair: Pair, lu_piv, b: np.ndarray, steps: int = 3) -> np.ndarray:
     """LU solve plus iterative refinement with clongdouble residuals."""
     x = lu_solve(lu_piv, b, check_finite=False)
-    se = M.entries.astype(np.clongdouble)
+    se = pair.entries.astype(np.clongdouble)
     be = b.astype(np.clongdouble)
     best = x
     best_res = float(np.max(np.abs(be - se @ best.astype(np.clongdouble))))
@@ -137,16 +159,16 @@ def _refined_solve(M: SylvesterMatrix, lu_piv, b: np.ndarray, steps: int = 3) ->
     return best
 
 
-def solve(M: SylvesterMatrix, P: Polynomial | None = None) -> BezoutSolution:
+def solve(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Minimal-degree (R, S) with A*R + B*S = P via the linear system
     (default P = 1)."""
     P = P if P is not None else Polynomial([1.0])
-    if P.degree > M.size - 1:
-        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {M.size - 1}")
-    b = np.array([P.coeff(i) for i in range(M.size)], dtype=complex)
-    x = _refined_solve(M, _factor(M), b)
-    R, S = Polynomial(x[: M.K]), Polynomial(x[M.K :])
-    residual = (M.A * R + M.B * S - P).norm()
+    if P.degree > pair.size - 1:
+        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {pair.size - 1}")
+    b = np.array([P.coeff(i) for i in range(pair.size)], dtype=complex)
+    x = _refined_solve(pair, _factor(pair), b)
+    R, S = Polynomial(x[: pair.K]), Polynomial(x[pair.K :])
+    residual = (pair.A * R + pair.B * S - P).norm()
     return BezoutSolution(R=R, S=S, residual=residual, backend="sylvester")
 
 
@@ -156,17 +178,16 @@ class ResultantTriple(NamedTuple):
     product_via_roots_of_A: float  # |a_N|^K * prod |B(alpha_i)|
 
 
-def resultant(M: SylvesterMatrix, rootsA: RootSet, rootsB: RootSet) -> ResultantTriple:
+def resultant(pair: Pair) -> ResultantTriple:
     """Determinant of the Sylvester matrix and the two root-product formulas
     for its modulus; all three magnitudes must agree for coprime inputs. A
     singular matrix gives det 0."""
-    lu, piv = M._lu
-    swaps = np.count_nonzero(piv != np.arange(M.size))
+    lu, piv = pair._lu
+    swaps = np.count_nonzero(piv != np.arange(pair.size))
     det = complex(np.prod(np.diag(lu)) * (-1) ** swaps)
-    a_lead = M.A.coeff(M.N)
-    b_lead = M.B.coeff(M.K)
-    via_b = abs(b_lead) ** M.N * float(np.prod([abs(M.A(b)) for b in rootsB.roots]))
-    via_a = abs(a_lead) ** M.K * float(np.prod([abs(M.B(a)) for a in rootsA.roots]))
+    A, B, n, k = pair.A, pair.B, pair.N, pair.K
+    via_b = abs(B.coeff(k)) ** n * float(np.prod([abs(A(b)) for b in pair.rootsB.roots]))
+    via_a = abs(A.coeff(n)) ** k * float(np.prod([abs(B(a)) for a in pair.rootsA.roots]))
     return ResultantTriple(det, via_b, via_a)
 
 
@@ -198,7 +219,7 @@ class InverseNormReport:
         return dict(self.__dict__)
 
 
-def inverse_norm_report(M: SylvesterMatrix, delta_value: float) -> InverseNormReport:
+def inverse_norm_report(pair: Pair, delta_value: float) -> InverseNormReport:
     """Exact max-entry norm of the inverse (via N+K solves against the
     identity) against the degree- and leading-coefficient-driven bound.
 
@@ -207,15 +228,13 @@ def inverse_norm_report(M: SylvesterMatrix, delta_value: float) -> InverseNormRe
     """
     if delta_value <= 0:
         raise ValueError("inverse-norm report requires delta > 0")
-    inv = lu_solve(_factor(M), np.eye(M.size, dtype=complex), check_finite=False)
+    inv = lu_solve(_factor(pair), np.eye(pair.size, dtype=complex), check_finite=False)
     max_entry = float(np.max(np.abs(inv)))
 
-    A, B = M.A, M.B
-    a_lead = abs(A.coeff(M.N))
-    b_lead = abs(B.coeff(M.K))
-    m_ratio = max(A.norm() / a_lead, B.norm() / b_lead)
-    exponent = M.N + M.K + max(M.N, M.K) - 1
-    c3 = default_c3(M.N, M.K)
+    A, B, n, k = pair.A, pair.B, pair.N, pair.K
+    m_ratio = max(A.norm() / abs(A.coeff(n)), B.norm() / abs(B.coeff(k)))
+    exponent = n + k + max(n, k) - 1
+    c3 = default_c3(n, k)
     bound = c3 * m_ratio**exponent / delta_value**2
     ratio = max_entry * delta_value**2 / m_ratio**exponent
 

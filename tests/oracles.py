@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: the literal residue sum (an
-oracle for the interpolation backend), a root-free translation point, a
-sub-level set predicate, the scalar per-arc winding increment and distance
-(references for the array queries in regions), the argument-principle zero
-count, and rejection sampling of random pairs."""
+oracle for the interpolation backend), the translation p(z + z0), a
+root-free translation point, a sub-level set predicate, the scalar per-arc
+winding increment and distance (references for the array queries in
+regions), the argument-principle zero count, and rejection sampling of
+random pairs."""
 
 from __future__ import annotations
 
@@ -19,24 +20,18 @@ from bezmin.poly import Polynomial
 from bezmin.regions import Arc, ContourSystem
 from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
-from bezmin.sylvester import BezoutSolution
+from bezmin.sylvester import BezoutSolution, Pair, build
 
 
-def residue_sum_solution(
-    A: Polynomial,
-    B: Polynomial,
-    rootsA: RootSet,
-    rootsB: RootSet,
-    P: Polynomial | None = None,
-) -> BezoutSolution:
+def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Literal residue summation of the coefficient integrals. Identical in
     exact arithmetic to solve_residue but worse conditioned; debug oracle."""
     P = P if P is not None else Polynomial([1.0])
+    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
-    delta(A, B, rootsA, rootsB)
-    An, Bn = A.normalize(), B.normalize()
-    n, k = An.degree, Bn.degree
+    delta(pair)
+    An, Bn, n, k = pair.An, pair.Bn, pair.N, pair.K
     dA, dB = A.derivative(), B.derivative()
 
     s = np.zeros(n, dtype=complex)
@@ -60,6 +55,32 @@ def residue_sum_solution(
     R, S = Polynomial(r), Polynomial(s)
     residual = (A * R + B * S - P).norm()
     return BezoutSolution(R=R, S=S, residual=residual, backend="residue:literal")
+
+
+def translate(p: Polynomial, z0: complex) -> Polynomial:
+    """Return p(z + z0) by binomial convolution.
+
+    Accumulates in extended precision: the shifted coefficients can be
+    (1 + |z0|)^degree times larger than the inputs, and round-trip
+    translations would otherwise lose those amplified digits.
+    """
+    z0 = complex(z0)
+    n = p.degree
+    if z0 == 0:
+        return Polynomial(p.coeffs[: n + 1])
+    ze = np.clongdouble(z0)
+    out = np.zeros(n + 1, dtype=np.clongdouble)
+    # out[j] = sum_k a_k * C(k, j) * z0^(k-j)
+    for k in range(n + 1):
+        a = np.clongdouble(p.coeff(k))
+        if a == 0:
+            continue
+        binom = np.longdouble(1.0)
+        for j in range(k, -1, -1):
+            out[j] += a * binom * ze ** (k - j)
+            if j > 0:
+                binom = binom * j / (k - j + 1)
+    return Polynomial(out.astype(complex))
 
 
 def translation_point(rootsA: RootSet, rootsB: RootSet, n: int, k: int) -> complex:
@@ -148,12 +169,25 @@ def argument_principle_count(
 
 @dataclass(frozen=True)
 class Instance:
-    A: Polynomial
-    B: Polynomial
-    rootsA: RootSet
-    rootsB: RootSet
+    pair: Pair
     delta: float
     witness: complex
+
+    @property
+    def A(self) -> Polynomial:
+        return self.pair.A
+
+    @property
+    def B(self) -> Polynomial:
+        return self.pair.B
+
+    @property
+    def rootsA(self) -> RootSet:
+        return self.pair.rootsA
+
+    @property
+    def rootsB(self) -> RootSet:
+        return self.pair.rootsB
 
 
 def random_pair(
@@ -167,21 +201,19 @@ def random_pair(
     """Rejection-sample a pair with delta >= delta_floor (and optionally no
     multiplicity-suspect roots)."""
     for _ in range(max_tries):
-        A = random_polynomial(rng, deg_a)
-        B = random_polynomial(rng, deg_b)
-        rootsA = find_roots(A)
-        rootsB = find_roots(B)
+        pair = build(random_polynomial(rng, deg_a), random_polynomial(rng, deg_b))
+        rootsA, rootsB = pair.rootsA, pair.rootsB
         if not (rootsA.verified and rootsB.verified):
             continue
         if require_simple and (rootsA.any_suspect or rootsB.any_suspect):
             continue
         try:
-            rep = delta(A, B, rootsA, rootsB)
+            rep = delta(pair)
         except CommonRootError:
             continue
         if rep.delta < delta_floor:
             continue
-        return Instance(A, B, rootsA, rootsB, rep.delta, rep.argmin_witness)
+        return Instance(pair, rep.delta, rep.argmin_witness)
     raise RuntimeError(
         f"no instance with delta >= {delta_floor} in {max_tries} tries"
     )

@@ -16,13 +16,7 @@ from bezmin import backends, sylvester
 from bezmin.cli import main as cli_main
 from bezmin.errors import CommonRootError, DegenerateArrangement
 from bezmin.poly import Polynomial
-from bezmin.regions import (
-    RegionKind,
-    build_region_with_jitter,
-    contour_metrics,
-    winding_number,
-)
-from bezmin.roots import find_roots
+from bezmin.regions import RegionKind, build_region_with_jitter, contour_metrics
 from bezmin.separation import check_separation, delta, delta_tilde
 from bezmin.cli import sharpness_instance, discontinuity_pair
 from oracles import argument_principle_count, random_pair, sample_degrees
@@ -77,22 +71,20 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
     worst_agree = 0.0
     n_simple = 0
     for inst in ensemble_500:
-        sol = sylvester.solve(sylvester.build(inst.A, inst.B))
+        sol = sylvester.solve(inst.pair)
         worst_res = max(worst_res, sol.residual)
         if inst.rootsA.any_suspect or inst.rootsB.any_suspect:
             continue
         n_simple += 1
         da, db = inst.A.degree, inst.B.degree
-        s_res = backends.solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        s_res = backends.solve_residue(inst.pair)
         g1 = build_region_with_jitter(
             RegionKind.E_A, inst.rootsA, inst.rootsB
         )
         g2 = build_region_with_jitter(
             RegionKind.E_B, inst.rootsA, inst.rootsB
         )
-        s_quad = backends.solve_quadrature(
-            inst.A, inst.B, (g1, g2), rootsA=inst.rootsA, rootsB=inst.rootsB
-        )
+        s_quad = backends.solve_quadrature(inst.pair, (g1, g2))
         for x, y in ((sol, s_res), (sol, s_quad), (s_res, s_quad)):
             worst_agree = max(
                 worst_agree,
@@ -109,7 +101,7 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
 def test_criterion_03_resultant_triple(ensemble_500):
     worst = 0.0
     for inst in ensemble_500:
-        t = sylvester.resultant(sylvester.build(inst.A, inst.B), inst.rootsA, inst.rootsB)
+        t = sylvester.resultant(inst.pair)
         m = abs(t.det_value)
         worst = max(
             worst,
@@ -125,8 +117,7 @@ def test_criterion_04_sublevel_disjointness(ensemble_100):
     total_points = 0
     for i, inst in enumerate(ensemble_100):
         rep = check_separation(
-            inst.A, inst.B, inst.rootsA, inst.rootsB, inst.delta,
-            100_000, seed=ENSEMBLE_SEED + i,
+            inst.pair, inst.delta, 100_000, seed=ENSEMBLE_SEED + i
         )
         total_joint += rep.joint_hits
         total_points += rep.n_samples
@@ -140,14 +131,12 @@ def test_criterion_05_delta_sandwich(ensemble_100):
     ok = True
     for inst in ensemble_100:
         n, k = inst.A.degree, inst.B.degree
-        lower, upper, _ = delta_tilde(
-            inst.A, inst.B, inst.rootsA, inst.rootsB, n_rings=3, n_angles=8
-        )
+        lower, upper, _ = delta_tilde(inst.pair, n_rings=3, n_angles=8)
         lo_bound = inst.delta / 3.0 ** max(n, k)
         ok &= lo_bound <= upper + 1e-9 and upper <= inst.delta + 1e-9
         worst_gap = max(worst_gap, lo_bound - upper)
     A, B = Polynomial([0, 1]), Polynomial([1, -1])
-    _, upper, _ = delta_tilde(A, B)
+    _, upper, _ = delta_tilde(sylvester.build(A, B))
     converged = abs(upper - 0.5) <= 1e-6
     ok &= converged
     _report(5, ok, f"sandwich holds on 100 instances (worst lower-upper gap "
@@ -208,8 +197,7 @@ def test_criterion_08_contour_log_integral():
             )
         except DegenerateArrangement:
             continue
-        m = contour_metrics(g1, inst.rootsA, inst.rootsB, inst.A, inst.B,
-                            inst.delta)
+        m = contour_metrics(g1, inst.pair, inst.delta)
         n, k = inst.A.degree, inst.B.degree
         bound = 6.0 * math.pi * n ** (k + 1)
         ok &= m.log_derivative_integral <= bound * (1 + 1e-9)
@@ -241,13 +229,13 @@ def test_criterion_09_sylvester_inverse_sweep():
 
 def test_criterion_10_delta_discontinuity():
     A0, B0 = Polynomial([0, 1]), Polynomial([1, -1])
-    base = delta(A0, B0, find_roots(A0), find_roots(B0)).delta
+    base = delta(sylvester.build(A0, B0)).delta
     ok = base == 1.0
     worst = 0.0
     for n in range(2, 11):
         An, Bn = discontinuity_pair(n)
         try:
-            dval = delta(An, Bn, find_roots(An), find_roots(Bn)).delta
+            dval = delta(sylvester.build(An, Bn)).delta
         except CommonRootError as exc:
             dval = exc.report.delta
         worst = max(worst, dval)

@@ -24,8 +24,9 @@ from bezmin.errors import (
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import RegionKind, build_region_with_jitter
-from bezmin.roots import RootSet, find_roots
+from bezmin.roots import RootSet
 from bezmin.separation import delta
+from bezmin.sylvester import build
 from oracles import (
     argument_principle_count,
     random_pair,
@@ -91,7 +92,7 @@ def test_kernel_degree_in_z():
 
 
 def test_residue_trivial_pair():
-    sol = solve_residue(Z, ONE_MINUS_Z, find_roots(Z), find_roots(ONE_MINUS_Z))
+    sol = solve_residue(build(Z, ONE_MINUS_Z))
     assert sol.R == Polynomial([1.0])
     assert sol.S == Polynomial([1.0])
     assert sol.residual < 1e-15
@@ -104,9 +105,9 @@ def test_residue_sharpness_line():
     B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
     # A = z^2 has a double root, so interpolate with a slightly split A
     A = Polynomial.from_roots([1e-5, -1e-5])
-    sol = solve_residue(A, B, find_roots(A), find_roots(B))
+    sol = solve_residue(build(A, B))
     assert abs(sol.R.coeff(1) - 8.0) < 1e-3  # perturbed instance, loose
-    sol_exact = sylvester.solve(sylvester.build(Polynomial.monomial(n), B))
+    sol_exact = sylvester.solve(build(Polynomial.monomial(n), B))
     assert abs(sol_exact.R.coeff(1) - 8.0) < 1e-9
 
 
@@ -114,14 +115,14 @@ def test_residue_refuses_multiple_roots():
     A = Polynomial.from_roots([0.5, 0.5])
     B = ONE_MINUS_Z
     with pytest.raises(MultipleRootsError):
-        solve_residue(A, B, find_roots(A), find_roots(B))
+        solve_residue(build(A, B))
 
 
 def test_residue_refuses_common_roots():
     A = Polynomial.from_roots([0.5, -0.25])
     B = Polynomial.from_roots([0.5, 0.8])
     with pytest.raises(CommonRootError):
-        solve_residue(A, B, find_roots(A), find_roots(B))
+        solve_residue(build(A, B))
 
 
 def test_interpolation_overflow_guard():
@@ -132,9 +133,10 @@ def test_interpolation_overflow_guard():
         cauchy_bound=2.0,
         verified=True,
     )
-    A = Polynomial.from_roots([0.5, 0.5])
+    pair = build(Polynomial.from_roots([0.5, 0.5]), ONE_MINUS_Z)
+    object.__setattr__(pair, "rootsA", fake)  # fills the cached property
     with pytest.raises(IllConditionedInterpolation):
-        solve_residue(A, ONE_MINUS_Z, fake, find_roots(ONE_MINUS_Z))
+        solve_residue(pair)
 
 
 def test_residue_matches_sylvester_random():
@@ -142,8 +144,8 @@ def test_residue_matches_sylvester_random():
     for _ in range(25):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
-        s_lin = sylvester.solve(sylvester.build(inst.A, inst.B))
-        s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        s_lin = sylvester.solve(inst.pair)
+        s_res = solve_residue(inst.pair)
         assert _coeff_diff(s_lin.R, s_res.R, db) <= 1e-8
         assert _coeff_diff(s_lin.S, s_res.S, da) <= 1e-8
 
@@ -154,8 +156,8 @@ def test_literal_residue_sum_oracle():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.1, require_simple=True)
         P = Polynomial(rng.standard_normal(da + db))
-        s_bar = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB, P)
-        s_lit = residue_sum_solution(inst.A, inst.B, inst.rootsA, inst.rootsB, P)
+        s_bar = solve_residue(inst.pair, P)
+        s_lit = residue_sum_solution(inst.pair, P)
         assert _coeff_diff(s_bar.R, s_lit.R, db) <= 1e-7 * max(1, s_bar.R.norm())
         assert _coeff_diff(s_bar.S, s_lit.S, da) <= 1e-7 * max(1, s_bar.S.norm())
 
@@ -185,9 +187,8 @@ def test_quadrature_agrees_with_residue():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
         g1, g2 = _regions_for(inst)
-        s_q = solve_quadrature(inst.A, inst.B, (g1, g2),
-                               rootsA=inst.rootsA, rootsB=inst.rootsB)
-        s_r = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        s_q = solve_quadrature(inst.pair, (g1, g2))
+        s_r = solve_residue(inst.pair)
         assert _coeff_diff(s_q.R, s_r.R, db) <= 1e-7
         assert _coeff_diff(s_q.S, s_r.S, da) <= 1e-7
 
@@ -197,8 +198,7 @@ def test_quadrature_rhs_equal_to_a():
     rng = np.random.default_rng(56)
     inst = random_pair(rng, 3, 4, delta_floor=0.05, require_simple=True)
     g1, g2 = _regions_for(inst)
-    sol = solve_quadrature(inst.A, inst.B, (g1, g2), P=inst.A,
-                           rootsA=inst.rootsA, rootsB=inst.rootsB)
+    sol = solve_quadrature(inst.pair, (g1, g2), P=inst.A)
     assert sol.residual <= 1e-8
 
 
@@ -215,18 +215,16 @@ def test_quadrature_rejects_swapped_contours():
     inst = random_pair(rng, 2, 3, delta_floor=0.05, require_simple=True)
     g1, g2 = _regions_for(inst)
     with pytest.raises(BadContour):
-        solve_quadrature(inst.A, inst.B, (g2, g1),
-                         rootsA=inst.rootsA, rootsB=inst.rootsB)
+        solve_quadrature(inst.pair, (g2, g1))
 
 
 def test_quadrature_stable_under_doubling():
+    # a tighter tolerance runs to a higher order; the coefficients agree
     rng = np.random.default_rng(59)
     inst = random_pair(rng, 4, 3, delta_floor=0.05, require_simple=True)
     g1, g2 = _regions_for(inst)
-    a = solve_quadrature(inst.A, inst.B, (g1, g2), start_order=16,
-                         rootsA=inst.rootsA, rootsB=inst.rootsB)
-    b = solve_quadrature(inst.A, inst.B, (g1, g2), start_order=32,
-                         rootsA=inst.rootsA, rootsB=inst.rootsB)
+    a = solve_quadrature(inst.pair, (g1, g2))
+    b = solve_quadrature(inst.pair, (g1, g2), tol=1e-12)
     assert _coeff_diff(a.R, b.R, 3) < 1e-9
     assert _coeff_diff(a.S, b.S, 4) < 1e-9
 
@@ -245,8 +243,7 @@ def test_quadrature_never_exceeds_max_order(monkeypatch):
 
     monkeypatch.setattr(backends, "build_rule", spy)
     with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
-        solve_quadrature(inst.A, inst.B, (g1, g2), max_order=64, tol=1e-30,
-                         rootsA=inst.rootsA, rootsB=inst.rootsB)
+        solve_quadrature(inst.pair, (g1, g2), max_order=64, tol=1e-30)
     assert max(built) == 64
 
 
@@ -274,8 +271,7 @@ def test_quadrature_solution_values_at_roots():
     inst = random_pair(rng, 4, 4, delta_floor=0.05, require_simple=True)
     P = Polynomial(rng.standard_normal(5))
     g1, g2 = _regions_for(inst)
-    sol = solve_quadrature(inst.A, inst.B, (g1, g2), P=P,
-                           rootsA=inst.rootsA, rootsB=inst.rootsB)
+    sol = solve_quadrature(inst.pair, (g1, g2), P=P)
     for a in inst.rootsA.roots:
         want = P(a) / inst.B(a)
         assert abs(sol.S(a) - want) <= 1e-8 * max(1.0, abs(want))
@@ -288,8 +284,9 @@ def test_quadrature_solution_values_at_roots():
 def test_reversed_matches_direct():
     A = Polynomial([-0.5, 1.0])  # z - 1/2
     B = Polynomial([0.5, 1.0])  # z + 1/2
-    direct = sylvester.solve(sylvester.build(A, B))
-    rev = solve_reversed(A, B)
+    pair = build(A, B)
+    direct = sylvester.solve(pair)
+    rev = solve_reversed(pair)
     assert _coeff_diff(direct.R, rev.R, 1) <= 1e-9
     assert _coeff_diff(direct.S, rev.S, 1) <= 1e-9
     assert rev.residual <= 1e-12
@@ -297,14 +294,7 @@ def test_reversed_matches_direct():
 
 def test_reversed_requires_nonzero_constant_terms():
     with pytest.raises(ZeroRootError):
-        solve_reversed(Z, ONE_MINUS_Z)
-
-
-def test_reversed_with_translation():
-    sol = solve_reversed(Z, ONE_MINUS_Z, translation=0.5)
-    assert _coeff_diff(sol.R, Polynomial([1.0]), 1) <= 1e-12
-    assert _coeff_diff(sol.S, Polynomial([1.0]), 1) <= 1e-12
-    assert sol.residual <= 1e-12
+        solve_reversed(build(Z, ONE_MINUS_Z))
 
 
 def test_reversed_random_round_trip():
@@ -315,8 +305,8 @@ def test_reversed_random_round_trip():
         inst = random_pair(rng, da, db, delta_floor=0.05)
         if abs(inst.A(0)) < 1e-3 or abs(inst.B(0)) < 1e-3:
             continue
-        direct = sylvester.solve(sylvester.build(inst.A, inst.B))
-        rev = solve_reversed(inst.A, inst.B)
+        direct = sylvester.solve(inst.pair)
+        rev = solve_reversed(inst.pair)
         scale = max(1.0, direct.R.norm(), direct.S.norm())
         assert _coeff_diff(direct.R, rev.R, db) <= 1e-8 * scale
         assert _coeff_diff(direct.S, rev.S, da) <= 1e-8 * scale
@@ -329,11 +319,9 @@ def test_reversed_inner_residue():
     rng = np.random.default_rng(62)
     inst = random_pair(rng, 3, 3, delta_floor=0.1, require_simple=True)
     if abs(inst.A(0)) > 1e-3 and abs(inst.B(0)) > 1e-3:
-        direct = sylvester.solve(sylvester.build(inst.A, inst.B))
+        direct = sylvester.solve(inst.pair)
         At, Bt = inst.A.reverse(3), inst.B.reverse(3)
-        inner = solve_residue(
-            At, Bt, find_roots(At), find_roots(Bt), Polynomial.monomial(5)
-        )
+        inner = solve_residue(build(At, Bt), Polynomial.monomial(5))
         R = Polynomial([inner.R.coeff(2 - i) for i in range(3)])
         assert _coeff_diff(direct.R, R, 3) <= 1e-7
 
@@ -347,11 +335,10 @@ def test_three_way_agreement_batch():
     for _ in range(15):
         da, db = sample_degrees(rng, 1, 6)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
-        s_lin = sylvester.solve(sylvester.build(inst.A, inst.B))
-        s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        s_lin = sylvester.solve(inst.pair)
+        s_res = solve_residue(inst.pair)
         g1, g2 = _regions_for(inst)
-        s_quad = solve_quadrature(inst.A, inst.B, (g1, g2),
-                                  rootsA=inst.rootsA, rootsB=inst.rootsB)
+        s_quad = solve_quadrature(inst.pair, (g1, g2))
         for x, y in ((s_lin, s_res), (s_lin, s_quad), (s_res, s_quad)):
             assert _coeff_diff(x.R, y.R, db) <= 1e-7
             assert _coeff_diff(x.S, y.S, da) <= 1e-7
@@ -365,12 +352,13 @@ def test_certify_sharpness_family():
             w = cmath.exp(2j * cmath.pi / (2 * n - 1))
             A = Polynomial.monomial(n)
             B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
-            rep = delta(A, B, find_roots(A), find_roots(B))
-            sol = sylvester.solve(sylvester.build(A, B))
+            pair = build(A, B)
+            rep = delta(pair)
+            sol = sylvester.solve(pair)
             assert sol.R.norm() == pytest.approx(
                 rep.delta ** (-2.0 + 1.0 / n), rel=1e-8
             )
-            cert = certify_main_bound(A, B, sol, rep.delta)
+            cert = certify_main_bound(pair, sol, rep.delta)
             raw = sol.R.norm() * rep.delta**2
             assert raw == pytest.approx(rep.delta ** (1.0 / n), rel=1e-8)
             assert cert.ratio_r <= raw + 1e-12
@@ -379,9 +367,10 @@ def test_certify_sharpness_family():
 
 
 def test_certify_trivial_pair():
-    rep = delta(Z, ONE_MINUS_Z, find_roots(Z), find_roots(ONE_MINUS_Z))
-    sol = sylvester.solve(sylvester.build(Z, ONE_MINUS_Z))
-    cert = certify_main_bound(Z, ONE_MINUS_Z, sol, rep.delta)
+    pair = build(Z, ONE_MINUS_Z)
+    rep = delta(pair)
+    sol = sylvester.solve(pair)
+    cert = certify_main_bound(pair, sol, rep.delta)
     assert cert.ratio_r == pytest.approx(1.0)
     assert cert.ratio_s == pytest.approx(1.0)
 
@@ -393,11 +382,12 @@ def test_certify_unnormalized_blowup():
         w = cmath.exp(2j * cmath.pi / (2 * n - 1))
         A1 = Polynomial.monomial(n).scale(a**-2)
         B1 = Polynomial.from_roots([a * w**j for j in range(1, n + 1)]).scale(a**-2)
-        rep = delta(A1, B1, find_roots(A1), find_roots(B1))
-        sol = sylvester.solve(sylvester.build(A1, B1))
+        pair = build(A1, B1)
+        rep = delta(pair)
+        sol = sylvester.solve(pair)
         raw = sol.R.norm() * rep.delta**2
         assert raw == pytest.approx(1.0 / a, rel=1e-9)
-        cert = certify_main_bound(A1, B1, sol, rep.delta)
+        cert = certify_main_bound(pair, sol, rep.delta)
         # capped ratio stays bounded even though the raw product blows up
         assert cert.ratio_r <= 1.0 + 1e-9
 
@@ -406,7 +396,7 @@ def test_monomial_family_matches_residue_backend():
     inst = random_pair(rng, 3, 3, delta_floor=0.1, require_simple=True)
     for ell in range(6):
         P = Polynomial.monomial(ell)
-        sol = sylvester.solve(sylvester.build(inst.A, inst.B), P)
-        s_res = solve_residue(inst.A, inst.B, inst.rootsA, inst.rootsB, P)
+        sol = sylvester.solve(inst.pair, P)
+        s_res = solve_residue(inst.pair, P)
         assert _coeff_diff(sol.R, s_res.R, 3) <= 1e-8
         assert _coeff_diff(sol.S, s_res.S, 3) <= 1e-8

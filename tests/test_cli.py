@@ -89,17 +89,22 @@ def test_sylvester_command(poly_files, capsys):
 
 
 def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypatch):
-    # a certify pair and a sylvester call build the Sylvester matrix once,
-    # factor it once, and read the determinant from that factorisation
+    # a certify pair and a sylvester call build the pair once, find the
+    # roots of A and of B once each, evaluate delta at the roots once, factor
+    # the Sylvester matrix once, and read the determinant from that
+    # factorisation
+    import sys
+    from functools import cached_property
+
     import numpy as np
 
     from bezmin import sylvester
 
-    calls = {"build": 0, "lu_factor": 0}
+    calls = {"build": [], "lu_factor": [], "delta_min": [], "find_roots": []}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(args)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -111,19 +116,59 @@ def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypa
     monkeypatch.setattr(
         sylvester, "lu_factor", counted("lu_factor", sylvester.lu_factor)
     )
+    delta_min = cached_property(counted("delta_min", sylvester.Pair.delta_min.func))
+    delta_min.__set_name__(sylvester.Pair, "delta_min")
+    monkeypatch.setattr(sylvester.Pair, "delta_min", delta_min)
+    find_roots = sylvester.find_roots
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bezmin") and getattr(module, "find_roots", None) is find_roots:
+            monkeypatch.setattr(module, "find_roots", counted("find_roots", find_roots))
     monkeypatch.setattr(np.linalg, "det", no_det)
+
+    def roots_found_once_per_polynomial():
+        rooted = [p for (p,) in calls["find_roots"]]
+        for A, B in calls["build"]:
+            assert sum(q is A for q in rooted) == 1
+            assert sum(q is B for q in rooted) == 1
+        return len(rooted)
+
     out = tmp_path / "c"
     args = ["--out", str(out), "--seed", "3", "certify", "--count", "5",
             "--separation-samples", "200"]
     assert main(args) == 0
     records = json.loads((out / "certify_report.json").read_text())["records"]
     assert len(records) >= 3
-    assert calls == {"build": len(records), "lu_factor": len(records)}
+    counts = {name: len(log) for name, log in calls.items() if name != "find_roots"}
+    assert counts == {"build": len(records), "lu_factor": len(records),
+                      "delta_min": len(records)}
+    # the other root finds are those of A' and B' among delta_tilde's seeds
+    assert roots_found_once_per_polynomial() <= 4 * len(records)
 
-    calls.update(build=0, lu_factor=0)
+    for log in calls.values():
+        log.clear()
     a, b = poly_files
     assert main(["--json", "sylvester", a, b]) == 0
-    assert calls == {"build": 1, "lu_factor": 1}
+    counts = {name: len(log) for name, log in calls.items()}
+    assert counts == {"build": 1, "lu_factor": 1, "delta_min": 1, "find_roots": 2}
+    roots_found_once_per_polynomial()
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main() reuses one parser; a --json and --tol run must not leak into
+    # the next call, which sees the default tolerances and prints text
+    from bezmin.cli import DEFAULT_TOLERANCES
+
+    args = ["certify", "--count", "1", "--separation-samples", "200"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    main(["--json", "--tol", "residual=1e-30", "--out", str(first)] + args)
+    report = json.loads((first / "certify_report.json").read_text())
+    assert report["config"]["tolerances"]["residual"] == 1e-30
+    json.loads(capsys.readouterr().out)
+
+    assert main(["--out", str(second)] + args) == 0
+    report = json.loads((second / "certify_report.json").read_text())
+    assert report["config"]["tolerances"] == DEFAULT_TOLERANCES
+    assert capsys.readouterr().out.startswith("records ")
 
 
 def test_sylvester_common_root_exits_one_with_error_line(tmp_path, capsys):
@@ -285,6 +330,46 @@ def test_roots_of_constant_exits_one_with_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: DegreeZeroError: ")
     assert len(err.strip().splitlines()) == 1
+
+
+_CONSTANT = "error: DegreeZeroError: cannot extract roots of a constant polynomial"
+_COMMON = ("error: CommonRootError: delta = 0.000e+00 below common-root "
+           "threshold 1.000e-12")
+_PAIR_COMMANDS = [
+    ["delta"],
+    ["solve", "--backend", "sylvester"],
+    ["solve", "--backend", "all"],
+    ["solve", "--backend", "reversed"],
+    ["regions"],
+    ["sylvester"],
+]
+_ERROR_TABLE = [
+    (a, b, cmd, _CONSTANT)
+    for a, b in (([3.0], [1, -1]), ([0, 1], [3.0]))
+    for cmd in _PAIR_COMMANDS
+] + [
+    ([0, 1], [0, 1, 1], cmd, err)
+    for cmd, err in zip(_PAIR_COMMANDS, [
+        None, _COMMON, _COMMON, _COMMON,
+        "error: DegenerateArrangement: coincident roots of A and B give a "
+        "radius-0 disk",
+        _COMMON,
+    ])
+]
+
+
+@pytest.mark.parametrize("coeffs_a, coeffs_b, command, err_line", _ERROR_TABLE)
+def test_pair_command_errors(tmp_path, capsys, coeffs_a, coeffs_b, command, err_line):
+    # a constant A or B, and the pair (z, z + z^2) that shares the root 0:
+    # every pair command exits 1, and the first error it meets is the one
+    # reported; delta reports the common root on stdout instead
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(Polynomial(coeffs_a).to_json_dict()))
+    b.write_text(json.dumps(Polynomial(coeffs_b).to_json_dict()))
+    assert main([command[0], str(a), str(b)] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ([] if err_line is None else [err_line])
 
 
 def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):

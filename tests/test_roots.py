@@ -5,8 +5,7 @@ import pytest
 
 from bezmin.errors import DegreeZeroError
 from bezmin.poly import Polynomial
-from bezmin.roots import find_roots, perturb_to_simple
-from bezmin.separation import delta
+from bezmin.roots import find_roots
 
 
 def _match(got, expected, tol):
@@ -90,42 +89,6 @@ def test_multiplicity_flags():
     rs = find_roots(p)
     assert rs.any_suspect
     assert sum(rs.multiplicity_suspect) >= 2
-
-
-def test_perturb_double_root():
-    A = Polynomial([0, 0, 1.0])  # z^2
-    B = Polynomial([1.0, -1.0])
-    A2, B2 = perturb_to_simple(A, B, 1e-6)
-    rs = find_roots(A2)
-    r1, r2 = rs.roots
-    assert r1 != r2
-    assert abs(r1) < 1e-6 and abs(r2) < 1e-6
-    assert A2.norm() <= 1.0 + 1e-15
-    assert (A2 - A).norm() + (B2 - B).norm() <= 1e-6
-    assert B2 == B
-
-
-def test_perturb_noop_when_simple():
-    A = Polynomial([1.0, 0, 1.0])
-    B = Polynomial([1.0, -1.0])
-    A2, B2 = perturb_to_simple(A, B, 1e-6)
-    assert A2 is A and B2 is B
-
-
-def test_perturb_delta_continuity():
-    # on a fixed multiple-root instance, delta of the perturbed pair
-    # converges to delta of the original as the budget shrinks
-    A = Polynomial.from_roots([0.3, 0.3, -0.4])
-    B = Polynomial.from_roots([0.8, -0.9 + 0.1j])
-    base = delta(A, B, find_roots(A), find_roots(B)).delta
-    errs = []
-    for eps in (1e-3, 1e-5, 1e-7):
-        A2, B2 = perturb_to_simple(A, B, eps)
-        d2 = delta(A2, B2, find_roots(A2), find_roots(B2)).delta
-        errs.append(abs(d2 - base))
-    assert errs[0] < 1e-2
-    assert errs[-1] < 1e-6
-    assert errs[2] <= errs[0]
 
 
 def _robustness_cases():

@@ -12,7 +12,6 @@ from scipy.stats import qmc
 import bezmin
 from bezmin.errors import CommonRootError, SeparationViolation
 from bezmin.poly import Polynomial
-from bezmin.roots import find_roots
 from bezmin.separation import (
     DescentStats,
     _descent_seeds,
@@ -22,18 +21,15 @@ from bezmin.separation import (
     delta_report,
     delta_tilde,
 )
-from oracles import random_pair, sample_degrees, sublevel_member
+from bezmin.sylvester import build
+from oracles import random_pair, sample_degrees, sublevel_member, translate
 
 Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])
 
 
-def _pair(A, B):
-    return A, B, find_roots(A), find_roots(B)
-
-
 def test_delta_monomial_pair():
-    rep = delta(*_pair(Z, ONE_MINUS_Z))
+    rep = delta(build(Z, ONE_MINUS_Z))
     assert rep.delta == 1.0
 
 
@@ -43,13 +39,13 @@ def test_delta_sharpness_small_case():
     w = cmath.exp(2j * cmath.pi / (2 * n - 1))
     A = Polynomial.monomial(n)
     B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
-    rep = delta(*_pair(A, B))
+    rep = delta(build(A, B))
     assert rep.delta == pytest.approx(a**n, abs=1e-12)
 
 
 def test_delta_identical_raises():
     with pytest.raises(CommonRootError):
-        delta(*_pair(Z, Z))
+        delta(build(Z, Z))
 
 
 def test_delta_scale_law():
@@ -58,9 +54,7 @@ def test_delta_scale_law():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=1e-3)
         c = 0.3 + 1.7j * rng.random()
-        rep = delta(
-            inst.A.scale(c), inst.B.scale(c), inst.rootsA, inst.rootsB
-        )
+        rep = delta(build(inst.A.scale(c), inst.B.scale(c)))
         assert rep.delta == pytest.approx(abs(c) * inst.delta, rel=1e-12)
 
 
@@ -70,14 +64,12 @@ def test_delta_translation_invariance():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=1e-3)
         shift = complex(rng.standard_normal(), rng.standard_normal())
-        A2 = inst.A.translate(shift)
-        B2 = inst.B.translate(shift)
-        rep = delta(*_pair(A2, B2))
+        rep = delta(build(translate(inst.A, shift), translate(inst.B, shift)))
         assert rep.delta == pytest.approx(inst.delta, rel=1e-9)
 
 
 def test_delta_tilde_monomial_pair():
-    lower, upper, witness = delta_tilde(Z, ONE_MINUS_Z)
+    lower, upper, witness = delta_tilde(build(Z, ONE_MINUS_Z))
     assert abs(upper - 0.5) <= 1e-6
     assert abs(witness - 0.5) <= 1e-5
     assert lower == pytest.approx(1.0 / 3.0)
@@ -88,7 +80,7 @@ def test_delta_tilde_bracket_order():
     for _ in range(8):
         da, db = sample_degrees(rng, 1, 4)
         inst = random_pair(rng, da, db, delta_floor=0.02)
-        lower, upper, _ = delta_tilde(inst.A, inst.B, inst.rootsA, inst.rootsB)
+        lower, upper, _ = delta_tilde(inst.pair)
         assert lower <= upper + 1e-12
         assert upper <= inst.delta + 1e-9
 
@@ -98,22 +90,22 @@ def test_delta_tilde_double_root_case():
     w = cmath.exp(2j * cmath.pi / 3)
     A = Polynomial.monomial(2)
     B = Polynomial.from_roots([0.5 * w, 0.5 * w**2])
-    lower, upper, _ = delta_tilde(A, B)
+    lower, upper, _ = delta_tilde(build(A, B))
     assert upper <= 0.25 + 1e-9
     assert lower == pytest.approx(0.25 / 9.0, rel=1e-9)
 
 
-def _scalar_tilde_upper(A, B, rootsA, rootsB, n_rings, n_angles,
-                        restart_tol=1e-10, max_restarts=8):
+def _scalar_tilde_upper(pair, n_rings, n_angles, restart_tol=1e-10, max_restarts=8):
     """Reference for delta_tilde's upper end: one scipy Nelder-Mead run per
     seed, evaluated by scalar Horner, restarted while it gains restart_tol."""
+    A, B = pair.A, pair.B
 
     def f(xy):
         z = complex(xy[0], xy[1])
         return max(abs(A(z)), abs(B(z)))
 
     best_val = np.inf
-    for s in _descent_seeds(A, B, rootsA, rootsB, n_rings, n_angles):
+    for s in _descent_seeds(pair, n_rings, n_angles):
         x = np.array([s.real, s.imag])
         val = f(x)
         for _ in range(max_restarts):
@@ -137,12 +129,8 @@ def test_delta_tilde_matches_scalar_nelder_mead():
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05)
-        lower, upper, witness = delta_tilde(
-            inst.A, inst.B, inst.rootsA, inst.rootsB, n_rings=3, n_angles=8
-        )
-        ref = _scalar_tilde_upper(
-            inst.A, inst.B, inst.rootsA, inst.rootsB, n_rings=3, n_angles=8
-        )
+        lower, upper, witness = delta_tilde(inst.pair, n_rings=3, n_angles=8)
+        ref = _scalar_tilde_upper(inst.pair, n_rings=3, n_angles=8)
         assert upper == pytest.approx(ref, rel=1e-9, abs=0)
         assert upper <= ref + 1e-12
         assert lower <= upper <= inst.delta
@@ -153,11 +141,11 @@ def test_delta_tilde_matches_scalar_nelder_mead():
 
 def test_delta_tilde_counts_its_work():
     stats = DescentStats()
-    delta_tilde(Z, ONE_MINUS_Z, stats=stats)
+    delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
     # each step evaluates six candidate points; starting each run costs more
     assert stats.evals > 6 * stats.steps > 0
     before = stats.evals
-    delta_tilde(Z, ONE_MINUS_Z, stats=stats)
+    delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
     assert stats.evals == 2 * before
 
 
@@ -194,8 +182,7 @@ def test_sublevel_member():
 
 
 def test_separation_trivial_pair():
-    A, B, ra, rb = _pair(Z, ONE_MINUS_Z)
-    rep = check_separation(A, B, ra, rb, 1.0, 20_000, seed=5)
+    rep = check_separation(build(Z, ONE_MINUS_Z), 1.0, 20_000, seed=5)
     assert rep.joint_hits == 0
     assert rep.hits_a > 0 and rep.hits_b > 0
 
@@ -207,9 +194,8 @@ def test_separation_figure_instance():
     B = Polynomial.from_roots([1 / 9 + 5j / 6, 1 / 8 + 0.5j, 1j / 3, 1j / 5])
     A = A.scale(1.0 / A.norm())
     B = B.scale(1.0 / B.norm())
-    ra, rb = find_roots(A), find_roots(B)
-    rep_delta = delta(A, B, ra, rb)
-    rep = check_separation(A, B, ra, rb, rep_delta.delta, 100_000, seed=6)
+    pair = build(A, B)
+    rep = check_separation(pair, delta(pair).delta, 100_000, seed=6)
     assert rep.joint_hits == 0
 
 
@@ -219,34 +205,30 @@ def test_separation_random_pairs():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.01)
         rep = check_separation(
-            inst.A, inst.B, inst.rootsA, inst.rootsB, inst.delta,
-            5_000, seed=int(rng.integers(2**31)),
+            inst.pair, inst.delta, 5_000, seed=int(rng.integers(2**31))
         )
         assert rep.joint_hits == 0
 
 
 def test_separation_violation_raised_for_wrong_delta():
     # an inflated delta makes the sub-level sets overlap, which must raise
-    A, B, ra, rb = _pair(Z, ONE_MINUS_Z)
     with pytest.raises(SeparationViolation):
-        check_separation(A, B, ra, rb, 40.0, 20_000, seed=7)
+        check_separation(build(Z, ONE_MINUS_Z), 40.0, 20_000, seed=7)
 
 
 def test_separation_requires_normalized_inputs():
-    A = Z.scale(3.0)
     with pytest.raises(ValueError):
-        check_separation(A, ONE_MINUS_Z, find_roots(A), find_roots(ONE_MINUS_Z),
-                         1.0, 100)
+        check_separation(build(Z.scale(3.0), ONE_MINUS_Z), 1.0, 100)
 
 
 def test_discontinuity_family():
-    base = delta(*_pair(Z, ONE_MINUS_Z))
+    base = delta(build(Z, ONE_MINUS_Z))
     assert base.delta == 1.0
     for n in range(2, 11):
         An = Polynomial([0.0, 1.0, 1.0 / n])
         Bn = Polynomial([1.0, -1.0, -(1.0 / n + 1.0 / n**2)])
         try:
-            dval = delta(*_pair(An, Bn)).delta
+            dval = delta(build(An, Bn)).delta
         except CommonRootError as exc:
             dval = exc.report.delta
         assert dval <= 1e-9
@@ -254,7 +236,7 @@ def test_discontinuity_family():
 
 
 def test_full_report_fields():
-    rep = delta_report(Z, ONE_MINUS_Z)
+    rep = delta_report(build(Z, ONE_MINUS_Z))
     assert rep.sandwich_ok
     assert rep.delta == 1.0
     assert rep.delta_tilde_lower <= rep.delta_tilde_upper <= rep.delta + 1e-9
