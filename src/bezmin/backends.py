@@ -1,6 +1,7 @@
 """Analytic solution backends for A*R + B*S = P.
 
-Three routes to the same unique minimal-degree pair:
+Three routes to the same unique minimal-degree pair; like sylvester.solve,
+each takes (pair, P) with P = 1 by default:
 
 * residue/interpolation: for simple roots the contour formulas collapse to
   values at the roots, S(a_i) = P(a_i)/B(a_i) and R(b_j) = P(b_j)/A(b_j),
@@ -10,8 +11,8 @@ Three routes to the same unique minimal-degree pair:
   with Gauss-Legendre rules cached per order and each contour subdivided
   once per solve.
 * the reversal pipeline: solve the companion identity with right-hand side
-  z^(N+K-1) for the coefficient-reversed pair, then reverse back. This is
-  the route that stays bounded when roots are large.
+  z^(N+K-1) P(1/z) for the coefficient-reversed pair, then reverse back.
+  This is the route that stays bounded when roots are large.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from .errors import (
     ZeroRootError,
 )
 from .poly import Polynomial
-from .regions import Arc, ContourSystem, _first_winding_mismatch, gauss_legendre
+from .regions import (
+    Arc,
+    ContourSystem,
+    RegionKind,
+    _first_winding_mismatch,
+    build_region_with_jitter,
+    gauss_legendre,
+)
 from .roots import RootSet
 from .separation import delta
 from .sylvester import BezoutSolution, Pair
@@ -80,17 +88,14 @@ def _interpolate(nodes, values) -> Polynomial:
 def solve_residue(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Closed-form evaluation of the contour formulas for simple roots:
     interpolate P/B at the roots of A and P/A at the roots of B."""
-    P = P if P is not None else Polynomial([1.0])
+    P = sylvester.right_hand_side(pair, P)
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
     delta(pair)  # raises CommonRootError on a shared root
-    if P.degree > pair.size - 1:
-        raise ValueError("deg P must be at most N+K-1")
     S = _interpolate(rootsA.roots, [P(a) / B(a) for a in rootsA.roots])
     R = _interpolate(rootsB.roots, [P(b) / A(b) for b in rootsB.roots])
-    residual = (A * R + B * S - P).norm()
-    return BezoutSolution(R=R, S=S, residual=residual, backend="residue")
+    return BezoutSolution.checked(pair, P, R, S, "residue")
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +110,6 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
 
-    def integrate(self, f) -> complex:
-        return complex(np.sum(self.weights * f(self.nodes)))
-
 
 def _subdivide(
     contour: ContourSystem, poles: np.ndarray = np.empty(0)
@@ -117,21 +119,29 @@ def _subdivide(
     integrand pole (keeps the Gauss-Legendre convergence rate healthy). Arcs
     keep their order along the contour, so an already subdivided contour
     comes back unchanged."""
-    arcs: list[Arc] = []
-    loops: list[int] = []
-    stack = list(zip(contour.arcs, contour.loops))[::-1]
-    while stack:
-        a, loop = stack.pop()
-        split = abs(a.sweep) > math.pi / 2.0
-        if not split and len(poles) and abs(a.sweep) > 1e-3:
-            split = a.length > float(np.min(np.abs(poles - a.point(0.5))))
-        if split:
-            half = a.start_angle + a.sweep / 2.0
-            stack.append((Arc(a.circle, half, a.end_angle, a.ccw), loop))
-            stack.append((Arc(a.circle, a.start_angle, half, a.ccw), loop))
-        else:
-            arcs.append(a)
-            loops.append(loop)
+    arcs, loops = list(contour.arcs), list(contour.loops)
+    while arcs:
+        # one pass tests every arc and halves those that fail
+        t0 = np.array([a.start_angle for a in arcs])
+        sweep = np.array([a.end_angle for a in arcs]) - t0
+        radius = np.array([a.circle.radius for a in arcs])
+        split = np.abs(sweep) > math.pi / 2.0
+        if len(poles):
+            center = np.array([a.circle.center for a in arcs])
+            mid = center + radius * np.exp(1j * (t0 + 0.5 * sweep))
+            near = np.min(np.abs(poles - mid[:, None]), axis=1)
+            split |= (np.abs(sweep) > 1e-3) & (radius * np.abs(sweep) > near)
+        if not split.any():
+            break
+        pieces = []
+        for a, loop, cut in zip(arcs, loops, split.tolist()):
+            if cut:
+                half = a.start_angle + a.sweep / 2.0
+                pieces.append((Arc(a.circle, a.start_angle, half, a.ccw), loop))
+                pieces.append((Arc(a.circle, half, a.end_angle, a.ccw), loop))
+            else:
+                pieces.append((a, loop))
+        arcs, loops = [a for a, _ in pieces], [loop for _, loop in pieces]
     return replace(contour, arcs=arcs, loops=loops)
 
 
@@ -182,7 +192,6 @@ def _coefficients_from_integrals(
 
 def solve_quadrature(
     pair: Pair,
-    contours: tuple[ContourSystem, ContourSystem],
     P: Polynomial | None = None,
     max_order: int = 2048,
     tol: float = 1e-9,
@@ -191,17 +200,17 @@ def solve_quadrature(
     quadrature, doubling the order until every coefficient is stable. The
     orders run START_ORDER, 2 * START_ORDER, ... up to at most max_order.
 
-    contours[0] must wind once around each root of A and zero times around
-    each root of B; contours[1] the opposite.
+    The contours are the E_A and E_B region boundaries; the first must wind
+    once around each root of A and zero times around each root of B, the
+    second the opposite.
     """
-    P = P if P is not None else Polynomial([1.0])
+    P = sylvester.right_hand_side(pair, P)
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
-    gamma1, gamma2 = contours
+    gamma1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
+    gamma2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
     _check_contour(gamma1, rootsA, rootsB, "contour 1")
     _check_contour(gamma2, rootsB, rootsA, "contour 2")
     n, k = pair.N, pair.K
-    if P.degree > n + k - 1:
-        raise ValueError("deg P must be at most N+K-1")
     poles = np.array(list(rootsA.roots) + list(rootsB.roots))
     gamma1, gamma2 = _subdivide(gamma1, poles), _subdivide(gamma2, poles)
 
@@ -230,10 +239,8 @@ def solve_quadrature(
             float(np.max(np.abs(s_new - s_prev))) if len(s_new) else 0.0,
         )
         if change <= tol:
-            R, S = Polynomial(r_new), Polynomial(s_new)
-            residual = (A * R + B * S - P).norm()
-            return BezoutSolution(
-                R=R, S=S, residual=residual, backend="quadrature"
+            return BezoutSolution.checked(
+                pair, P, Polynomial(r_new), Polynomial(s_new), "quadrature"
             )
         r_prev, s_prev = r_new, s_new
     if order == START_ORDER:
@@ -249,21 +256,19 @@ def solve_quadrature(
 # reversal pipeline
 
 
-def solve_reversed(pair: Pair) -> BezoutSolution:
-    """Solve via the coefficient-reversed pair and right-hand side z^(N+K-1),
-    then reverse the solutions back; A(0) and B(0) must be nonzero (the
-    Sylvester backend solves pairs with a root at the origin)."""
+def solve_reversed(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
+    """Solve via the coefficient-reversed pair and right-hand side
+    z^(N+K-1) P(1/z), then reverse the solutions back; A(0) and B(0) must be
+    nonzero (the Sylvester backend solves pairs with a root at the origin)."""
+    P = sylvester.right_hand_side(pair, P)
     A, B, n, k = pair.A, pair.B, pair.N, pair.K
     if abs(A(0)) < 1e-12 * A.norm() or abs(B(0)) < 1e-12 * B.norm():
         raise ZeroRootError("A(0) or B(0) vanishes; use the Sylvester backend")
     inner = sylvester.build(pair.An.reverse(n), pair.Bn.reverse(k))
-    inner_sol = sylvester.solve(inner, Polynomial.monomial(n + k - 1))
+    inner_sol = sylvester.solve(inner, P.reverse(n + k - 1))
     R = Polynomial([inner_sol.R.coeff(k - 1 - i) for i in range(k)])
     S = Polynomial([inner_sol.S.coeff(n - 1 - i) for i in range(n)])
-    residual = (A * R + B * S - Polynomial([1.0])).norm()
-    return BezoutSolution(
-        R=R, S=S, residual=residual, backend="reversed[sylvester]"
-    )
+    return BezoutSolution.checked(pair, P, R, S, "reversed[sylvester]")
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +28,7 @@ from .errors import (
     SeparationViolation,
 )
 from .poly import Polynomial
-from .regions import (
-    RegionKind,
-    build_region,
-    build_region_with_jitter,
-    contour_metrics,
-    winding_numbers,
-)
+from .regions import RegionKind, build_region, contour_metrics, winding_numbers
 from .roots import find_roots
 from .separation import (
     DescentStats,
@@ -60,29 +53,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    tolerances: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_TOLERANCES)
-    )
-    ensemble_size: int = 500
-    min_degree: int = 1
-    max_degree: int = 5
-    delta_floor: float = 0.05
-    separation_samples: int = 2000
-    out_dir: Path = Path(".")
-    as_json: bool = False
-    workers: int = 1
-
-    def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
-
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
+# backend name -> solve(pair, P, tolerances); each looks its solver up in its
+# module when called, so a replaced module function is the one that runs
+BACKENDS = {
+    "sylvester": lambda pair, P, tol: sylvester.solve(pair, P),
+    "residue": lambda pair, P, tol: backends.solve_residue(pair, P),
+    "quadrature": lambda pair, P, tol: backends.solve_quadrature(
+        pair, P, tol=tol["quadrature"]
+    ),
+    "reversed": lambda pair, P, tol: backends.solve_reversed(pair, P),
+}
 
 
 # figure instances: monic polynomials given by their roots
@@ -103,11 +83,17 @@ def _load_pair(args) -> sylvester.Pair:
     return sylvester.build(_load_poly(args.poly_a), _load_poly(args.poly_b))
 
 
-def _emit(obj, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=1, sort_keys=True))
+def _print_json(obj) -> None:
+    print(json.dumps(obj, indent=1, sort_keys=True))
+
+
+def _emit(args, obj, text) -> None:
+    """obj as JSON under --json, else the lines that text() formats; text
+    is not called in --json mode."""
+    if args.json:
+        _print_json(obj)
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text()))
 
 
 def sharpness_instance(n: int, a: float) -> tuple[Polynomial, Polynomial]:
@@ -130,14 +116,14 @@ def discontinuity_pair(n: int) -> tuple[Polynomial, Polynomial]:
 # simple commands
 
 
-def cmd_roots(args, config: RunConfig) -> int:
-    _emit(find_roots(_load_poly(args.poly)).to_json_dict(), True, [])
+def cmd_roots(args, tol) -> int:
+    _print_json(find_roots(_load_poly(args.poly)).to_json_dict())
     return EXIT_OK
 
 
-def cmd_delta(args, config: RunConfig) -> int:
+def cmd_delta(args, tol) -> int:
     report = delta_report(_load_pair(args))
-    lines = [
+    _emit(args, report.to_json_dict(), lambda: [
         f"delta            {report.delta:.12g}",
         f"witness          {report.argmin_witness:.12g}",
         f"tilde bracket    [{report.delta_tilde_lower:.12g}, "
@@ -145,8 +131,7 @@ def cmd_delta(args, config: RunConfig) -> int:
         f"tilde witness    {report.tilde_witness:.12g}",
         f"sandwich_ok      {report.sandwich_ok}",
         f"common_root      {report.common_root}",
-    ]
-    _emit(report.to_json_dict(), config.as_json, lines)
+    ])
     return EXIT_OK if not report.common_root else EXIT_CHECK_FAILED
 
 
@@ -161,40 +146,15 @@ def _parse_rhs(spec: str, n: int, k: int) -> Polynomial:
     return _load_poly(spec)
 
 
-def _quadrature_contours(pair: sylvester.Pair) -> tuple:
-    """Contours around the roots of A and of B for solve_quadrature."""
-    return tuple(
-        build_region_with_jitter(kind, pair.rootsA, pair.rootsB)
-        for kind in (RegionKind.E_A, RegionKind.E_B)
-    )
-
-
-def cmd_solve(args, config: RunConfig) -> int:
+def cmd_solve(args, tol) -> int:
     pair = _load_pair(args)
     P = _parse_rhs(args.rhs, pair.N, pair.K)
     rep = delta(pair)
 
-    wanted = (
-        ["sylvester", "residue", "quadrature", "reversed"]
-        if args.backend == "all"
-        else [args.backend]
-    )
     results = {}
-    for name in wanted:
+    for name in BACKENDS if args.backend == "all" else [args.backend]:
         try:
-            if name == "sylvester":
-                sol = sylvester.solve(pair, P)
-            elif name == "residue":
-                sol = backends.solve_residue(pair, P)
-            elif name == "quadrature":
-                sol = backends.solve_quadrature(
-                    pair, _quadrature_contours(pair), P,
-                    tol=config.tol("quadrature"),
-                )
-            elif name == "reversed":
-                sol = backends.solve_reversed(pair)
-            else:
-                raise ValueError(name)
+            sol = BACKENDS[name](pair, P, tol)
         except QuadratureNotConverged as exc:
             print(f"error [{name}]: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -206,15 +166,18 @@ def cmd_solve(args, config: RunConfig) -> int:
             sol.bound_report = cert.to_json_dict()
         results[name] = sol.to_json_dict()
 
-    lines = []
-    for name, res in results.items():
-        if "error" in res:
-            lines.append(f"{name}: {res['error']}")
-        else:
-            lines.append(f"{name}: residual {res['residual']:.3e}")
-            lines.append(f"  R coeffs {res['R']['coeffs']}")
-            lines.append(f"  S coeffs {res['S']['coeffs']}")
-    _emit(results, config.as_json, lines)
+    def text():
+        lines = []
+        for name, res in results.items():
+            if "error" in res:
+                lines.append(f"{name}: {res['error']}")
+            else:
+                lines.append(f"{name}: residual {res['residual']:.3e}")
+                lines.append(f"  R coeffs {res['R']['coeffs']}")
+                lines.append(f"  S coeffs {res['S']['coeffs']}")
+        return lines
+
+    _emit(args, results, text)
     if all("error" in res for res in results.values()):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -229,7 +192,7 @@ _REGION_FLAGS = {
 }
 
 
-def cmd_regions(args, config: RunConfig) -> int:
+def cmd_regions(args, tol) -> int:
     flags = [f.strip() for f in args.kind.split(",")]
     unknown = [f for f in flags if f not in _REGION_FLAGS]
     if unknown:
@@ -256,15 +219,14 @@ def cmd_regions(args, config: RunConfig) -> int:
     if args.arcs_json:
         with open(args.arcs_json, "w") as fh:
             json.dump(info, fh, indent=1, sort_keys=True)
-    lines = [
+    _emit(args, info, lambda: [
         f"{kind}: {entry['n_loops']} loops, length {entry['total_length']:.6g}"
         for kind, entry in info.items()
-    ]
-    _emit(info, config.as_json, lines)
+    ])
     return EXIT_OK
 
 
-def cmd_sylvester(args, config: RunConfig) -> int:
+def cmd_sylvester(args, tol) -> int:
     pair = _load_pair(args)
     triple = sylvester.resultant(pair)
     rep = delta(pair)
@@ -279,32 +241,61 @@ def cmd_sylvester(args, config: RunConfig) -> int:
         },
         "inverse_norm": inv.to_json_dict(),
     }
-    lines = [f"Sylvester matrix ({pair.size} x {pair.size}):"]
-    for row in pair.entries:
-        lines.append("  " + "  ".join(f"{v:10.4g}" for v in row))
-    lines += [
+    _emit(args, out, lambda: [
+        f"Sylvester matrix ({pair.size} x {pair.size}):",
+        *("  " + "  ".join(f"{v:10.4g}" for v in row) for row in pair.entries),
         f"|resultant|   det {abs(triple.det_value):.9g}   "
         f"via A(beta) {triple.product_via_roots_of_B:.9g}   "
         f"via B(alpha) {triple.product_via_roots_of_A:.9g}",
         f"inverse max-entry norm  {inv.max_entry_norm:.9g}",
         f"bound value             {inv.bound_value:.9g}",
         f"tightness ratio         {inv.tightness_ratio:.9g}",
-    ]
-    _emit(out, config.as_json, lines)
+    ])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # example sweeps
 
+# family -> (header lines, row format); the discontinuity base row (the one
+# with delta_base) has no line of its own
+_EXAMPLE_TEXT = {
+    "sharpness": (
+        ["sharpness family: A = z^N, B has roots a*w^j (norm(R) = delta^(-2+1/N))",
+         f"{'N':>3} {'a':>6} {'delta':>12} {'norm(R)':>14} "
+         f"{'predicted':>14} {'rel err':>10}"],
+        "{N:>3} {a:>6.2f} {delta:>12.6g} {norm_R:>14.8g} {predicted:>14.8g} "
+        "{rel_err:>10.2e}",
+    ),
+    "unnormalized": (
+        ["", "unnormalized blow-up: A1 = a^-2 A, B1 = a^-2 B "
+             "(norm(R1) * delta1^2 = 1/a)",
+         f"{'N':>3} {'a':>6} {'delta1':>12} {'ratio':>14} "
+         f"{'1/a':>10} {'rel err':>10}"],
+        "{N:>3} {a:>6.2f} {delta:>12.6g} {ratio:>14.8g} {expected:>10.4g} "
+        "{rel_err:>10.2e}",
+    ),
+    "discontinuity": (
+        ["", "delta discontinuity: A_n = z + z^2/n, "
+             "B_n = 1 - z - (1/n + 1/n^2) z^2",
+         f"{'n':>3} {'delta(A_n,B_n)':>16} {'norm(A_n - A)':>15}"],
+        "{n:>3} {delta:>16.3e} {norm_drift:>15.10g}",
+    ),
+}
 
-def cmd_examples(args, config: RunConfig) -> int:
-    tol = config.tol("sharpness")
+
+def _examples_text(rows: list[dict], ok: bool) -> list[str]:
+    lines = []
+    for family, group in itertools.groupby(rows, key=lambda r: r["family"]):
+        header, row_format = _EXAMPLE_TEXT[family]
+        lines += header
+        lines += [row_format.format(**r) for r in group if "delta_base" not in r]
+    return lines + ["", f"all examples {'PASS' if ok else 'FAIL'}"]
+
+
+def cmd_examples(args, tol) -> int:
     ok = True
     rows = []
-    lines = ["sharpness family: A = z^N, B has roots a*w^j (norm(R) = delta^(-2+1/N))"]
-    lines.append(f"{'N':>3} {'a':>6} {'delta':>12} {'norm(R)':>14} "
-                 f"{'predicted':>14} {'rel err':>10}")
     for n in (2, 3, 4, 5):
         for a in (1.0, 0.9, 0.5, 0.25, 0.1):
             pair = sylvester.build(*sharpness_instance(n, a))
@@ -312,23 +303,14 @@ def cmd_examples(args, config: RunConfig) -> int:
             sol = sylvester.solve(pair)
             predicted = rep.delta ** (-2.0 + 1.0 / n)
             err = abs(sol.R.norm() - predicted) / predicted
-            passed = err <= tol and abs(rep.delta - a**n) <= 1e-9
+            passed = err <= tol["sharpness"] and abs(rep.delta - a**n) <= 1e-9
             ok &= passed
             rows.append(
                 {"family": "sharpness", "N": n, "a": a, "delta": rep.delta,
                  "norm_R": sol.R.norm(), "predicted": predicted,
                  "rel_err": err, "pass": passed}
             )
-            lines.append(
-                f"{n:>3} {a:>6.2f} {rep.delta:>12.6g} {sol.R.norm():>14.8g} "
-                f"{predicted:>14.8g} {err:>10.2e}"
-            )
 
-    lines.append("")
-    lines.append("unnormalized blow-up: A1 = a^-2 A, B1 = a^-2 B "
-                 "(norm(R1) * delta1^2 = 1/a)")
-    lines.append(f"{'N':>3} {'a':>6} {'delta1':>12} {'ratio':>14} "
-                 f"{'1/a':>10} {'rel err':>10}")
     for n in (2, 3, 4):
         for a in (0.9, 0.5, 0.25, 0.1):
             A, B = sharpness_instance(n, a)
@@ -337,22 +319,14 @@ def cmd_examples(args, config: RunConfig) -> int:
             sol = sylvester.solve(pair)
             ratio = sol.R.norm() * rep.delta**2
             err = abs(ratio - 1.0 / a) * a
-            passed = err <= tol
+            passed = err <= tol["sharpness"]
             ok &= passed
             rows.append(
                 {"family": "unnormalized", "N": n, "a": a, "delta": rep.delta,
                  "ratio": ratio, "expected": 1.0 / a, "rel_err": err,
                  "pass": passed}
             )
-            lines.append(
-                f"{n:>3} {a:>6.2f} {rep.delta:>12.6g} {ratio:>14.8g} "
-                f"{1.0 / a:>10.4g} {err:>10.2e}"
-            )
 
-    lines.append("")
-    lines.append("delta discontinuity: A_n = z + z^2/n, "
-                 "B_n = 1 - z - (1/n + 1/n^2) z^2")
-    lines.append(f"{'n':>3} {'delta(A_n,B_n)':>16} {'norm(A_n - A)':>15}")
     A0 = Polynomial([0.0, 1.0])
     B0 = Polynomial([1.0, -1.0])
     rep0 = delta(sylvester.build(A0, B0))
@@ -372,10 +346,7 @@ def cmd_examples(args, config: RunConfig) -> int:
         ok &= passed
         rows.append({"family": "discontinuity", "n": n, "delta": dval,
                      "norm_drift": drift, "pass": passed})
-        lines.append(f"{n:>3} {dval:>16.3e} {drift:>15.10g}")
-    lines.append("")
-    lines.append(f"all examples {'PASS' if ok else 'FAIL'}")
-    _emit({"rows": rows, "pass": ok}, config.as_json, lines)
+    _emit(args, {"rows": rows, "pass": ok}, lambda: _examples_text(rows, ok))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -383,8 +354,8 @@ def cmd_examples(args, config: RunConfig) -> int:
 # figures
 
 
-def cmd_figures(args, config: RunConfig) -> int:
-    out_dir = Path(config.out_dir)
+def cmd_figures(args, tol) -> int:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     ok = True
@@ -421,15 +392,14 @@ def cmd_figures(args, config: RunConfig) -> int:
 
     with open(out_dir / "figures.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
-    lines = [
+    _emit(args, summary, lambda: [
         f"fig1: E_A components {ea.n_loops} (want 2), "
         f"E_B components {eb.n_loops} (want 1)",
         f"fig5: windings at zeros of A {windings['alphas']} (want all 1), "
         f"at zeros of B {windings['betas']} (want all 0)",
         f"wrote SVGs to {out_dir}",
         f"figures {'PASS' if ok else 'FAIL'}",
-    ]
-    _emit(summary, config.as_json, lines)
+    ])
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -439,10 +409,10 @@ def cmd_figures(args, config: RunConfig) -> int:
 
 def _certify_one(task) -> dict:
     """One ensemble attempt; returns a record or a rejection marker."""
-    config, index, seed = task
+    args, tol, index, seed = task
     rng = np.random.default_rng(seed)
-    deg_a = int(rng.integers(config.min_degree, config.max_degree + 1))
-    deg_b = int(rng.integers(config.min_degree, config.max_degree + 1))
+    deg_a = int(rng.integers(args.min_degree, args.max_degree + 1))
+    deg_b = int(rng.integers(args.min_degree, args.max_degree + 1))
     from .ensemble import random_polynomial
 
     pair = sylvester.build(
@@ -454,7 +424,7 @@ def _certify_one(task) -> dict:
         rep = delta(pair)
     except CommonRootError:
         return {"index": index, "rejected": "common_root"}
-    if rep.delta < config.delta_floor:
+    if rep.delta < args.delta_floor:
         return {"index": index, "rejected": "delta_floor"}
 
     t0 = time.perf_counter()
@@ -474,12 +444,12 @@ def _certify_one(task) -> dict:
     record["tilde_steps"] = descent.steps
     record["tilde_evals"] = descent.evals
     record["checks"]["sandwich"] = bool(
-        lo - config.tol("sandwich") <= up <= rep.delta + config.tol("sandwich")
+        lo - tol["sandwich"] <= up <= rep.delta + tol["sandwich"]
     )
 
     try:
         check_separation(
-            pair, rep.delta, config.separation_samples,
+            pair, rep.delta, args.separation_samples,
             seed=int(rng.integers(2**31)),
         )
         record["checks"]["separation"] = True
@@ -490,7 +460,7 @@ def _certify_one(task) -> dict:
     record["residual_sylvester"] = sol.residual
     record["norm_r"] = sol.R.norm()
     record["norm_s"] = sol.S.norm()
-    record["checks"]["residual"] = sol.residual <= config.tol("residual")
+    record["checks"]["residual"] = sol.residual <= tol["residual"]
     cert = backends.certify_main_bound(pair, sol, rep.delta)
     record["ratio"] = max(cert.ratio_r, cert.ratio_s)
     record["checks"]["ratio_ceiling"] = cert.passed
@@ -502,7 +472,7 @@ def _certify_one(task) -> dict:
         abs(m - triple.product_via_roots_of_A),
     ) / max(m, 1e-300)
     record["resultant_rel_spread"] = rel
-    record["checks"]["resultant"] = rel <= config.tol("resultant")
+    record["checks"]["resultant"] = rel <= tol["resultant"]
 
     inv = sylvester.inverse_norm_report(pair, rep.delta)
     record["sylvester_inverse_ratio"] = inv.tightness_ratio
@@ -512,22 +482,15 @@ def _certify_one(task) -> dict:
     if simple:
         agree = 0.0
         try:
-            sol_res = backends.solve_residue(pair)
-            record["backends"].append("residue")
-            record["residual_residue"] = sol_res.residual
-            agree = max(
-                (sol.R - sol_res.R).norm(), (sol.S - sol_res.S).norm()
-            )
-            sol_quad = backends.solve_quadrature(
-                pair, _quadrature_contours(pair), tol=config.tol("quadrature")
-            )
-            record["backends"].append("quadrature")
-            record["residual_quadrature"] = sol_quad.residual
-            agree = max(
-                agree, (sol.R - sol_quad.R).norm(), (sol.S - sol_quad.S).norm()
-            )
+            for name in ("residue", "quadrature"):
+                other = BACKENDS[name](pair, None, tol)
+                record["backends"].append(name)
+                record[f"residual_{name}"] = other.residual
+                agree = max(
+                    agree, (sol.R - other.R).norm(), (sol.S - other.S).norm()
+                )
             record["agreement"] = agree
-            record["checks"]["agreement"] = agree <= config.tol("agreement")
+            record["checks"]["agreement"] = agree <= tol["agreement"]
         except (DegenerateArrangement, QuadratureNotConverged) as exc:
             record["analytic_backend_skipped"] = f"{type(exc).__name__}: {exc}"
 
@@ -535,16 +498,18 @@ def _certify_one(task) -> dict:
     return record
 
 
-def cmd_certify(args, config: RunConfig) -> int:
-    out_dir = Path(config.out_dir)
+def cmd_certify(args, tol) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.ensemble_size)
-    tasks = [(config, i, s) for i, s in enumerate(seeds)]
+    seeds = np.random.SeedSequence(args.seed).spawn(args.count)
+    tasks = [(args, tol, i, s) for i, s in enumerate(seeds)]
 
-    if config.workers > 1:
+    if args.workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with cf.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_certify_one, tasks, chunksize=8))
     else:
         results = [_certify_one(t) for t in tasks]
@@ -562,7 +527,7 @@ def cmd_certify(args, config: RunConfig) -> int:
                 failures.setdefault(name, []).append(r["index"])
 
     aggregates = {
-        "requested": config.ensemble_size,
+        "requested": args.count,
         "records": len(records),
         "rejections": rejections,
         "max_delta_observed": max((r["delta"] for r in records), default=None),
@@ -580,12 +545,12 @@ def cmd_certify(args, config: RunConfig) -> int:
         "total_seconds": sum(r["seconds"] for r in records),
     }
     report = {"config": {
-        "seed": config.seed,
-        "ensemble_size": config.ensemble_size,
-        "degree_range": [config.min_degree, config.max_degree],
-        "delta_floor": config.delta_floor,
-        "separation_samples": config.separation_samples,
-        "tolerances": config.tolerances,
+        "seed": args.seed,
+        "ensemble_size": args.count,
+        "degree_range": [args.min_degree, args.max_degree],
+        "delta_floor": args.delta_floor,
+        "separation_samples": args.separation_samples,
+        "tolerances": tol,
     }, "aggregates": aggregates, "records": records}
 
     path = out_dir / "certify_report.json"
@@ -597,18 +562,19 @@ def cmd_certify(args, config: RunConfig) -> int:
               f"report at {path}")
         return EXIT_OK
 
-    lines = [
-        f"records          {len(records)} / {config.ensemble_size} "
+    max_agreement = aggregates["max_agreement"]
+    _emit(args, aggregates, lambda: [
+        f"records          {len(records)} / {args.count} "
         f"(rejections: {rejections or 'none'})",
         f"max delta        {aggregates['max_delta_observed']:.6g}",
         f"max ratio        {aggregates['max_ratio']:.6g}",
         f"max residual     {aggregates['max_residual_sylvester']:.3e}",
-        f"max agreement    {aggregates['max_agreement'] if aggregates['max_agreement'] is not None else float('nan'):.3e}",
+        f"max agreement    "
+        f"{max_agreement if max_agreement is not None else float('nan'):.3e}",
         f"max resultant    {aggregates['max_resultant_spread']:.3e}",
         f"failures         {failures or 'none'}",
         f"report           {path}",
-    ]
-    _emit(report["aggregates"], config.as_json, lines)
+    ])
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -644,11 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve A R + B S = P")
     p.add_argument("poly_a")
     p.add_argument("poly_b")
-    p.add_argument(
-        "--backend",
-        choices=["sylvester", "residue", "quadrature", "reversed", "all"],
-        default="sylvester",
-    )
+    p.add_argument("--backend", choices=[*BACKENDS, "all"], default="sylvester")
     p.add_argument("--rhs", default="one", help="one | monomial:t | path.json")
     p.set_defaults(func=cmd_solve)
 
@@ -686,9 +648,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
+def _tolerances(specs: list[str]) -> dict[str, float]:
+    """DEFAULT_TOLERANCES with the --tol NAME=VALUE overrides applied."""
     tolerances = dict(DEFAULT_TOLERANCES)
-    for spec in args.tol:
+    for spec in specs:
         name, _, value = spec.partition("=")
         if not value:
             raise ValueError(f"--tol expects NAME=VALUE, got {spec!r}")
@@ -698,33 +661,16 @@ def _config_from_args(args) -> RunConfig:
                 f"{', '.join(DEFAULT_TOLERANCES)}"
             )
         tolerances[name] = float(value)
-    config = RunConfig(
-        seed=args.seed,
-        tolerances=tolerances,
-        out_dir=Path(args.out),
-        as_json=args.json,
-    )
-    if hasattr(args, "count"):
-        if args.count < 1:
-            raise ValueError(f"--count must be at least 1, got {args.count}")
-        config.ensemble_size = args.count
-        config.min_degree = args.min_degree
-        config.max_degree = args.max_degree
-        config.delta_floor = args.delta_floor
-        config.separation_samples = args.separation_samples
-        config.workers = args.workers
-    return config
+    for name, value in tolerances.items():
+        if value <= 0:
+            raise ValueError(f"tolerance {name} must be positive")
+    return tolerances
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args, config)
+        return args.func(args, _tolerances(args.tol))
     except (FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

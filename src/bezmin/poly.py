@@ -44,10 +44,6 @@ class Polynomial:
                 return k
         return 0
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
-
     def coeff(self, k: int) -> complex:
         """Coefficient of z**k (0 beyond the stored vector)."""
         return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0j
@@ -194,7 +190,3 @@ def _as_poly(x) -> Polynomial:
     if isinstance(x, (int, float, complex)):
         return Polynomial([x])
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
-
-
-ONE = Polynomial([1.0])
-ZERO = Polynomial([0.0])

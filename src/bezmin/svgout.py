@@ -13,6 +13,7 @@ from .regions import Arc, ContourSystem
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 MARKER_COLOR = "#000000"
+STROKE_WIDTH = 0.01
 
 
 def _fmt(x: float) -> str:
@@ -47,8 +48,6 @@ def _arc_path(arc: Arc) -> str:
 def render_svg(
     contours: list[ContourSystem],
     markers: list[complex],
-    marker_labels: list[str] | None = None,
-    stroke_width: float = 0.01,
     direction_ticks: bool = False,
 ) -> str:
     """SVG document string for a list of contour systems plus root markers."""
@@ -80,7 +79,7 @@ def render_svg(
         for a in c.arcs:
             lines.append(
                 f'<path d="{_arc_path(a)}" fill="none" stroke="{color}" '
-                f'stroke-width="{_fmt(stroke_width)}"/>'
+                f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
             )
             if direction_ticks:
                 mid = a.point(0.5)
@@ -96,19 +95,14 @@ def render_svg(
                     f'<path d="M {_fmt(mid.real)} {_fmt(-mid.imag)} '
                     f'L {_fmt(tip.real)} {_fmt(-tip.imag)} '
                     f'L {_fmt(barb.real)} {_fmt(-barb.imag)}" fill="none" '
-                    f'stroke="{color}" stroke-width="{_fmt(stroke_width)}"/>'
+                    f'stroke="{color}" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
                 )
     mr = 0.012 * max(w, h)
-    for i, m in enumerate(markers):
+    for m in markers:
         lines.append(
             f'<circle cx="{_fmt(m.real)}" cy="{_fmt(-m.imag)}" r="{_fmt(mr)}" '
             f'fill="{MARKER_COLOR}"/>'
         )
-        if marker_labels and i < len(marker_labels):
-            lines.append(
-                f'<text x="{_fmt(m.real + 1.5 * mr)}" y="{_fmt(-m.imag)}" '
-                f'font-size="{_fmt(3 * mr)}">{marker_labels[i]}</text>'
-            )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -117,7 +111,6 @@ def emit_svg(
     contours: list[ContourSystem],
     markers: list[complex],
     path: str | Path,
-    marker_labels: list[str] | None = None,
 ) -> None:
     """Write the rendering to `path`; deterministic for fixed input."""
-    Path(path).write_text(render_svg(contours, markers, marker_labels))
+    Path(path).write_text(render_svg(contours, markers))

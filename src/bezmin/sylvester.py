@@ -90,6 +90,15 @@ class BezoutSolution:
     backend: str
     bound_report: dict | None = None
 
+    @classmethod
+    def checked(
+        cls, pair: Pair, P: Polynomial, R: Polynomial, S: Polynomial, backend: str
+    ) -> "BezoutSolution":
+        """The solution (R, S) of A*R + B*S = P with its residual
+        norm(A*R + B*S - P); every backend builds its result here."""
+        residual = (pair.A * R + pair.B * S - P).norm()
+        return cls(R=R, S=S, residual=residual, backend=backend)
+
     def to_json_dict(self) -> dict:
         out = {
             "R": self.R.to_json_dict(),
@@ -159,17 +168,24 @@ def _refined_solve(pair: Pair, lu_piv, b: np.ndarray, steps: int = 3) -> np.ndar
     return best
 
 
+def right_hand_side(pair: Pair, P: Polynomial | None) -> Polynomial:
+    """The right-hand side every backend solves for: P, or 1 when P is None.
+    The minimal pair exists for deg P <= N+K-1 only."""
+    if P is None:
+        return Polynomial([1.0])
+    if P.degree > pair.size - 1:
+        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {pair.size - 1}")
+    return P
+
+
 def solve(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Minimal-degree (R, S) with A*R + B*S = P via the linear system
     (default P = 1)."""
-    P = P if P is not None else Polynomial([1.0])
-    if P.degree > pair.size - 1:
-        raise ValueError(f"deg P = {P.degree} exceeds N+K-1 = {pair.size - 1}")
+    P = right_hand_side(pair, P)
     b = np.array([P.coeff(i) for i in range(pair.size)], dtype=complex)
     x = _refined_solve(pair, _factor(pair), b)
     R, S = Polynomial(x[: pair.K]), Polynomial(x[pair.K :])
-    residual = (pair.A * R + pair.B * S - P).norm()
-    return BezoutSolution(R=R, S=S, residual=residual, backend="sylvester")
+    return BezoutSolution.checked(pair, P, R, S, "sylvester")
 
 
 class ResultantTriple(NamedTuple):

@@ -2,8 +2,8 @@
 oracle for the interpolation backend), the translation p(z + z0), a
 root-free translation point, a sub-level set predicate, the scalar per-arc
 winding increment and distance (references for the array queries in
-regions), the argument-principle zero count, and rejection sampling of
-random pairs."""
+regions), a quadrature rule's integral of a function, the argument-principle
+zero count, and rejection sampling of random pairs."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bezmin.backends import _guard_simple, _subdivide, build_rule
+from bezmin.backends import QuadratureRule, _guard_simple, _subdivide, build_rule
 from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
@@ -137,6 +137,12 @@ def distance_to_arc(arc: Arc, z: complex) -> float:
     return min(abs(z - arc.start_point), abs(z - arc.end_point))
 
 
+def integrate(rule: QuadratureRule, f) -> complex:
+    """sum of the rule's weights times f at its nodes: the contour integral
+    of f."""
+    return complex(np.sum(rule.weights * f(rule.nodes)))
+
+
 def argument_principle_count(
     P: Polynomial,
     contour: ContourSystem,
@@ -151,7 +157,7 @@ def argument_principle_count(
 
     def value(order):
         rule = build_rule(contour, order)
-        return rule.integrate(lambda z: dP(z) / P(z)) / (2j * math.pi)
+        return integrate(rule, lambda z: dP(z) / P(z)) / (2j * math.pi)
 
     order = start_order
     prev = value(order)

@@ -78,13 +78,7 @@ def test_criterion_02_bezout_residual_and_agreement(ensemble_500):
         n_simple += 1
         da, db = inst.A.degree, inst.B.degree
         s_res = backends.solve_residue(inst.pair)
-        g1 = build_region_with_jitter(
-            RegionKind.E_A, inst.rootsA, inst.rootsB
-        )
-        g2 = build_region_with_jitter(
-            RegionKind.E_B, inst.rootsA, inst.rootsB
-        )
-        s_quad = backends.solve_quadrature(inst.pair, (g1, g2))
+        s_quad = backends.solve_quadrature(inst.pair)
         for x, y in ((sol, s_res), (sol, s_quad), (s_res, s_quad)):
             worst_agree = max(
                 worst_agree,

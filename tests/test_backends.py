@@ -29,6 +29,7 @@ from bezmin.separation import delta
 from bezmin.sylvester import build
 from oracles import (
     argument_principle_count,
+    integrate,
     random_pair,
     residue_sum_solution,
     sample_degrees,
@@ -42,10 +43,8 @@ def _coeff_diff(p, q, n):
     return max(abs(p.coeff(i) - q.coeff(i)) for i in range(n))
 
 
-def _regions_for(inst):
-    g1 = build_region_with_jitter(RegionKind.E_A, inst.rootsA, inst.rootsB)
-    g2 = build_region_with_jitter(RegionKind.E_B, inst.rootsA, inst.rootsB)
-    return g1, g2
+def _region_a(inst):
+    return build_region_with_jitter(RegionKind.E_A, inst.rootsA, inst.rootsB)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,14 @@ def test_rule_integrates_powers_to_tolerance():
     # per arc, compare against the exact antiderivative z^(k+1)/(k+1)
     rng = np.random.default_rng(54)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
-    g1, _ = _regions_for(inst)
+    g1 = _region_a(inst)
     rule = build_rule(_subdivide(g1), order=16)
     for k in range(8):
         want = 0j
         for arc in g1.arcs:
             p0, p1 = arc.start_point, arc.end_point
             want += (p1 ** (k + 1) - p0 ** (k + 1)) / (k + 1)
-        got = rule.integrate(lambda z: z**k)
+        got = integrate(rule, lambda z: z**k)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -186,8 +185,7 @@ def test_quadrature_agrees_with_residue():
     for _ in range(10):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
-        g1, g2 = _regions_for(inst)
-        s_q = solve_quadrature(inst.pair, (g1, g2))
+        s_q = solve_quadrature(inst.pair)
         s_r = solve_residue(inst.pair)
         assert _coeff_diff(s_q.R, s_r.R, db) <= 1e-7
         assert _coeff_diff(s_q.S, s_r.S, da) <= 1e-7
@@ -197,34 +195,37 @@ def test_quadrature_rhs_equal_to_a():
     # P = A forces R = 1, S = 0; residual must stay tiny
     rng = np.random.default_rng(56)
     inst = random_pair(rng, 3, 4, delta_floor=0.05, require_simple=True)
-    g1, g2 = _regions_for(inst)
-    sol = solve_quadrature(inst.pair, (g1, g2), P=inst.A)
+    sol = solve_quadrature(inst.pair, inst.A)
     assert sol.residual <= 1e-8
 
 
 def test_quadrature_winding_sanity():
     rng = np.random.default_rng(57)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
-    g1, g2 = _regions_for(inst)
+    g1 = _region_a(inst)
     count = argument_principle_count(inst.A, g1)
     assert abs(count - inst.A.degree) < 1e-6
 
 
-def test_quadrature_rejects_swapped_contours():
+def test_quadrature_rejects_swapped_contours(monkeypatch):
     rng = np.random.default_rng(58)
     inst = random_pair(rng, 2, 3, delta_floor=0.05, require_simple=True)
-    g1, g2 = _regions_for(inst)
+    swap = {RegionKind.E_A: RegionKind.E_B, RegionKind.E_B: RegionKind.E_A}
+
+    def swapped(kind, rootsA, rootsB):
+        return build_region_with_jitter(swap[kind], rootsA, rootsB)
+
+    monkeypatch.setattr(backends, "build_region_with_jitter", swapped)
     with pytest.raises(BadContour):
-        solve_quadrature(inst.pair, (g2, g1))
+        solve_quadrature(inst.pair)
 
 
 def test_quadrature_stable_under_doubling():
     # a tighter tolerance runs to a higher order; the coefficients agree
     rng = np.random.default_rng(59)
     inst = random_pair(rng, 4, 3, delta_floor=0.05, require_simple=True)
-    g1, g2 = _regions_for(inst)
-    a = solve_quadrature(inst.pair, (g1, g2))
-    b = solve_quadrature(inst.pair, (g1, g2), tol=1e-12)
+    a = solve_quadrature(inst.pair)
+    b = solve_quadrature(inst.pair, tol=1e-12)
     assert _coeff_diff(a.R, b.R, 3) < 1e-9
     assert _coeff_diff(a.S, b.S, 4) < 1e-9
 
@@ -234,7 +235,6 @@ def test_quadrature_never_exceeds_max_order(monkeypatch):
     # the last order evaluated, and the error names the last two compared
     rng = np.random.default_rng(64)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
-    g1, g2 = _regions_for(inst)
     built = []
 
     def spy(contour, order):
@@ -243,7 +243,7 @@ def test_quadrature_never_exceeds_max_order(monkeypatch):
 
     monkeypatch.setattr(backends, "build_rule", spy)
     with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
-        solve_quadrature(inst.pair, (g1, g2), max_order=64, tol=1e-30)
+        solve_quadrature(inst.pair, max_order=64, tol=1e-30)
     assert max(built) == 64
 
 
@@ -252,7 +252,7 @@ def test_argument_principle_count_never_exceeds_max_order(monkeypatch):
 
     rng = np.random.default_rng(64)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
-    g1, _ = _regions_for(inst)
+    g1 = _region_a(inst)
     built = []
 
     def spy(contour, order):
@@ -270,8 +270,7 @@ def test_quadrature_solution_values_at_roots():
     rng = np.random.default_rng(60)
     inst = random_pair(rng, 4, 4, delta_floor=0.05, require_simple=True)
     P = Polynomial(rng.standard_normal(5))
-    g1, g2 = _regions_for(inst)
-    sol = solve_quadrature(inst.pair, (g1, g2), P=P)
+    sol = solve_quadrature(inst.pair, P)
     for a in inst.rootsA.roots:
         want = P(a) / inst.B(a)
         assert abs(sol.S(a) - want) <= 1e-8 * max(1.0, abs(want))
@@ -337,8 +336,7 @@ def test_three_way_agreement_batch():
         inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
         s_lin = sylvester.solve(inst.pair)
         s_res = solve_residue(inst.pair)
-        g1, g2 = _regions_for(inst)
-        s_quad = solve_quadrature(inst.pair, (g1, g2))
+        s_quad = solve_quadrature(inst.pair)
         for x, y in ((s_lin, s_res), (s_lin, s_quad), (s_res, s_quad)):
             assert _coeff_diff(x.R, y.R, db) <= 1e-7
             assert _coeff_diff(x.S, y.S, da) <= 1e-7

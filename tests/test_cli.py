@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from bezmin.cli import main
 from bezmin.poly import Polynomial
@@ -45,12 +47,63 @@ def test_solve_all_backends(poly_files, capsys):
     assert "ZeroRoot" in out["reversed"]["error"]
 
 
-def test_solve_monomial_rhs(poly_files, capsys):
+def test_solve_monomial_rhs(poly_files, tmp_path, capsys):
     a, b = poly_files
     assert main(["--json", "solve", a, b, "--rhs", "monomial:1"]) == 0
     out = json.loads(capsys.readouterr().out)
     # z * R + (1-z) * S = z has R = 1 - ... let the residual speak
     assert out["sylvester"]["residual"] <= 1e-12
+
+    # A(0) and B(0) are nonzero, so all four backends run; each must solve
+    # A R + B S = z^t for every t in 0..N+K-1, checked here with
+    # numpy.polynomial rather than by the reported residual
+    coeffs_a, coeffs_b = [1.0, 1.0, 0.5], [2.0, -1.0]
+    a, b = tmp_path / "a2.json", tmp_path / "b2.json"
+    a.write_text(json.dumps(Polynomial(coeffs_a).to_json_dict()))
+    b.write_text(json.dumps(Polynomial(coeffs_b).to_json_dict()))
+    for t in range(len(coeffs_a) + len(coeffs_b) - 2):
+        argv = ["--json", "solve", str(a), str(b), "--backend", "all",
+                "--rhs", f"monomial:{t}"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"sylvester", "residue", "quadrature", "reversed"}
+        for name, res in out.items():
+            assert "error" not in res, (name, t, res)
+            R, S = ([complex(*c) for c in res[key]["coeffs"]] for key in "RS")
+            lhs = npoly.polyadd(npoly.polymul(coeffs_a, R),
+                                npoly.polymul(coeffs_b, S))
+            err = npoly.polysub(lhs, [0.0] * t + [1.0])
+            assert np.max(np.abs(err)) <= 1e-9, (name, t)
+
+
+def test_text_output_of_pair_commands(poly_files, capsys):
+    # without --json each pair command prints its text report
+    a, b = poly_files
+    assert main(["delta", a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "delta            1"
+    assert lines[2] == "tilde bracket    [0.333333333333, 0.5]"
+    assert lines[4:] == ["sandwich_ok      True", "common_root      False"]
+
+    assert main(["solve", a, b, "--backend", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["sylvester: residual 0.000e+00",
+                         "  R coeffs [[1.0, 0.0]]", "  S coeffs [[1.0, 0.0]]"]
+    assert [line.split(":")[0] for line in lines[::3]] == [
+        "sylvester", "residue", "quadrature", "reversed"]
+    assert lines[-1] == ("reversed: ZeroRootError: A(0) or B(0) vanishes; "
+                         "use the Sylvester backend")
+
+    assert main(["sylvester", a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Sylvester matrix (2 x 2):"
+    assert lines[1].split() == ["0+0j", "1+0j"]
+    assert lines[3] == "|resultant|   det 1   via A(beta) 1   via B(alpha) 1"
+    assert lines[-1] == "tightness ratio         1"
+
+    assert main(["regions", a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["E_A: 1 loops, length 2.0944", "E_B: 1 loops, length 2.0944"]
 
 
 def test_solve_common_root_exits_nonzero(tmp_path, capsys):
