@@ -36,6 +36,7 @@ from .regions import (
     contour_metrics,
     invert_contour,
     membership,
+    region_probes,
     winding_numbers,
 )
 from .backends import (
@@ -69,6 +70,7 @@ __all__ = [
     "contour_metrics",
     "invert_contour",
     "membership",
+    "region_probes",
     "winding_numbers",
     "certify_main_bound",
     "solve_quadrature",

@@ -35,9 +35,9 @@ from .regions import (
     Arc,
     ContourSystem,
     RegionKind,
-    _first_winding_mismatch,
     build_region_with_jitter,
     gauss_legendre,
+    region_probes,
 )
 from .roots import RootSet
 from .separation import delta
@@ -164,20 +164,6 @@ def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
     )
 
 
-def _check_contour(
-    contour: ContourSystem, inside: RootSet, outside: RootSet, who: str
-) -> None:
-    roots = list(inside.roots) + list(outside.roots)
-    expected = [1] * len(inside.roots) + [0] * len(outside.roots)
-    mismatch = _first_winding_mismatch(contour, roots, expected)
-    if mismatch is None:
-        return
-    r = roots[mismatch[0]]
-    if expected[mismatch[0]]:
-        raise BadContour(f"{who} does not wind once around root {r:.6g}")
-    raise BadContour(f"{who} must exclude root {r:.6g}")
-
-
 def _coefficients_from_integrals(
     g: Polynomial, moments: np.ndarray
 ) -> np.ndarray:
@@ -200,16 +186,21 @@ def solve_quadrature(
     quadrature, doubling the order until every coefficient is stable. The
     orders run START_ORDER, 2 * START_ORDER, ... up to at most max_order.
 
-    The contours are the E_A and E_B region boundaries; the first must wind
-    once around each root of A and zero times around each root of B, the
-    second the opposite.
+    The contours are the E_A and E_B region boundaries, whose certificates
+    must give the windings region_probes asks for.
     """
     P = sylvester.right_hand_side(pair, P)
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     gamma1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
     gamma2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
-    _check_contour(gamma1, rootsA, rootsB, "contour 1")
-    _check_contour(gamma2, rootsB, rootsA, "contour 2")
+    # build_region certified the windings; no winding query is repeated here
+    for who, kind, contour in (
+        ("contour 1", RegionKind.E_A, gamma1), ("contour 2", RegionKind.E_B, gamma2)
+    ):
+        for z, want in region_probes(kind, rootsA, rootsB).items():
+            if contour.orientation_certificate.get(z) != want:
+                what = "does not wind once around" if want else "must exclude"
+                raise BadContour(f"{who} {what} root {z:.6g}")
     n, k = pair.N, pair.K
     poles = np.array(list(rootsA.roots) + list(rootsB.roots))
     gamma1, gamma2 = _subdivide(gamma1, poles), _subdivide(gamma2, poles)

@@ -499,8 +499,14 @@ def _certify_one(task) -> dict:
 
 
 def cmd_certify(args, tol) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    for flag, value, least in (
+        ("--count", args.count, 1),
+        ("--min-degree", args.min_degree, 1),
+        ("--max-degree", args.max_degree, args.min_degree),
+        ("--workers", args.workers, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.count)

@@ -1,12 +1,10 @@
 """Disk-arrangement regions and their oriented circular-arc boundaries.
 
 The regions built here are monotone boolean combinations (unions and
-intersections, never complements) of open disks around the roots of A and B:
-
-  region around the roots of A:  intersection over roots b of B of the union
-      over roots a of A of D(a, |b - a| / 3)
-  root-size region:              union over roots a of D(a, 3|a|/4)
-  refined contour:               boundary of (root-size region AND the first)
+intersections, never complements) of open disks around the roots of A and B.
+Each kind is stated once: `_region_disks` gives its disks and `region_probes`
+the winding number its boundary must have about each root. Membership, the
+circles of the arrangement and every orientation certificate read these two.
 
 Because the combination is monotone, the region always lies locally on the
 inner side of every boundary circle, so orienting every kept arc
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -145,81 +143,73 @@ class ContourSystem:
 
 
 # ---------------------------------------------------------------------------
-# membership predicates
+# the regions: their disks and the windings their boundaries certify
+
+
+def _region_disks(
+    kind: RegionKind, rootsA: RootSet, rootsB: RootSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region as (centers, radii): z lies in it when every row i of radii
+    has a column j with |z - centers[j]| < radii[i, j].
+
+    E_A has one row per root b of B, with radii |b - a| / 3 around the roots
+    a of A; E_B is the same with A and B swapped; D_A is one row with radii
+    3|a| / 4; GAMMA1 is the rows of E_A and then the row of D_A. The radii
+    are Python abs values, which the arcs built on them inherit."""
+    if kind not in (RegionKind.E_A, RegionKind.E_B, RegionKind.D_A, RegionKind.GAMMA1):
+        raise ValueError(f"unknown region kind {kind}")
+    centers, others = rootsA.roots, rootsB.roots
+    if kind == RegionKind.E_B:
+        centers, others = others, centers
+    rows = []
+    if kind != RegionKind.D_A:
+        rows = [[abs(b - a) / 3.0 for a in centers] for b in others]
+    if kind in (RegionKind.D_A, RegionKind.GAMMA1):
+        rows.append([0.75 * abs(a) for a in centers])
+    return np.array(centers, dtype=complex), np.array(rows, dtype=float)
+
+
+def region_probes(
+    kind: RegionKind, rootsA: RootSet, rootsB: RootSet
+) -> dict[complex, int]:
+    """The winding number the region's boundary must have about each root: 1
+    about the roots the region holds and 0 about those it excludes (D_A names
+    only the roots of A). The inverted region names 1/root."""
+    inside, outside = rootsA.roots, rootsB.roots
+    if kind == RegionKind.E_B:
+        inside, outside = outside, inside
+    elif kind == RegionKind.D_A:
+        outside = ()
+    probes = {complex(r): 1 for r in inside} | {complex(r): 0 for r in outside}
+    if kind == RegionKind.GAMMA1_INVERTED:
+        return {1.0 / z: w for z, w in probes.items()}
+    return probes
 
 
 def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
     """Pointwise region predicate; `z` may be a scalar or an ndarray."""
-    alphas = np.asarray(rootsA.roots)
-    betas = np.asarray(rootsB.roots)
     zz = np.asarray(z, dtype=complex)
-
-    def distances(centers):
-        # filled one center at a time: a broadcast difference would hold a
-        # complex temporary twice the size of the result
-        out = np.empty(zz.shape + centers.shape)
-        for i, a in enumerate(centers):
-            out[..., i] = np.abs(zz - a)
-        return out
-
-    def e_region(centers, others):
-        # every root b of `others` needs a center a with |z - a| < |b - a| / 3
-        dist = distances(centers)
-        ok = np.ones(zz.shape, dtype=bool)
-        for radii in np.abs(others[:, None] - centers[None, :]) / 3.0:
-            ok &= np.any(dist < radii, axis=-1)
-        return ok
-
-    def d_region(centers):
-        return np.any(distances(centers) < 0.75 * np.abs(centers), axis=-1)
-
-    if kind == RegionKind.E_A:
-        res = e_region(alphas, betas)
-    elif kind == RegionKind.E_B:
-        res = e_region(betas, alphas)
-    elif kind == RegionKind.D_A:
-        res = d_region(alphas)
-    elif kind == RegionKind.GAMMA1:
-        res = e_region(alphas, betas) & d_region(alphas)
-    elif kind == RegionKind.GAMMA1_INVERTED:
+    if kind == RegionKind.GAMMA1_INVERTED:
         safe = np.abs(zz) > 1e-300
         inv = np.where(safe, 1.0 / np.where(safe, zz, 1.0), 0.0)
         res = membership(RegionKind.GAMMA1, rootsA, rootsB, inv) & safe
     else:
-        raise ValueError(f"unknown region kind {kind}")
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        return bool(res)
+        res = _inside(_region_disks(kind, rootsA, rootsB), zz)
+    return bool(res) if zz.shape == () else res
+
+
+def _inside(region: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Whether each point lies in the region given by _region_disks."""
+    centers, radii = region
+    # filled one center at a time: a broadcast difference would hold a
+    # complex temporary twice the size of the result
+    dist = np.empty(z.shape + centers.shape)
+    for j, c in enumerate(centers):
+        dist[..., j] = np.abs(z - c)
+    res = np.ones(z.shape, dtype=bool)
+    for row in radii:
+        res &= np.any(dist < row, axis=-1)
     return res
-
-
-def _circles_for(kind: RegionKind, alphas, betas, scale: float) -> list[Disk]:
-    circles: list[Disk] = []
-    if kind in (RegionKind.E_A, RegionKind.GAMMA1):
-        for b in betas:
-            for a in alphas:
-                r = abs(b - a) / 3.0
-                if r <= 0:
-                    raise DegenerateArrangement(
-                        "coincident roots of A and B give a radius-0 disk"
-                    )
-                circles.append(Disk(a, r))
-    if kind == RegionKind.E_B:
-        for a in alphas:
-            for b in betas:
-                r = abs(a - b) / 3.0
-                if r <= 0:
-                    raise DegenerateArrangement(
-                        "coincident roots of A and B give a radius-0 disk"
-                    )
-                circles.append(Disk(b, r))
-    if kind in (RegionKind.D_A, RegionKind.GAMMA1):
-        for a in alphas:
-            if abs(a) < 1e-12 * scale:
-                raise DegenerateArrangement(
-                    "a root of A lies at the origin; use the Sylvester backend"
-                )
-            circles.append(Disk(a, 0.75 * abs(a)))
-    return circles
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +251,9 @@ def _on_circle(cx, cy, radius, theta):
 # arrangement: circles, cuts, candidate arcs
 
 
-def _dedupe_circles(circles: list[Disk], tol: float) -> list[Disk]:
-    """The circles in order, without those within tol (center and radius) of
-    an earlier kept circle."""
-    c = np.array([d.center for d in circles], dtype=complex)
-    r = np.array([d.radius for d in circles], dtype=float)
+def _distinct_circles(c: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the circles (centers c, radii r) to keep: all but those within
+    tol (center and radius) of an earlier kept circle."""
     dc = c[:, None] - c[None, :]
     near = (np.hypot(dc.real, dc.imag) <= tol) & (np.abs(r[:, None] - r) <= tol)
     near = np.tril(near, -1)
@@ -273,7 +261,7 @@ def _dedupe_circles(circles: list[Disk], tol: float) -> list[Disk]:
     # a repeat is dropped only when a circle it repeats was kept
     for i in np.flatnonzero(~keep):
         keep[i] = not np.any(near[i, :i] & keep[:i])
-    return [d for d, k in zip(circles, keep) if k]
+    return keep
 
 
 def _circle_intersections(cx, cy, radii, scale: float):
@@ -503,24 +491,6 @@ def winding_numbers(contour: ContourSystem, points) -> np.ndarray:
     return ks
 
 
-def _first_winding_mismatch(
-    contour: ContourSystem, points, expected, table: _ArcTable | None = None
-) -> tuple[int, int] | None:
-    """(index, winding) of the first point whose winding number is not the
-    expected one, or None. A point without a winding number raises instead
-    when it comes first, so checking point after point fails the same way.
-    `table` is the contour's arc table when the caller has it."""
-    if table is None:
-        table = _arc_table(contour.arcs)
-    ks, err = _integer_windings(table, contour.scale, points)
-    for i, (w, want) in enumerate(zip(ks.tolist(), expected)):
-        if w != want:
-            return i, w
-    if err is not None:
-        raise err
-    return None
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -611,23 +581,25 @@ def build_region(
             inverted = invert_contour(inner)
         except OriginTooClose as exc:
             raise OriginInRegionError(str(exc)) from exc
-        probes = {}
-        for a in rootsA.roots:
-            probes[1.0 / a] = 1
-        for b in rootsB.roots:
-            probes[1.0 / b] = 0
-        _certify(inverted, probes)
+        _certify(inverted, region_probes(kind, rootsA, rootsB))
         return inverted
 
-    alphas = list(rootsA.roots)
-    betas = list(rootsB.roots)
-    scale = 1.0 + max(abs(r) for r in alphas + betas)
-    circles = _dedupe_circles(
-        _circles_for(kind, alphas, betas, scale), POINT_TOL * scale
-    )
-    centers = np.array([c.center for c in circles], dtype=complex)
+    scale = 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
+    region = _region_disks(kind, rootsA, rootsB)
+    centers, radii = region
+    d_row = kind in (RegionKind.D_A, RegionKind.GAMMA1)
+    if (radii[: len(radii) - d_row] <= 0).any():
+        raise DegenerateArrangement("coincident roots of A and B give a radius-0 disk")
+    if d_row and any(abs(a) < 1e-12 * scale for a in rootsA.roots):
+        raise DegenerateArrangement(
+            "a root of A lies at the origin; use the Sylvester backend"
+        )
+    # the circles row by row
+    centers, radii = np.broadcast_to(centers, radii.shape).ravel(), radii.ravel()
+    keep = _distinct_circles(centers, radii, POINT_TOL * scale)
+    centers, radii = centers[keep], radii[keep]
     cx, cy = centers.real, centers.imag
-    radii = np.array([c.radius for c in circles], dtype=float)
+    circles = [Disk(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
     owner, px, py = _circle_intersections(cx, cy, radii, scale)
     # math.atan2, not np.arctan2: the two differ in the last bit
@@ -651,7 +623,7 @@ def build_region(
         _complex(ox + dx, oy + dy)
         for dx, dy in (_scaled(r - h, ux, uy), _scaled(r + h, ux, uy))
     ])
-    mem_in, mem_out = np.split(membership(kind, rootsA, rootsB, inner_outer), 2)
+    mem_in, mem_out = np.split(_inside(region, inner_outer), 2)
     kept = np.flatnonzero(mem_in & ~mem_out)
 
     if not len(kept):
@@ -671,33 +643,29 @@ def build_region(
     contour = ContourSystem(
         arcs=arcs, loops=loops, total_length=total_length, scale=scale
     )
-    probes: dict[complex, int] = {}
-    if kind in (RegionKind.E_A, RegionKind.D_A, RegionKind.GAMMA1):
-        for a in alphas:
-            probes[complex(a)] = 1
-    if kind == RegionKind.E_B:
-        for b in betas:
-            probes[complex(b)] = 1
-        for a in alphas:
-            probes[complex(a)] = 0
-    if kind in (RegionKind.E_A, RegionKind.GAMMA1):
-        for b in betas:
-            probes[complex(b)] = 0
-    _certify(contour, probes, table)
+    _certify(contour, region_probes(kind, rootsA, rootsB), table)
     return contour
 
 
 def _certify(
     contour: ContourSystem, probes: dict[complex, int], table: _ArcTable | None = None
 ) -> None:
-    mismatch = _first_winding_mismatch(contour, probes, probes.values(), table)
-    if mismatch is not None:
-        i, w = mismatch
-        z, expected = list(probes.items())[i]
-        raise DegenerateArrangement(
-            f"winding certificate failed at {z:.6g}: got {w}, "
-            f"expected {expected}"
-        )
+    """Record probes (point -> winding) as the contour's orientation
+    certificate once each point has that winding number. Raises
+    DegenerateArrangement at the first point with another winding number,
+    unless a point before it has none (the error of _integer_windings).
+    `table` is the contour's arc table when the caller has it."""
+    if table is None:
+        table = _arc_table(contour.arcs)
+    ks, err = _integer_windings(table, contour.scale, probes)
+    for (z, expected), w in zip(probes.items(), ks.tolist()):
+        if w != expected:
+            raise DegenerateArrangement(
+                f"winding certificate failed at {z:.6g}: got {w}, "
+                f"expected {expected}"
+            )
+    if err is not None:
+        raise err
     contour.orientation_certificate = dict(probes)
 
 
@@ -883,34 +851,27 @@ def build_region_with_jitter(
     root jitter.
 
     Jitter only perturbs the contour; any admissible contour is equally valid
-    for winding and quadrature purposes, and 1e-9 offsets cannot move a
-    winding number.
+    for winding and quadrature purposes. A retried contour is certified again
+    against the caller's roots, so every certificate names them; a wrong
+    winding there fails the attempt.
     """
-    from dataclasses import replace
-
     last: DegenerateArrangement | None = None
     ra, rb = rootsA, rootsB
     for attempt in range(4):
         try:
-            return build_region(kind, ra, rb)
+            contour = build_region(kind, ra, rb)
+            if attempt:
+                _certify(contour, region_probes(kind, rootsA, rootsB))
+            return contour
         except DegenerateArrangement as exc:
             last = exc
-            scale = 1.0 + max(
-                abs(r) for r in rootsA.roots + rootsB.roots
-            )
+            scale = 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
             step = 1e-9 * scale * (attempt + 1)
-            ra = replace(
-                rootsA,
-                roots=tuple(
-                    r + step * cmath.exp(2j * math.pi * (i + 0.21 * attempt) / 7.3)
-                    for i, r in enumerate(rootsA.roots)
-                ),
-            )
-            rb = replace(
-                rootsB,
-                roots=tuple(
-                    r + step * cmath.exp(2j * math.pi * (i + 0.37 * attempt) / 5.1)
-                    for i, r in enumerate(rootsB.roots)
-                ),
+            ra, rb = (
+                replace(roots, roots=tuple(
+                    r + step * cmath.exp(2j * math.pi * (i + turn * attempt) / period)
+                    for i, r in enumerate(roots.roots)
+                ))
+                for roots, turn, period in ((rootsA, 0.21, 7.3), (rootsB, 0.37, 5.1))
             )
     raise last

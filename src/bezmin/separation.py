@@ -104,10 +104,9 @@ def _descent_seeds(pair: Pair, n_rings: int, n_angles: int) -> np.ndarray:
     """Roots of A, B, A', B', then the polar grid over the joint Cauchy disk."""
     rootsA, rootsB = pair.rootsA, pair.rootsB
     seeds: list[complex] = list(rootsA.roots) + list(rootsB.roots)
-    for q in (pair.A.derivative(), pair.B.derivative()):
-        qn = q.normalize()
-        if qn.degree >= 1:
-            seeds.extend(find_roots(qn).roots)
+    for p, degree in ((pair.An, pair.N), (pair.Bn, pair.K)):
+        if degree >= 2:
+            seeds.extend(find_roots(p.derivative()).roots)
     radius = max(rootsA.cauchy_bound, rootsB.cauchy_bound)
     seeds.extend(_grid_seeds(radius, n_rings, n_angles))
     return np.array(seeds, dtype=complex)

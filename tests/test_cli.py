@@ -307,6 +307,20 @@ def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
     assert not (tmp_path / "certify_report.json").exists()
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--min-degree", "0"], "--min-degree"),
+    (["--min-degree", "4", "--max-degree", "2"], "--max-degree"),
+    (["--workers", "0"], "--workers"),
+], ids=["min-degree-0", "max-below-min", "workers-0"])
+def test_certify_bad_flag_values_are_usage_errors(tmp_path, capsys, flags, name):
+    # at seed 0, 40 draws include a degree-0 one for --min-degree 0
+    code = main(["--out", str(tmp_path), "certify", "--count", "40", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert not (tmp_path / "certify_report.json").exists()
+
+
 def test_tolerance_override_usage_error():
     assert main(["--tol", "bogus", "examples"]) == 2
 

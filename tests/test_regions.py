@@ -16,7 +16,9 @@ from bezmin.regions import (
     ContourSystem,
     Disk,
     RegionKind,
+    _arc_table,
     _circle_intersections,
+    _distances,
     build_region,
     build_region_with_jitter,
     contour_distance,
@@ -122,13 +124,36 @@ def test_membership_matches_winding_parity(fig1):
     rng = np.random.default_rng(41)
     pts = 1.4 * (rng.random(10_000) - 0.5) + 1.4j * (rng.random(10_000) - 0.5)
     member = membership(kind, ra, rb, pts)
-    checked = 0
-    for z, m in zip(pts, member):
-        if contour_distance(ea.arcs, z) < 1e-6:
-            continue
-        assert bool(m) == (winding_numbers(ea, [z])[0] == 1)
-        checked += 1
+    # points within 1e-6 of the contour are skipped
+    far = np.min(_distances(_arc_table(ea.arcs), pts), axis=1) >= 1e-6
+    inside = winding_numbers(ea, pts[far]) == 1
+    assert (member[far] == inside).all()
+    checked = int(np.count_nonzero(far))
     assert checked > 9000
+
+
+def test_jittered_contour_certifies_the_callers_roots(fig1, monkeypatch):
+    # a retried build runs on jittered roots; the certificate it returns
+    # must still name the roots the caller passed
+    from bezmin import regions
+
+    A, B, ra, rb = fig1
+    real_build = regions.build_region
+    calls = []
+
+    def fail_first(kind, rootsA, rootsB):
+        calls.append(kind)
+        if len(calls) == 1:
+            raise DegenerateArrangement("forced first failure")
+        return real_build(kind, rootsA, rootsB)
+
+    monkeypatch.setattr(regions, "build_region", fail_first)
+    for kind, inside, outside in ((RegionKind.E_A, ra, rb), (RegionKind.E_B, rb, ra)):
+        calls.clear()
+        contour = build_region_with_jitter(kind, ra, rb)
+        assert len(calls) == 2
+        want = {z: 1 for z in inside.roots} | {z: 0 for z in outside.roots}
+        assert contour.orientation_certificate == want
 
 
 def test_random_instances_certify_windings():
@@ -318,13 +343,14 @@ def test_inverted_build_near_origin_root_raises():
 
 
 def test_winding_checks_stop_at_the_first_bad_point():
-    from bezmin.regions import _first_winding_mismatch, winding_numbers
+    from bezmin.regions import _certify, winding_numbers
 
     c = _unit_circle_contour()
     assert winding_numbers(c, [0.0, 3.0, 0.5j]).tolist() == [1, 0, 1]
     with pytest.raises(OnContourError, match="point 1 lies"):
         winding_numbers(c, [0.0, 1.0, 1j])
     # a wrong winding ahead of a point on the contour is what gets reported
-    assert _first_winding_mismatch(c, [0.0, 3.0, 1.0], [1, 1, 0]) == (1, 0)
+    with pytest.raises(DegenerateArrangement, match="failed at 3: got 0"):
+        _certify(c, {0.0: 1, 3.0: 1, 1.0: 0})
     with pytest.raises(OnContourError):
-        _first_winding_mismatch(c, [0.0, 1.0, 3.0], [1, 0, 1])
+        _certify(c, {0.0: 1, 1.0: 0, 3.0: 1})
