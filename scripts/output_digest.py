@@ -19,7 +19,9 @@ The families:
   writes.
 
 The script imports the `bezmin` of its own checkout (`src/`) and reads
-`bench/pairs.py` without changing anything there.
+`bench/pairs.py` without changing anything there. Like `bench/run.py`, it
+pins the BLAS and OpenMP thread counts to 1 before numpy is imported, so the
+digests do not depend on the shell they are run from.
 """
 
 from __future__ import annotations
@@ -29,12 +31,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+for _var in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+):
+    os.environ[_var] = "1"
 
 from bezmin.cli import main  # noqa: E402
 from pairs import PairPool  # noqa: E402

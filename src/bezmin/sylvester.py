@@ -15,23 +15,26 @@ for stacked coefficient rows too, which the ceiling calibration uses. The
 inverse's columns are the solutions for P = z^l, l = 0..N+K-1, that is
 solve(pair, Polynomial.monomial(l)).
 
-Solves use the LU factors plus iterative refinement with an
-extended-precision residual; the refinement is what keeps ill-conditioned
-instances (tiny separation) accurate to ~1e-12 relative instead of
-eps * cond. The determinant is read from the same factors, as the product
-of U's diagonal times the sign of the row permutation.
+The LU factors with partial pivoting come from `lu_factor`, a numpy
+version of LAPACK's getf2 that picks the same pivots. It exists so that the
+package needs no scipy: importing scipy.linalg for its LU alone added about
+28 MB of memory and a third of a second to every start. The singularity
+rule (a pivot at most 1e-14 times the largest) and the determinant, the
+product of U's diagonal times the sign of the row permutation, both read
+these factors. Solves call numpy.linalg.solve (LAPACK gesv, the same
+getrf and getrs pair) plus iterative refinement with an extended-precision
+residual; the refinement is what keeps ill-conditioned instances (tiny
+separation) accurate to ~1e-12 relative instead of eps * cond.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DegreeZeroError, SingularSystemError
 from .poly import Polynomial
@@ -75,11 +78,29 @@ class Pair:
 
     @cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
-        with warnings.catch_warnings():
-            # a singular matrix is refused by _factor and has det 0 in
-            # resultant; neither wants scipy's LinAlgWarning
-            warnings.simplefilter("ignore")
-            return lu_factor(self.entries, check_finite=False)
+        return lu_factor(self.entries)
+
+
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of the square matrix a with partial pivoting, as LAPACK's
+    getf2: L (unit diagonal, not stored) below and U on and above the
+    diagonal of one array, and ipiv, where row j was swapped with row
+    ipiv[j] (0-based) at step j. The pivot is the first entry of largest
+    |re| + |im| in its column, as izamax picks it. A zero pivot column is
+    left as it is, so a singular matrix gives a zero on U's diagonal."""
+    lu = np.array(a, dtype=complex)
+    n = len(lu)
+    ipiv = np.arange(n)
+    for j in range(n):
+        col = lu[j:, j]
+        p = j + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
+        ipiv[j] = p
+        if p != j:
+            lu[[j, p]] = lu[[p, j]]
+        if lu[j, j] != 0:
+            lu[j + 1 :, j] /= lu[j, j]
+            lu[j + 1 :, j + 1 :] -= np.outer(lu[j + 1 :, j], lu[j, j + 1 :])
+    return lu, ipiv
 
 
 @dataclass
@@ -136,20 +157,20 @@ def build(A: Polynomial, B: Polynomial) -> Pair:
     return Pair(A=A, B=B, An=An, Bn=Bn, N=n, K=k, entries=m)
 
 
-def _factor(pair: Pair):
-    lu, piv = pair._lu
-    diag = np.abs(np.diag(lu))
+def _factor(pair: Pair) -> None:
+    """Refuse a Sylvester matrix whose LU has a pivot at most 1e-14 times
+    the largest."""
+    diag = np.abs(np.diag(pair._lu[0]))
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystemError(
             "Sylvester system is singular to working precision "
             "(the polynomials share a root)"
         )
-    return lu, piv
 
 
-def _refined_solve(pair: Pair, lu_piv, b: np.ndarray, steps: int = 3) -> np.ndarray:
-    """LU solve plus iterative refinement with clongdouble residuals."""
-    x = lu_solve(lu_piv, b, check_finite=False)
+def _refined_solve(pair: Pair, b: np.ndarray, steps: int = 3) -> np.ndarray:
+    """Solve plus iterative refinement with clongdouble residuals."""
+    x = np.linalg.solve(pair.entries, b)
     se = pair.entries.astype(np.clongdouble)
     be = b.astype(np.clongdouble)
     best = x
@@ -158,7 +179,7 @@ def _refined_solve(pair: Pair, lu_piv, b: np.ndarray, steps: int = 3) -> np.ndar
         if best_res == 0.0:
             break
         r = be - se @ best.astype(np.clongdouble)
-        corr = lu_solve(lu_piv, r.astype(complex), check_finite=False)
+        corr = np.linalg.solve(pair.entries, r.astype(complex))
         cand = best + corr
         res = float(np.max(np.abs(be - se @ cand.astype(np.clongdouble))))
         if res < best_res:
@@ -183,7 +204,8 @@ def solve(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     (default P = 1)."""
     P = right_hand_side(pair, P)
     b = np.array([P.coeff(i) for i in range(pair.size)], dtype=complex)
-    x = _refined_solve(pair, _factor(pair), b)
+    _factor(pair)
+    x = _refined_solve(pair, b)
     R, S = Polynomial(x[: pair.K]), Polynomial(x[pair.K :])
     return BezoutSolution.checked(pair, P, R, S, "sylvester")
 
@@ -244,7 +266,8 @@ def inverse_norm_report(pair: Pair, delta_value: float) -> InverseNormReport:
     """
     if delta_value <= 0:
         raise ValueError("inverse-norm report requires delta > 0")
-    inv = lu_solve(_factor(pair), np.eye(pair.size, dtype=complex), check_finite=False)
+    _factor(pair)
+    inv = np.linalg.inv(pair.entries)
     max_entry = float(np.max(np.abs(inv)))
 
     A, B, n, k = pair.A, pair.B, pair.N, pair.K

@@ -1,11 +1,15 @@
 import cmath
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy.stats import qmc
 
@@ -142,11 +146,66 @@ def test_delta_tilde_matches_scalar_nelder_mead():
 def test_delta_tilde_counts_its_work():
     stats = DescentStats()
     delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
-    # each step evaluates six candidate points; starting each run costs more
-    assert stats.evals > 6 * stats.steps > 0
+    # each Newton iteration evaluates twelve candidate points per seed, and
+    # the seeds themselves are evaluated once
+    n_seeds = len(_descent_seeds(build(Z, ONE_MINUS_Z), 5, 10))
+    assert stats.evals == n_seeds + 12 * stats.steps
+    assert stats.steps > 0
+    assert stats.unconverged == 0
     before = stats.evals
     delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
     assert stats.evals == 2 * before
+
+
+def test_delta_tilde_witness_lies_on_the_curve():
+    # by the minimum-modulus principle the minimiser of max(|A|, |B|) lies
+    # on |A| = |B|; certify's settings: degrees 1..5, delta >= 0.05, 3 rings
+    # of 8 seeds
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        da, db = sample_degrees(rng, 1, 5)
+        inst = random_pair(rng, da, db, delta_floor=0.05)
+        _, upper, w = delta_tilde(inst.pair, n_rings=3, n_angles=8)
+        assert abs(abs(inst.A(w)) - abs(inst.B(w))) <= 1e-9 * upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(1e-3, 1e3))
+def test_delta_tilde_scales_with_the_pair(seed, c):
+    # max(|cA|, |cB|) = c max(|A|, |B|), and delta scales by c too
+    rng = np.random.default_rng(seed)
+    da, db = sample_degrees(rng, 1, 5)
+    inst = random_pair(rng, da, db, delta_floor=0.05)
+    lower, upper, _ = delta_tilde(inst.pair, n_rings=3, n_angles=8)
+    lower_c, upper_c, _ = delta_tilde(
+        build(inst.A.scale(c), inst.B.scale(c)), n_rings=3, n_angles=8
+    )
+    assert lower_c == pytest.approx(c * lower, rel=1e-9, abs=0)
+    assert upper_c == pytest.approx(c * upper, rel=1e-9, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_delta_tilde_ignores_root_order(data):
+    # A and B built from permuted root lists differ only by rounding
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    da, db = sample_degrees(rng, 1, 5)
+    inst = random_pair(rng, da, db, delta_floor=0.05)
+    ra, rb = list(inst.pair.rootsA.roots), list(inst.pair.rootsB.roots)
+    pa = data.draw(st.permutations(range(da)))
+    pb = data.draw(st.permutations(range(db)))
+    _, upper, _ = delta_tilde(
+        build(Polynomial.from_roots(ra), Polynomial.from_roots(rb)),
+        n_rings=3, n_angles=8,
+    )
+    _, upper_p, _ = delta_tilde(
+        build(
+            Polynomial.from_roots([ra[i] for i in pa]),
+            Polynomial.from_roots([rb[i] for i in pb]),
+        ),
+        n_rings=3, n_angles=8,
+    )
+    assert upper_p == pytest.approx(upper, rel=1e-10, abs=0)
 
 
 def test_scrambled_halton_is_as_uniform_as_scipy():
@@ -159,19 +218,31 @@ def test_scrambled_halton_is_as_uniform_as_scipy():
     assert not np.array_equal(_scrambled_halton(64, 0), _scrambled_halton(64, 1))
 
 
-def test_cli_import_skips_scipy_optimize_and_stats():
-    code = (
-        "import sys, bezmin.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.optimize', 'scipy.stats'))))"
-    )
+def test_cli_import_skips_scipy_optimize_and_stats(tmp_path):
+    # importing the CLI and running certify, solve --backend all and
+    # sylvester loads no scipy module at all
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(Polynomial([0.5, 1]).to_json_dict()))
+    b.write_text(json.dumps(Polynomial([1, -1, 0.25]).to_json_dict()))
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from bezmin.cli import main
+        runs = [
+            ["--out", {str(tmp_path)!r}, "certify", "--count", "2"],
+            ["--json", "solve", {str(a)!r}, {str(b)!r}, "--backend", "all"],
+            ["--json", "sylvester", {str(a)!r}, {str(b)!r}],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
     src = str(Path(bezmin.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=env,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[0, 0, 0] []"
 
 
 def test_sublevel_member():

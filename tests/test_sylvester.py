@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor as lapack_lu_factor
 
 from bezmin import sylvester
 from bezmin.errors import DegreeZeroError, SingularSystemError
@@ -175,6 +176,20 @@ def test_lu_determinant_matches_numpy_det():
         want = np.linalg.det(M.entries)
         assert abs(got - want) <= 1e-12 * abs(want)
     assert odd >= 1
+
+
+def test_lu_factor_pivots_as_lapack():
+    # the numpy getf2 picks LAPACK's pivots and gives its factors
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        da, db = sample_degrees(rng, 1, 8)
+        A = Polynomial(rng.standard_normal(da + 1) + 1j * rng.standard_normal(da + 1))
+        B = Polynomial(rng.standard_normal(db + 1) + 1j * rng.standard_normal(db + 1))
+        m = sylvester.build(A, B).entries
+        lu, piv = sylvester.lu_factor(m)
+        want_lu, want_piv = lapack_lu_factor(m)
+        assert np.array_equal(piv, want_piv)
+        assert np.allclose(lu, want_lu, rtol=1e-10, atol=1e-12 * np.abs(m).max())
 
 
 def test_resultant_of_common_root_pair_is_zero():
