@@ -9,12 +9,20 @@ circles of the arrangement and every orientation certificate read these two.
 Because the combination is monotone, the region always lies locally on the
 inner side of every boundary circle, so orienting every kept arc
 counterclockwise around its own circle yields the positively oriented
-boundary: winding +1 at interior points, 0 outside. Construction splits every
-circle of the arrangement at all pairwise intersections and keeps a sub-arc
-iff a probe just inside the circle is in the region while the matching probe
-just outside is not. It works on arrays: all circle pairs, all cut angles and
-all candidate arcs at once, with the stored angles and endpoints rounded
-exactly as the scalar complex expressions that define them.
+boundary: winding +1 at interior points, 0 outside. Construction first drops
+the circles that cannot carry the boundary: those whose band of half-width
+m = 10 * PROBE_OFFSET * scale lies inside one disk of every row of
+`_region_disks`, or misses every disk of some row. It splits each live circle
+at its intersections with the other live circles and keeps a sub-arc iff a
+probe just inside the circle is in the region while the matching probe just
+outside is not. A dead circle is at least m from the boundary, and m exceeds
+the probes' clearance window (4h) plus their offset h <= PROBE_OFFSET * scale,
+so dropping it moves no kept arc, endpoint, clearance or probe: the contour
+is the one all circles give. Tangency is still checked on all circles, so an
+arrangement that was degenerate stays so. The construction works on arrays:
+all circle pairs, all cut angles and all candidate arcs at once, with the
+stored angles and endpoints rounded exactly as the scalar complex expressions
+that define them.
 
 Winding numbers are computed exactly per arc: the argument increment along an
 arc equals the principal angle of the chord plus a +-2*pi correction when the
@@ -264,12 +272,30 @@ def _distinct_circles(c: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     return keep
 
 
-def _circle_intersections(cx, cy, radii, scale: float):
-    """Transversal intersection points of all circle pairs i < j, as arrays
-    (owner, x, y): each pair lists its two points for circle i, then for
-    circle j, pairs in row-major order. Raises DegenerateArrangement at the
-    first (near-)tangent pair in that order."""
-    i, j = np.triu_indices(len(radii), 1)
+def _live_circles(centers, radii, region, margin: float) -> np.ndarray:
+    """Mask of the circles (centers, radii) that can carry the region's
+    boundary. A circle is dead when the band of half-width `margin` around it
+    lies inside one disk of every row of the region (all of it is interior)
+    or misses every disk of some row (none of it is). All circles against
+    all rows and centers in one broadcast: circle x row x center."""
+    disk_c, disk_r = region
+    d = np.abs(centers[:, None] - disk_c)[:, None, :]
+    r = radii[:, None, None]
+    inside = d + (r + margin) <= disk_r
+    clear = np.abs(d - r) >= disk_r + margin
+    return ~(inside.any(axis=2).all(axis=1) | clear.all(axis=2).any(axis=1))
+
+
+def _circle_intersections(cx, cy, radii, scale: float, live):
+    """Transversal intersection points of the live circle pairs i < j (`live`
+    masks the circles), as arrays (owner, x, y): each pair lists its two
+    points for circle i, then for circle j, pairs in row-major order, with
+    owners numbered among the live circles. Raises DegenerateArrangement at
+    the first (near-)tangent pair of all the circles, live or not, in that
+    order."""
+    # the pairs as np.triu_indices(n, 1) orders them, at a fraction of its cost
+    idx = np.arange(len(radii))
+    i, j = np.nonzero(idx[:, None] < idx)
     dx, dy = cx[j] - cx[i], cy[j] - cy[i]
     d = np.hypot(dx, dy)
     r1, r2 = radii[i], radii[j]
@@ -279,7 +305,7 @@ def _circle_intersections(cx, cy, radii, scale: float):
         k = int(np.argmax(tangent))
         c1, c2 = complex(cx[i[k]], cy[i[k]]), complex(cx[j[k]], cy[j[k]])
         raise DegenerateArrangement(f"tangent circles at centers {c1:.6g}, {c2:.6g}")
-    meet = ~(disc < 0)
+    meet = ~(disc < 0) & live[i] & live[j]
     i, j, dx, dy, d = i[meet], j[meet], dx[meet], dy[meet], d[meet]
     # r**2 as Python's float power rounds it
     rsq = np.array([r**2 for r in radii.tolist()])
@@ -292,7 +318,7 @@ def _circle_intersections(cx, cy, radii, scale: float):
     # off = (1j * h) * e
     hr, hi = 0.0 * h - 0.0, 0.0 + h
     ox, oy = hr * ex - hi * ey, hr * ey + hi * ex
-    owner = np.array([i, i, j, j]).T.ravel()
+    owner = (np.cumsum(live) - 1)[np.array([i, i, j, j]).T.ravel()]
     x = np.array([bx + ox, bx - ox, bx + ox, bx - ox]).T.ravel()
     y = np.array([by + oy, by - oy, by + oy, by - oy]).T.ravel()
     return owner, x, y
@@ -351,7 +377,7 @@ def _candidate_arcs(n_circles: int, owner, angle):
     return owner[order], start[order], end[order]
 
 
-_CLEARANCE_BLOCK = 64
+_CLEARANCE_BLOCK = 4096
 
 
 def _probe_clearance(mx, my, owner, cx, cy, radii, scale: float, limit):
@@ -361,12 +387,14 @@ def _probe_clearance(mx, my, owner, cx, cy, radii, scale: float, limit):
     `scale` with sqrt(dx^2 + dy^2), within 1e-14 * scale of the exact form
     and several times faster than hypot. Candidates go in blocks: candidates
     x circles at once would hold a matrix several times the size of the
-    arrangement."""
+    arrangement, so a block holds at most _CLEARANCE_BLOCK candidate-circle
+    entries."""
     sx, sy, sr = cx / scale, cy / scale, radii / scale
     smx, smy = mx / scale, my / scale
     out = np.full(len(owner), math.inf)
-    for lo in range(0, len(owner), _CLEARANCE_BLOCK):
-        rows = np.arange(lo, min(lo + _CLEARANCE_BLOCK, len(owner)))
+    block = max(1, _CLEARANCE_BLOCK // max(1, len(radii)))
+    for lo in range(0, len(owner), block):
+        rows = np.arange(lo, min(lo + block, len(owner)))
         dx, dy = smx[rows, None] - sx, smy[rows, None] - sy
         gap = np.abs(np.sqrt(dx * dx + dy * dy) - sr)
         gap[np.arange(len(rows)), owner[rows]] = math.inf
@@ -507,7 +535,12 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     gap = np.hypot(
         start.real[None, :] - end.real[:, None], start.imag[None, :] - end.imag[:, None]
     )
-    used = np.zeros(n, dtype=bool)
+    # per arc, the (index, gap) of the starts within tol of its end, by index
+    near: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    ends, starts = np.nonzero(gap <= tol)
+    for e, s, g in zip(ends.tolist(), starts.tolist(), gap[ends, starts].tolist()):
+        near[e].append((s, g))
+    used = [False] * n
     order: list[int] = []
     loop_ids: list[int] = []
     loop_id = 0
@@ -518,12 +551,14 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
         chain = [seed]
         while True:
             last = chain[-1]
-            closed = gap[last, seed] <= tol
+            closed = any(s == seed for s, _ in near[last])
             if closed and len(chain) > 1:
                 break
-            row = np.where(used, math.inf, gap[last])
-            best = n - 1 - int(np.argmin(row[::-1]))
-            if not row[best] <= tol:
+            best, best_gap = -1, math.inf
+            for s, g in near[last]:
+                if not used[s] and g <= best_gap:
+                    best, best_gap = s, g
+            if best < 0:
                 # single full-circle arcs close onto themselves
                 if closed:
                     break
@@ -566,14 +601,18 @@ def build_region(
 ) -> ContourSystem:
     """Oriented boundary of the requested region as chained circular arcs.
 
-    Every circle of the arrangement is split at all pairwise intersection
-    points; a sub-arc survives iff its midpoint offset inward lies in the
-    region and offset outward does not. Kept arcs run counterclockwise around
-    their own circles, which orients the boundary positively (interior
-    winding +1). Identical circles (symmetric configurations produce them)
-    are merged before intersection tests. The construction works on arrays
-    (all circle pairs, all cuts, all candidate arcs at once), and its arcs
-    round exactly as the scalar expressions that define them.
+    Identical circles (symmetric configurations produce them) are merged,
+    and any (near-)tangent pair among the rest raises DegenerateArrangement.
+    Only the live circles go on (_live_circles with margin
+    m = 10 * PROBE_OFFSET * scale): a dead one is at least m from the
+    boundary, beyond the 4h clearance window plus the probe offset h, so it
+    can own, end or disturb no kept arc. Every live circle is split at its
+    intersections with the other live circles; a sub-arc survives iff its
+    midpoint offset inward lies in the region and offset outward does not.
+    Kept arcs run counterclockwise around their own circles, which orients
+    the boundary positively (interior winding +1). The construction works on
+    arrays, and its arcs round exactly as the scalar expressions that define
+    them.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
         inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
@@ -598,10 +637,14 @@ def build_region(
     centers, radii = np.broadcast_to(centers, radii.shape).ravel(), radii.ravel()
     keep = _distinct_circles(centers, radii, POINT_TOL * scale)
     centers, radii = centers[keep], radii[keep]
+    live = _live_circles(centers, radii, region, 10.0 * PROBE_OFFSET * scale)
+    owner, px, py = _circle_intersections(
+        centers.real, centers.imag, radii, scale, live
+    )
+    centers, radii = centers[live], radii[live]
     cx, cy = centers.real, centers.imag
     circles = [Disk(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
-    owner, px, py = _circle_intersections(cx, cy, radii, scale)
     # math.atan2, not np.arctan2: the two differ in the last bit
     angle = np.fromiter(
         map(math.atan2, py - cy[owner], px - cx[owner]), dtype=float, count=len(owner)

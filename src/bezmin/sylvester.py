@@ -169,21 +169,21 @@ def _factor(pair: Pair) -> None:
 
 
 def _refined_solve(pair: Pair, b: np.ndarray, steps: int = 3) -> np.ndarray:
-    """Solve plus iterative refinement with clongdouble residuals."""
-    x = np.linalg.solve(pair.entries, b)
+    """Solve plus iterative refinement with clongdouble residuals; each
+    iterate's residual is computed once."""
     se = pair.entries.astype(np.clongdouble)
     be = b.astype(np.clongdouble)
-    best = x
-    best_res = float(np.max(np.abs(be - se @ best.astype(np.clongdouble))))
+    best = np.linalg.solve(pair.entries, b)
+    r = be - se @ best.astype(np.clongdouble)
+    best_res = float(np.max(np.abs(r)))
     for _ in range(steps):
         if best_res == 0.0:
             break
-        r = be - se @ best.astype(np.clongdouble)
-        corr = np.linalg.solve(pair.entries, r.astype(complex))
-        cand = best + corr
-        res = float(np.max(np.abs(be - se @ cand.astype(np.clongdouble))))
+        cand = best + np.linalg.solve(pair.entries, r.astype(complex))
+        r_cand = be - se @ cand.astype(np.clongdouble)
+        res = float(np.max(np.abs(r_cand)))
         if res < best_res:
-            best, best_res = cand, res
+            best, best_res, r = cand, res, r_cand
         else:
             break
     return best

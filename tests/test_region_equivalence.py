@@ -7,6 +7,10 @@
   SHA-256 of every arc field, loop index and certificate entry.
 * The array winding and distance queries must agree with the scalar per-arc
   references in `oracles`.
+* Pruning the circles that cannot carry the boundary must not change any
+  build: with the live-circle test switched off (every circle kept), random
+  arrangements give the same error type or the same bytes, for all five
+  kinds; and every circle that owns a kept arc passes the test.
 * One E_A construction on a large degree-8 arrangement must stay under 1 MB
   of traced allocations.
 
@@ -25,10 +29,15 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bezmin import regions
 from bezmin.cli import FIG1_ALPHAS, FIG1_BETAS, FIG45_ALPHAS, FIG45_BETAS
 from bezmin.errors import BezminError
 from bezmin.regions import (
+    PROBE_OFFSET,
     Arc,
     ContourSystem,
     Disk,
@@ -121,6 +130,83 @@ def test_contours_match_recorded_fixture():
     assert built >= 100  # most cases build, so the hashes carry weight
     mismatched = [k for k in want if got[k] != want[k]]
     assert mismatched == []
+
+
+# ---------------------------------------------------------------------------
+# circle pruning: the pruned build against the build on every circle
+
+
+def _build_bytes(kind: RegionKind, rootsA: RootSet, rootsB: RootSet):
+    """The error type of a build, or its JSON and certificate as text."""
+    try:
+        contour = build_region(kind, rootsA, rootsB)
+    except (BezminError, ArithmeticError) as exc:
+        return type(exc).__name__
+    return (json.dumps(contour.to_json_dict()),
+            repr(list(contour.orientation_certificate.items())))
+
+
+def _all_circles_live(centers, radii, region, margin):
+    return np.ones(len(radii), dtype=bool)
+
+
+@st.composite
+def root_pairs(draw):
+    """Degrees 1..8, at scales 1e-3..1e3: independent roots, a tight pair
+    (one root of B 1e-4..1e-2 from a root of A, times the scale), or roots
+    in one or two clusters of width 1e-3..1e-1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    na, nb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["random", "tight", "clustered"]))
+    if shape == "clustered":
+        hubs = _disk_points(rng, draw(st.integers(1, 2)), 1.5)
+        width = 10.0 ** draw(st.floats(-3.0, -1.0))
+        ra, rb = (
+            [hubs[int(rng.integers(len(hubs)))] + p for p in _disk_points(rng, n, width)]
+            for n in (na, nb)
+        )
+    else:
+        ra, rb = _disk_points(rng, na, 1.5), _disk_points(rng, nb, 1.5)
+    if shape == "tight":
+        dist = 10.0 ** draw(st.floats(-4.0, -2.0))
+        rb[0] = ra[int(rng.integers(na))] + dist * cmath.exp(2j * math.pi * rng.random())
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return _root_set([scale * z for z in ra]), _root_set([scale * z for z in rb])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=root_pairs())
+def test_pruned_build_matches_the_build_on_every_circle(pair):
+    rootsA, rootsB = pair
+    pruned = [_build_bytes(kind, rootsA, rootsB) for kind in RegionKind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_live_circles", _all_circles_live)
+        full = [_build_bytes(kind, rootsA, rootsB) for kind in RegionKind]
+    assert pruned == full
+
+
+def test_circles_with_kept_arcs_are_live():
+    kinds = [k for k in RegionKind if k != RegionKind.GAMMA1_INVERTED]
+    owners = 0
+    for _, ra, rb in fixture_pairs():
+        rootsA, rootsB = _root_set(ra), _root_set(rb)
+        for kind in kinds:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regions, "_live_circles", _all_circles_live)
+                try:
+                    contour = build_region(kind, rootsA, rootsB)
+                except (BezminError, ArithmeticError):
+                    continue
+            circles = {a.circle for a in contour.arcs}
+            live = regions._live_circles(
+                np.array([c.center for c in circles]),
+                np.array([c.radius for c in circles]),
+                regions._region_disks(kind, rootsA, rootsB),
+                10.0 * PROBE_OFFSET * contour.scale,
+            )
+            assert live.all()
+            owners += len(circles)
+    assert owners >= 500
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from bezmin.regions import (
     Disk,
     RegionKind,
     _arc_table,
+    _chain_loops,
     _circle_intersections,
     _distances,
     build_region,
@@ -180,8 +181,36 @@ def test_argument_principle_on_boundaries(fig1):
 
 
 def test_tangent_circles_raise():
-    with pytest.raises(DegenerateArrangement):
-        _circle_intersections(np.array([0.0, 2.0]), np.zeros(2), np.ones(2), 1.0)
+    cx, cy, radii = np.array([0.0, 2.0]), np.zeros(2), np.ones(2)
+    # tangency is checked on every circle, live or not
+    for live in (np.ones(2, dtype=bool), np.zeros(2, dtype=bool)):
+        with pytest.raises(DegenerateArrangement):
+            _circle_intersections(cx, cy, radii, 1.0, live)
+
+
+def test_chain_loops_takes_the_nearest_start_and_the_last_on_ties():
+    tol, d = 1e-9, 2.0**-32
+    p, q = 1 + 0j, 0j
+    # arc 0 ends at p, where arcs 1 and 2 start equally near and arc 3
+    # farther; arcs 4 and 5 both start exactly at q
+    start = np.array([q, p + d, p - d, p + 3 * d, q, q])
+    end = np.array([p, q, q, q, p, p])
+    order, loops = _chain_loops(start, end, tol)
+    assert order == [0, 2, 1, 5, 3, 4]
+    assert loops == [0, 0, 1, 1, 2, 2]
+
+
+def test_chain_loops_reports_an_open_chain():
+    start, end = np.array([0j, 1 + 0j]), np.array([1 + 0j, 2 + 0j])
+    with pytest.raises(
+        DegenerateArrangement, match=r"^open arc chain near 2\+0j; loop did not close$"
+    ):
+        _chain_loops(start, end, 1e-9)
+
+
+def test_chain_loops_closes_a_full_circle_onto_itself():
+    ends = np.array([1 + 0j, -2j])
+    assert _chain_loops(ends, ends, 1e-9) == ([0, 1], [0, 1])
 
 
 def test_root_at_origin_rejected_for_da():
