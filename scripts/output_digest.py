@@ -10,8 +10,9 @@ The families:
 
 * solve-all, solve-monomial, sylvester, regions: `--json solve A B --backend
   all`, `--json solve A B --rhs monomial:1`, `--json sylvester A B` and
-  `--json regions A B --kind ea,eb,da,gamma1,inverted` on the first N pairs
-  of `bench/pairs.PairPool("solve-d8", 5)` and then of
+  `--json regions A B --kind ea,eb,da,gamma1,inverted --svg FILE`, with the
+  SVG file it writes, on the first N pairs of
+  `bench/pairs.PairPool("solve-d8", 5)` and then of
   `PairPool("solve-tight", 5)`;
 * certify: `--seed 1 certify --count 200 --max-degree 5`, with the report it
   writes, less its `seconds` and `total_seconds` fields;
@@ -32,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -48,11 +50,17 @@ from bezmin.cli import main  # noqa: E402
 from pairs import PairPool  # noqa: E402
 
 REGION_KINDS = "ea,eb,da,gamma1,inverted"
+# argv per family from the two pair files and a directory for what it writes
 PAIR_FAMILIES = {
-    "solve-all": lambda a, b: ["--json", "solve", a, b, "--backend", "all"],
-    "solve-monomial": lambda a, b: ["--json", "solve", a, b, "--rhs", "monomial:1"],
-    "sylvester": lambda a, b: ["--json", "sylvester", a, b],
-    "regions": lambda a, b: ["--json", "regions", a, b, "--kind", REGION_KINDS],
+    "solve-all": lambda a, b, out: ["--json", "solve", a, b, "--backend", "all"],
+    "solve-monomial": lambda a, b, out: [
+        "--json", "solve", a, b, "--rhs", "monomial:1"
+    ],
+    "sylvester": lambda a, b, out: ["--json", "sylvester", a, b],
+    "regions": lambda a, b, out: [
+        "--json", "regions", a, b, "--kind", REGION_KINDS,
+        "--svg", str(out / "regions.svg"),
+    ],
 }
 
 
@@ -79,12 +87,16 @@ def _files(directory: Path) -> bytes:
 
 def digests(n_pairs: int, tmp: Path) -> dict[str, str]:
     hashes = {name: hashlib.sha256() for name in PAIR_FAMILIES}
+    written = tmp / "written"
     for workload in ("solve-d8", "solve-tight"):
         pool = PairPool(workload, 5, tmp / workload)
         pool.ensure(n_pairs)
         for a, b in pool.paths[:n_pairs]:
             for name, argv in PAIR_FAMILIES.items():
-                hashes[name].update(_run(argv(a, b), tmp))
+                written.mkdir()
+                hashes[name].update(_run(argv(a, b, written), tmp))
+                hashes[name].update(_files(written))
+                shutil.rmtree(written)
 
     out = tmp / "certify"
     h = hashlib.sha256(_run(

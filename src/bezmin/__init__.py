@@ -3,8 +3,9 @@
 Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
 from build(A, B): its degrees, Sylvester entries, and the roots, delta and
 LU factors, each computed once on first use), RootSet (certified roots),
-DeltaReport (separation quantities), ContourSystem (circular-arc region
-boundaries, built for a RegionKind), and BezoutSolution (the minimal-degree
+DeltaReport (separation quantities), ContourSystem (a region boundary built
+for a RegionKind, as one table of circular arcs: center, radius, start and
+end angle arrays plus a loop index per arc), and BezoutSolution (the minimal-degree
 pair R, S with A*R + B*S = P). The separation quantities, solvers and
 reports all take the Pair; the monomial family P = z^l is
 solve(build(A, B), Polynomial.monomial(l)).
@@ -28,9 +29,7 @@ from .sylvester import (
     solve,
 )
 from .regions import (
-    Arc,
     ContourSystem,
-    Disk,
     RegionKind,
     build_region,
     contour_metrics,
@@ -62,9 +61,7 @@ __all__ = [
     "solve",
     "resultant",
     "inverse_norm_report",
-    "Arc",
     "ContourSystem",
-    "Disk",
     "RegionKind",
     "build_region",
     "contour_metrics",

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .poly import Polynomial
 from .regions import (
-    Arc,
     ContourSystem,
     RegionKind,
     build_region_with_jitter,
@@ -116,45 +115,43 @@ def _subdivide(
 ) -> ContourSystem:
     """The same contour with arcs split until each sweeps at most a quarter
     turn and is no longer than the distance from its midpoint to the nearest
-    integrand pole (keeps the Gauss-Legendre convergence rate healthy). Arcs
-    keep their order along the contour, so an already subdivided contour
-    comes back unchanged."""
-    arcs, loops = list(contour.arcs), list(contour.loops)
-    while arcs:
-        # one pass tests every arc and halves those that fail
-        t0 = np.array([a.start_angle for a in arcs])
-        sweep = np.array([a.end_angle for a in arcs]) - t0
-        radius = np.array([a.circle.radius for a in arcs])
+    integrand pole (keeps the Gauss-Legendre convergence rate healthy). Each
+    pass halves every arc that fails in place, so the arcs keep their order
+    along the contour and an already subdivided contour comes back
+    unchanged."""
+    center, radius = contour.center, contour.radius
+    start, end = contour.start, contour.end
+    loops = np.array(contour.loops, dtype=int)
+    while len(radius):
+        sweep = end - start
         split = np.abs(sweep) > math.pi / 2.0
         if len(poles):
-            center = np.array([a.circle.center for a in arcs])
-            mid = center + radius * np.exp(1j * (t0 + 0.5 * sweep))
+            mid = center + radius * np.exp(1j * (start + 0.5 * sweep))
             near = np.min(np.abs(poles - mid[:, None]), axis=1)
             split |= (np.abs(sweep) > 1e-3) & (radius * np.abs(sweep) > near)
         if not split.any():
             break
-        pieces = []
-        for a, loop, cut in zip(arcs, loops, split.tolist()):
-            if cut:
-                half = a.start_angle + a.sweep / 2.0
-                pieces.append((Arc(a.circle, a.start_angle, half, a.ccw), loop))
-                pieces.append((Arc(a.circle, half, a.end_angle, a.ccw), loop))
-            else:
-                pieces.append((a, loop))
-        arcs, loops = [a for a, _ in pieces], [loop for _, loop in pieces]
-    return replace(contour, arcs=arcs, loops=loops)
+        # a split arc appears twice: its first half ends and its second
+        # half starts at start + sweep / 2
+        half = (start + sweep / 2.0)[split]
+        second = (np.cumsum(1 + split) - 1)[split]
+        take = np.repeat(np.arange(len(radius)), 1 + split)
+        center, radius, start, end, loops = (
+            col[take] for col in (center, radius, start, end, loops)
+        )
+        end[second - 1] = half
+        start[second] = half
+    return replace(contour, center=center, radius=radius, start=start, end=end,
+                   loops=loops.tolist())
 
 
 def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
     """Gauss-Legendre rule of the given order on every arc of a contour that
     _subdivide has already split. Callers that double the order subdivide the
     contour once and build a rule per order on the result."""
-    arcs = contour.arcs
     x, w = gauss_legendre(order)
-    t0 = np.array([a.start_angle for a in arcs])
-    t1 = np.array([a.end_angle for a in arcs])
-    center = np.array([a.circle.center for a in arcs])[:, None]
-    radius = np.array([a.circle.radius for a in arcs])[:, None]
+    t0, t1 = contour.start, contour.end
+    center, radius = contour.center[:, None], contour.radius[:, None]
     half = (0.5 * (t1 - t0))[:, None]
     e = np.exp(1j * (half * x + (0.5 * (t1 + t0))[:, None]))
     return QuadratureRule(

@@ -564,8 +564,13 @@ def cmd_certify(args, tol) -> int:
         json.dump(report, fh, indent=1, sort_keys=True)
 
     if not records:
-        print(f"warning: no records accepted (delta floor too high?); "
-              f"report at {path}")
+        warning = (f"warning: no records accepted (delta floor too high?); "
+                   f"report at {path}")
+        if args.json:
+            print(warning, file=sys.stderr)
+            _print_json(aggregates)
+        else:
+            print(warning)
         return EXIT_OK
 
     max_agreement = aggregates["max_agreement"]

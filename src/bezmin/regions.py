@@ -22,13 +22,20 @@ is the one all circles give. Tangency is still checked on all circles, so an
 arrangement that was degenerate stays so. The construction works on arrays:
 all circle pairs, all cut angles and all candidate arcs at once, with the
 stored angles and endpoints rounded exactly as the scalar complex expressions
-that define them.
+that define them (arc_point).
+
+A ContourSystem is one table of arcs: arrays of centers, radii, start and end
+angles, plus a loop index per arc. Everything that reads a contour (windings,
+certificates, inversion, metrics, quadrature, SVG) reads these arrays, or
+their rows as Python numbers.
 
 Winding numbers are computed exactly per arc: the argument increment along an
 arc equals the principal angle of the chord plus a +-2*pi correction when the
 query point lies in the circular segment between chord and arc. No quadrature
-or subdivision is involved. The queries run on a table of arc parameters, all
-arcs against all query points in one pass (winding_numbers).
+or subdivision is involved. The queries take the contour's endpoints and
+midpoints (ContourSystem.table, derived once per contour) and run all arcs
+against all query points in one pass (winding_numbers); a build checks its
+loops' nesting and its certificate in one such pass.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,88 +73,69 @@ class RegionKind(str, Enum):
     GAMMA1_INVERTED = "inverted"
 
 
-@dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
+class _ArcTable(NamedTuple):
+    """What the winding and distance queries derive from a contour's arcs,
+    one entry per arc: whether it is a full circle, and its start, end and
+    midpoint, rounded as arc_point gives them."""
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular arc from start_angle to end_angle on `circle`.
-
-    For ccw arcs end_angle > start_angle; for cw arcs end_angle < start_angle.
-    The signed sweep is end_angle - start_angle in both cases.
-    """
-
-    circle: Disk
-    start_angle: float
-    end_angle: float
-    ccw: bool = True
-
-    @property
-    def sweep(self) -> float:
-        return self.end_angle - self.start_angle
-
-    @property
-    def length(self) -> float:
-        return self.circle.radius * abs(self.sweep)
-
-    def point(self, t: float) -> complex:
-        theta = self.start_angle + t * self.sweep
-        return self.circle.center + self.circle.radius * cmath.exp(1j * theta)
-
-    @property
-    def start_point(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end_point(self) -> complex:
-        return self.point(1.0)
-
-    @property
-    def is_full_circle(self) -> bool:
-        return abs(abs(self.sweep) - 2 * math.pi) < 1e-12
-
-    def reversed(self) -> "Arc":
-        return Arc(self.circle, self.end_angle, self.start_angle, not self.ccw)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "center": [self.circle.center.real, self.circle.center.imag],
-            "radius": self.circle.radius,
-            "start_angle": self.start_angle,
-            "end_angle": self.end_angle,
-            "ccw": self.ccw,
-        }
+    full: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    mid: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class ContourSystem:
-    arcs: list[Arc]
+    """Oriented circular arcs as one table: arc i runs on the circle
+    (center[i], radius[i]) from angle start[i] to end[i], counterclockwise
+    when end[i] > start[i] (the sweep's sign is the direction), and belongs
+    to loop loops[i]. Each loop is a contiguous block in traversal order."""
+
+    center: np.ndarray
+    radius: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
     loops: list[int]
-    total_length: float
-    orientation_certificate: dict[complex, int] = field(default_factory=dict)
     scale: float = 1.0
+    orientation_certificate: dict[complex, int] = field(default_factory=dict)
 
     @property
     def n_loops(self) -> int:
         return max(self.loops) + 1 if self.loops else 0
 
-    def loop_arcs(self, i: int) -> list[Arc]:
-        return [a for a, l in zip(self.arcs, self.loops) if l == i]
+    @property
+    def total_length(self) -> float:
+        """Sum of radius * |sweep| over the arcs, in arc order."""
+        return sum((self.radius * np.abs(self.end - self.start)).tolist())
+
+    @cached_property
+    def table(self) -> _ArcTable:
+        return _table(self.center, self.radius, self.start, self.end)
+
+    def rows(self):
+        """(center, radius, start, end) per arc, in order, as Python numbers."""
+        return zip(
+            self.center.tolist(), self.radius.tolist(),
+            self.start.tolist(), self.end.tolist(),
+        )
 
     def to_json_dict(self) -> dict:
         return {
-            "arcs": [a.to_json_dict() for a in self.arcs],
+            "arcs": [
+                {"center": [c.real, c.imag], "radius": r, "start_angle": t0,
+                 "end_angle": t1, "ccw": t1 > t0}
+                for c, r, t0, t1 in self.rows()
+            ],
             "loops": list(self.loops),
             "total_length": self.total_length,
             "n_loops": self.n_loops,
         }
+
+
+def arc_point(center: complex, radius: float, start: float, end: float,
+              t: float) -> complex:
+    """The point at fraction t of the arc from start to end on the circle."""
+    return center + radius * cmath.exp(1j * (start + t * (end - start)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ def _inside(region: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
 # complex arithmetic on (real, imaginary) arrays
 #
 # Arc angles and endpoints are stored, so they must round exactly as the
-# scalar complex expressions that define them (Arc.point). CPython promotes
+# scalar complex expressions that define them (arc_point). CPython promotes
 # the float in `float * complex` and `complex / float` to a complex with a
 # zero imaginary part, and those zero products keep their signs; `abs` of a
 # complex is hypot. numpy's complex multiply, divide and abs round
@@ -409,49 +397,27 @@ def _probe_clearance(mx, my, owner, cx, cy, radii, scale: float, limit):
 # exact winding accumulation, all arcs against all query points
 
 
-class _ArcTable(NamedTuple):
-    """Arc parameters as arrays, one entry per arc; the start, end and
-    midpoints round as Arc.point gives them."""
-
-    center: np.ndarray
-    radius: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    full: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    mid: np.ndarray
-
-
-def _arc_table(arcs: list[Arc]) -> _ArcTable:
-    rows = np.array(
-        [(a.circle.center, a.circle.radius, a.start_angle, a.end_angle) for a in arcs],
-        dtype=complex,
-    ).reshape(-1, 4)
-    return _table(rows[:, 0], rows[:, 1].real, rows[:, 2].real, rows[:, 3].real)
-
-
 def _table(center, radius, start, end) -> _ArcTable:
     sweep = end - start
-    # start, end and midpoint, as Arc.point(0.0), point(1.0) and point(0.5)
+    # start, end and midpoint, as arc_point at t = 0, 1 and 0.5
     theta = start + np.array([[0.0], [1.0], [0.5]]) * sweep
     p0, p1, mid = _complex(*_on_circle(center.real, center.imag, radius, theta))
-    full = np.abs(np.abs(sweep) - 2 * math.pi) < 1e-12
-    return _ArcTable(center, radius, start, end, full, p0, p1, mid)
+    return _ArcTable(np.abs(np.abs(sweep) - 2 * math.pi) < 1e-12, p0, p1, mid)
 
 
 def _hypot(z):
     return np.hypot(z.real, z.imag)
 
 
-def _delta_args(t: _ArcTable, z: np.ndarray) -> np.ndarray:
+def _delta_args(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
     """Continuous increment of arg(zeta - z) along each arc (columns) for each
     point (rows): the principal chord angle, plus a full turn in the
     direction of the sweep when z sits inside the circular segment between
     chord and arc; full circles add a turn about interior points."""
+    c, t = contour, contour.table
     zc = z[:, None]
-    turn = np.copysign(2 * math.pi, t.end - t.start)
-    inside = _hypot(zc - t.center) < t.radius
+    turn = np.copysign(2 * math.pi, c.end - c.start)
+    inside = _hypot(zc - c.center) < c.radius
     with np.errstate(divide="ignore", invalid="ignore"):
         principal = np.angle((t.p1 - zc) / (t.p0 - zc))
     chord = np.conj(t.p1 - t.p0)
@@ -466,36 +432,33 @@ def _delta_args(t: _ArcTable, z: np.ndarray) -> np.ndarray:
 _TURN_SHIFTS = np.array([-2 * math.pi, 0.0, 2 * math.pi])
 
 
-def _distances(t: _ArcTable, z: np.ndarray) -> np.ndarray:
+def _distances(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
     """Distance from each point (rows) to each arc (columns)."""
-    v = z[:, None] - t.center
-    radial = np.abs(_hypot(v) - t.radius)
+    c, t = contour, contour.table
+    v = z[:, None] - c.center
+    radial = np.abs(_hypot(v) - c.radius)
     phi = np.arctan2(v.imag, v.real)[..., None] + _TURN_SHIFTS
-    lo = np.minimum(t.start, t.end)[:, None]
-    hi = np.maximum(t.start, t.end)[:, None]
+    lo = np.minimum(c.start, c.end)[:, None]
+    hi = np.maximum(c.start, c.end)[:, None]
     on_span = t.full | np.any((lo <= phi) & (phi <= hi), axis=-1)
     ends = np.minimum(_hypot(z[:, None] - t.p0), _hypot(z[:, None] - t.p1))
     return np.where(on_span, radial, ends)
 
 
-def contour_distance(arcs: list[Arc], z: complex) -> float:
-    return float(np.min(_distances(_arc_table(arcs), np.array([z], dtype=complex))))
-
-
-def winding_of_arcs(arcs: list[Arc], z: complex) -> float:
-    deltas = _delta_args(_arc_table(arcs), np.array([z], dtype=complex))
-    return float(np.sum(deltas) / (2 * math.pi))
-
-
-def _integer_windings(table: _ArcTable, scale: float, points):
-    """Integer winding numbers about the points up to the first point that
-    has none, plus the error for that point (None when every point has one):
-    OnContourError within POINT_TOL * scale of the arcs, else ArithmeticError
-    when the accumulation is not within WINDING_INT_TOL of an integer."""
-    points = list(points)
+def _windings(contour: ContourSystem, points) -> tuple[np.ndarray, np.ndarray]:
+    """The winding accumulation about each point, all arcs against all
+    points at once, and whether the point lies within POINT_TOL * scale of
+    the arcs."""
     z = np.array(points, dtype=complex).reshape(-1)
-    near = np.min(_distances(table, z), axis=1) <= POINT_TOL * scale
-    w = np.sum(_delta_args(table, z), axis=1) / (2 * math.pi)
+    near = np.min(_distances(contour, z), axis=1) <= POINT_TOL * contour.scale
+    return np.sum(_delta_args(contour, z), axis=1) / (2 * math.pi), near
+
+
+def _integer_windings(points: list, w: np.ndarray, near: np.ndarray):
+    """Integer winding numbers from _windings up to the first point that has
+    none, plus the error for that point (None when every point has one):
+    OnContourError when it is near the arcs, else ArithmeticError when the
+    accumulation is not within WINDING_INT_TOL of an integer."""
     k = np.round(w)
     bad = near | ~(np.abs(w - k) <= WINDING_INT_TOL)
     n = int(np.argmax(bad)) if bad.any() else len(points)
@@ -513,7 +476,8 @@ def winding_numbers(contour: ContourSystem, points) -> np.ndarray:
     """Integer winding numbers of the whole system about each point, all arcs
     against all points at once. Raises for the first point that lies on the
     contour (OnContourError) or gets a non-integer accumulation."""
-    ks, err = _integer_windings(_arc_table(contour.arcs), contour.scale, points)
+    points = list(points)
+    ks, err = _integer_windings(points, *_windings(contour, points))
     if err is not None:
         raise err
     return ks
@@ -573,20 +537,23 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     return order, loop_ids
 
 
-def _check_loop_consistency(table: _ArcTable, loops: list[int], scale: float) -> None:
+def _loop_probes(contour: ContourSystem) -> np.ndarray:
+    """Per loop, the point just inside and then the one just outside the
+    midpoint of its first arc."""
+    loops = contour.loops
+    first = [loops.index(li) for li in range(contour.n_loops)]
+    c, r = contour.center[first], contour.radius[first]
+    u = (contour.table.mid[first] - c) / r
+    h = np.minimum(PROBE_OFFSET * contour.scale, 0.3 * r)
+    return np.stack([c + (r - h) * u, c + (r + h) * u], axis=1).ravel()
+
+
+def _check_loop_consistency(probes: np.ndarray, windings: np.ndarray) -> None:
     """Every loop must see total winding 1 just inside itself and 0 just
-    outside. Holes (nested loops bounding a complement component) satisfy
-    this automatically under the per-arc ccw orientation; anything else is an
-    unsupported nesting structure."""
-    n_loops = max(loops) + 1 if loops else 0
-    first = [loops.index(li) for li in range(n_loops)]
-    c, r = table.center[first], table.radius[first]
-    u = (table.mid[first] - c) / r
-    h = np.minimum(PROBE_OFFSET * scale, 0.3 * r)
-    # per loop, the probe inside and then the one outside its first arc
-    probes = np.stack([c + (r - h) * u, c + (r + h) * u], axis=1).ravel()
-    expected = [1, 0] * n_loops
-    windings = np.sum(_delta_args(table, probes), axis=1) / (2 * math.pi)
+    outside, at its _loop_probes. Holes (nested loops bounding a complement
+    component) satisfy this automatically under the per-arc ccw orientation;
+    anything else is an unsupported nesting structure."""
+    expected = [1, 0] * (len(probes) // 2)
     for k, (w, want) in enumerate(zip(windings.tolist(), expected)):
         w = round(w)
         if w != want:
@@ -643,14 +610,13 @@ def build_region(
     )
     centers, radii = centers[live], radii[live]
     cx, cy = centers.real, centers.imag
-    circles = [Disk(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
     # math.atan2, not np.arctan2: the two differ in the last bit
     angle = np.fromiter(
         map(math.atan2, py - cy[owner], px - cx[owner]), dtype=float, count=len(owner)
     )
     owner, angle = _split_angles(owner, angle, radii, POINT_TOL * scale)
-    owner, t0, t1 = _candidate_arcs(len(circles), owner, angle)
+    owner, t0, t1 = _candidate_arcs(len(radii), owner, angle)
 
     ox, oy, r = cx[owner], cy[owner], radii[owner]
     mx, my = _on_circle(ox, oy, r, t0 + 0.5 * (t1 - t0))
@@ -673,38 +639,35 @@ def build_region(
         raise DegenerateArrangement("region boundary is empty")
 
     owner = owner[kept]
-    table = _table(centers[owner], radii[owner], t0[kept], t1[kept])
+    arcs = centers[owner], radii[owner], t0[kept], t1[kept]
+    table = _table(*arcs)
     order, loops = _chain_loops(table.p0, table.p1, POINT_TOL * scale)
-    owner, table = owner[order], _ArcTable(*(col[order] for col in table))
-    arcs = [
-        Arc(circles[o], t_0, t_1)
-        for o, t_0, t_1 in zip(owner.tolist(), table.start.tolist(), table.end.tolist())
-    ]
-    _check_loop_consistency(table, loops, scale)
-    total_length = sum(a.length for a in arcs)
-
-    contour = ContourSystem(
-        arcs=arcs, loops=loops, total_length=total_length, scale=scale
-    )
-    _certify(contour, region_probes(kind, rootsA, rootsB), table)
+    contour = ContourSystem(*(col[order] for col in arcs), loops, scale)
+    contour.table = _ArcTable(*(col[order] for col in table))
+    # the loop probes and the certificate's probes in one winding pass
+    nesting = _loop_probes(contour)
+    probes = region_probes(kind, rootsA, rootsB)
+    w, near = _windings(contour, [*nesting, *probes])
+    _check_loop_consistency(nesting, w[: len(nesting)])
+    _record_certificate(contour, probes, w[len(nesting):], near[len(nesting):])
     return contour
 
 
-def _certify(
-    contour: ContourSystem, probes: dict[complex, int], table: _ArcTable | None = None
-) -> None:
+def _certify(contour: ContourSystem, probes: dict[complex, int]) -> None:
     """Record probes (point -> winding) as the contour's orientation
     certificate once each point has that winding number. Raises
     DegenerateArrangement at the first point with another winding number,
-    unless a point before it has none (the error of _integer_windings).
-    `table` is the contour's arc table when the caller has it."""
-    if table is None:
-        table = _arc_table(contour.arcs)
-    ks, err = _integer_windings(table, contour.scale, probes)
-    for (z, expected), w in zip(probes.items(), ks.tolist()):
-        if w != expected:
+    unless a point before it has none (the error of _integer_windings)."""
+    _record_certificate(contour, probes, *_windings(contour, list(probes)))
+
+
+def _record_certificate(contour, probes, w, near) -> None:
+    """_certify, given the _windings of the probes."""
+    ks, err = _integer_windings(list(probes), w, near)
+    for (z, expected), k in zip(probes.items(), ks.tolist()):
+        if k != expected:
             raise DegenerateArrangement(
-                f"winding certificate failed at {z:.6g}: got {w}, "
+                f"winding certificate failed at {z:.6g}: got {k}, "
                 f"expected {expected}"
             )
     if err is not None:
@@ -716,8 +679,8 @@ def _certify(
 # inversion z -> 1/z
 
 
-def _invert_arc(arc: Arc, scale: float) -> Arc:
-    c, r = arc.circle.center, arc.circle.radius
+def _invert_arc(c: complex, r: float, t0: float, t1: float, scale: float):
+    """The image (center, radius, start, end) of one arc under z -> 1/z."""
     q = abs(c) ** 2 - r * r
     if abs(q) < 1e-12 * scale * scale:
         raise OriginTooClose(
@@ -725,29 +688,23 @@ def _invert_arc(arc: Arc, scale: float) -> Arc:
         )
     m = c.conjugate() / q
     rho = r / abs(q)
-    img = Disk(m, rho)
 
-    if arc.is_full_circle:
-        w0 = 1.0 / arc.point(0.0)
-        wq = 1.0 / arc.point(0.25)
+    if abs(abs(t1 - t0) - 2 * math.pi) < 1e-12:
+        w0 = 1.0 / arc_point(c, r, t0, t1, 0.0)
+        wq = 1.0 / arc_point(c, r, t0, t1, 0.25)
         phi0 = cmath.phase(w0 - m)
         phiq = cmath.phase((wq - m) / (w0 - m))
-        ccw = phiq > 0
-        end = phi0 + (2 * math.pi if ccw else -2 * math.pi)
-        return Arc(img, phi0, end, ccw)
+        return m, rho, phi0, phi0 + (2 * math.pi if phiq > 0 else -2 * math.pi)
 
-    w0 = 1.0 / arc.start_point
-    w1 = 1.0 / arc.end_point
-    wm = 1.0 / arc.point(0.5)
+    w0, w1, wm = (1.0 / arc_point(c, r, t0, t1, t) for t in (0.0, 1.0, 0.5))
     phi0 = cmath.phase(w0 - m)
     phi1 = cmath.phase(w1 - m)
     phim = cmath.phase(wm - m)
     ccw_sweep = (phi1 - phi0) % (2 * math.pi)
     mid_ccw = (phim - phi0) % (2 * math.pi)
     if mid_ccw <= ccw_sweep:
-        return Arc(img, phi0, phi0 + ccw_sweep, True)
-    cw_sweep = (phi0 - phi1) % (2 * math.pi)
-    return Arc(img, phi0, phi0 - cw_sweep, False)
+        return m, rho, phi0, phi0 + ccw_sweep
+    return m, rho, phi0, phi0 - (phi0 - phi1) % (2 * math.pi)
 
 
 def invert_contour(contour: ContourSystem) -> ContourSystem:
@@ -760,30 +717,22 @@ def invert_contour(contour: ContourSystem) -> ContourSystem:
     shifted by its winding about 0 (Delta arg(1/z - 1/z0) = Delta arg(z0 - z)
     - Delta arg(z)); such loops are flipped so their bounded side winds +1.
     """
-    tol = POINT_TOL * contour.scale
-    if contour_distance(contour.arcs, 0.0) <= tol:
+    origin = np.zeros(1, dtype=complex)
+    if np.min(_distances(contour, origin)) <= POINT_TOL * contour.scale:
         raise OriginTooClose("origin lies on (or within tolerance of) the contour")
-    arcs: list[Arc] = []
-    loops: list[int] = []
-    n_loops = max(contour.loops) + 1 if contour.loops else 0
-    for li in range(n_loops):
-        block = contour.loop_arcs(li)
-        image = [_invert_arc(a, contour.scale) for a in block]
-        w0 = round(winding_of_arcs(block, 0.0))
-        if w0 != 0:
-            image = [a.reversed() for a in reversed(image)]
-        arcs.extend(image)
-        loops.extend([li] * len(image))
-    total_length = sum(a.length for a in arcs)
-    pts = [a.start_point for a in arcs] + [a.end_point for a in arcs]
-    scale = 1.0 + max(abs(p) for p in pts)
-    return ContourSystem(
-        arcs=arcs,
-        loops=loops,
-        total_length=total_length,
-        orientation_certificate={},
-        scale=scale,
-    )
+    about_origin = _delta_args(contour, origin)[0]
+    rows = list(contour.rows())
+    loop_of = np.array(contour.loops)
+    image, loops = [], []
+    for li in range(contour.n_loops):
+        block = np.flatnonzero(loop_of == li)
+        arcs = [_invert_arc(*rows[i], contour.scale) for i in block.tolist()]
+        if round(float(np.sum(about_origin[block]) / (2 * math.pi))) != 0:
+            arcs = [(m, rho, t1, t0) for m, rho, t0, t1 in reversed(arcs)]
+        image += arcs
+        loops += [li] * len(arcs)
+    scale = 1.0 + max(abs(arc_point(*arc, t)) for t in (0.0, 1.0) for arc in image)
+    return ContourSystem(*map(np.array, zip(*image)), loops, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +768,12 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _arc_quadrature_real(arc: Arc, f, start_order: int = 16, tol: float = 1e-9) -> float:
-    """Integral of f(zeta) * |dzeta| over the arc with order doubling."""
-    c, r = arc.circle.center, arc.circle.radius
-    t0, t1 = arc.start_angle, arc.end_angle
+def _arc_quadrature_real(
+    c: complex, r: float, t0: float, t1: float, f,
+    start_order: int = 16, tol: float = 1e-9,
+) -> float:
+    """Integral of f(zeta) * |dzeta| over the arc (c, r, t0, t1) with order
+    doubling."""
     lo, hi = min(t0, t1), max(t0, t1)
     prev = None
     order = start_order
@@ -847,18 +798,17 @@ def contour_metrics(
     A, B, n, k = pair.A, pair.B, pair.N, pair.K
 
     log_int = sum(
-        _arc_quadrature_real(a, lambda z: 1.0 / np.abs(z)) for a in contour.arcs
+        _arc_quadrature_real(*row, lambda z: 1.0 / np.abs(z)) for row in contour.rows()
     )
 
     # m midpoint samples per arc, at least 16 and 64 per half turn
-    table = _arc_table(contour.arcs)
-    sweep = table.end - table.start
+    sweep = contour.end - contour.start
     m = np.maximum(16, (64 * np.abs(sweep) / math.pi).astype(int))
     arc = np.repeat(np.arange(len(m)), m)
     sample = np.arange(len(arc)) - np.repeat(np.cumsum(m) - m, m)
-    theta = table.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
-    center = table.center[arc]
-    zs = _complex(*_on_circle(center.real, center.imag, table.radius[arc], theta))
+    theta = contour.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
+    center = contour.center[arc]
+    zs = _complex(*_on_circle(center.real, center.imag, contour.radius[arc], theta))
     min_a = float(np.min(np.abs(A(zs)), initial=math.inf))
     min_b = float(np.min(np.abs(B(zs)), initial=math.inf))
 

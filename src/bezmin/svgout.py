@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .regions import Arc, ContourSystem
+from .regions import ContourSystem, arc_point
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 MARKER_COLOR = "#000000"
@@ -20,24 +20,20 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _arc_path(arc: Arc) -> str:
+def _arc_path(c: complex, r: float, t0: float, t1: float) -> str:
     """SVG path fragment; math y is negated, so ccw math arcs use sweep 0."""
     pieces = []
     # SVG elliptical arcs cannot span a full circle in one command
-    sub = [arc]
-    if abs(arc.sweep) > 1.5 * math.pi:
-        mid_angle = arc.start_angle + arc.sweep / 2.0
-        sub = [
-            Arc(arc.circle, arc.start_angle, mid_angle, arc.ccw),
-            Arc(arc.circle, mid_angle, arc.end_angle, arc.ccw),
-        ]
-    p0 = sub[0].start_point
+    sub = [(t0, t1)]
+    if abs(t1 - t0) > 1.5 * math.pi:
+        mid_angle = t0 + (t1 - t0) / 2.0
+        sub = [(t0, mid_angle), (mid_angle, t1)]
+    p0 = arc_point(c, r, *sub[0], 0.0)
     pieces.append(f"M {_fmt(p0.real)} {_fmt(-p0.imag)}")
-    for a in sub:
-        r = a.circle.radius
-        large = 1 if abs(a.sweep) > math.pi else 0
-        sweep_flag = 0 if a.sweep > 0 else 1
-        p1 = a.end_point
+    for s0, s1 in sub:
+        large = 1 if abs(s1 - s0) > math.pi else 0
+        sweep_flag = 0 if s1 > s0 else 1
+        p1 = arc_point(c, r, s0, s1, 1.0)
         pieces.append(
             f"A {_fmt(r)} {_fmt(r)} 0 {large} {sweep_flag} "
             f"{_fmt(p1.real)} {_fmt(-p1.imag)}"
@@ -54,9 +50,9 @@ def render_svg(
     xs: list[float] = []
     ys: list[float] = []
     for c in contours:
-        for a in c.arcs:
+        for arc in c.rows():
             for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                p = a.point(t)
+                p = arc_point(*arc, t)
                 xs.append(p.real)
                 ys.append(-p.imag)
     for m in markers:
@@ -76,16 +72,17 @@ def render_svg(
     ]
     for idx, c in enumerate(contours):
         color = PALETTE[idx % len(PALETTE)]
-        for a in c.arcs:
+        for arc in c.rows():
             lines.append(
-                f'<path d="{_arc_path(a)}" fill="none" stroke="{color}" '
+                f'<path d="{_arc_path(*arc)}" fill="none" stroke="{color}" '
                 f'stroke-width="{_fmt(STROKE_WIDTH)}"/>'
             )
             if direction_ticks:
-                mid = a.point(0.5)
+                center, radius, t0, t1 = arc
+                mid = arc_point(*arc, 0.5)
                 # tangent of the traversal at the midpoint
-                normal = (mid - a.circle.center) / a.circle.radius
-                tangent = 1j * normal * (1 if a.sweep > 0 else -1)
+                normal = (mid - center) / radius
+                tangent = 1j * normal * (1 if t1 > t0 else -1)
                 tick = 0.03 * max(w, h)
                 tip = mid + tick * tangent
                 barb = tip - tick * 0.5 * tangent * complex(

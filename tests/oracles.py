@@ -1,9 +1,10 @@
 """Reference helpers that only the tests use: the literal residue sum (an
 oracle for the interpolation backend), the translation p(z + z0), a
-root-free translation point, a sub-level set predicate, the scalar per-arc
-winding increment and distance (references for the array queries in
-regions), a quadrature rule's integral of a function, the argument-principle
-zero count, and rejection sampling of random pairs."""
+root-free translation point, a sub-level set predicate, a per-arc record of
+a contour with the scalar per-arc winding increment, distance and
+subdivision (references for the array code in regions and backends), a
+quadrature rule's integral of a function, the argument-principle zero count,
+and rejection sampling of random pairs."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from bezmin.backends import QuadratureRule, _guard_simple, _subdivide, build_rul
 from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
-from bezmin.regions import Arc, ContourSystem
+from bezmin.regions import ContourSystem
 from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution, Pair, build
@@ -103,14 +104,53 @@ def sublevel_member(p: Polynomial, eps: float, z: complex) -> bool:
     return bool(abs(p(z)) < eps)
 
 
-def arc_delta_arg(arc: Arc, z: complex) -> float:
+@dataclass(frozen=True)
+class RefArc:
+    """One arc of a contour, as Python numbers: from `start` to `end` (radians,
+    the sweep's sign is the direction) on the circle (center, radius)."""
+
+    center: complex
+    radius: float
+    start: float
+    end: float
+
+    @property
+    def sweep(self) -> float:
+        return self.end - self.start
+
+    @property
+    def is_full_circle(self) -> bool:
+        return abs(abs(self.sweep) - 2 * math.pi) < 1e-12
+
+    def point(self, t: float) -> complex:
+        return self.center + self.radius * cmath.exp(1j * (self.start + t * self.sweep))
+
+    def reversed(self) -> "RefArc":
+        return RefArc(self.center, self.radius, self.end, self.start)
+
+
+def ref_arcs(contour: ContourSystem) -> list[RefArc]:
+    """The contour's arcs, in order."""
+    return [RefArc(*row) for row in contour.rows()]
+
+
+def contour_of(arcs: list[RefArc], loops: list[int], scale: float) -> ContourSystem:
+    """The contour with these arcs, in order, and loop indices."""
+    rows = np.array(
+        [(a.center, a.radius, a.start, a.end) for a in arcs], dtype=complex
+    ).reshape(-1, 4)
+    center, radius, start, end = rows.T
+    return ContourSystem(center, radius.real, start.real, end.real, list(loops), scale)
+
+
+def arc_delta_arg(arc: RefArc, z: complex) -> float:
     """Continuous increment of arg(zeta - z) along the arc, one arc and one
     point at a time: the scalar reference for regions.winding_numbers."""
-    c, r = arc.circle.center, arc.circle.radius
+    c, r = arc.center, arc.radius
     if arc.is_full_circle:
         inside = abs(z - c) < r
         return math.copysign(2 * math.pi, arc.sweep) if inside else 0.0
-    p0, p1 = arc.start_point, arc.end_point
+    p0, p1 = arc.point(0.0), arc.point(1.0)
     principal = cmath.phase((p1 - z) / (p0 - z))
     if abs(z - c) < r:
         m = arc.point(0.5)
@@ -122,19 +162,44 @@ def arc_delta_arg(arc: Arc, z: complex) -> float:
     return principal
 
 
-def distance_to_arc(arc: Arc, z: complex) -> float:
-    """Distance from z to the arc: the scalar reference for
-    regions.contour_distance."""
-    c, r = arc.circle.center, arc.circle.radius
+def distance_to_arc(arc: RefArc, z: complex) -> float:
+    """Distance from z to the arc: the scalar reference for the distance
+    query in regions."""
+    c, r = arc.center, arc.radius
     v = z - c
     if arc.is_full_circle:
         return abs(abs(v) - r)
     phi = math.atan2(v.imag, v.real)
-    lo, hi = sorted((arc.start_angle, arc.end_angle))
+    lo, hi = sorted((arc.start, arc.end))
     for shift in (-2 * math.pi, 0.0, 2 * math.pi):
         if lo <= phi + shift <= hi:
             return abs(abs(v) - r)
-    return min(abs(z - arc.start_point), abs(z - arc.end_point))
+    return min(abs(z - arc.point(0.0)), abs(z - arc.point(1.0)))
+
+
+def subdivide_reference(
+    arcs: list[RefArc], loops: list[int], poles: list[complex]
+) -> tuple[list[RefArc], list[int]]:
+    """backends._subdivide one arc at a time: an arc that sweeps more than a
+    quarter turn, or more than 1e-3 rad and is longer than the distance from
+    its midpoint to the nearest pole, is halved at start + sweep / 2 and its
+    halves are tested again, in place, so the arcs keep their order."""
+    out: list[tuple[RefArc, int]] = []
+    todo = list(zip(arcs, loops))[::-1]
+    while todo:
+        arc, loop = todo.pop()
+        sweep = abs(arc.sweep)
+        mid = arc.center + arc.radius * cmath.exp(1j * (arc.start + 0.5 * arc.sweep))
+        near = min((abs(p - mid) for p in poles), default=math.inf)
+        if sweep > math.pi / 2.0 or (sweep > 1e-3 and arc.radius * sweep > near):
+            half = arc.start + arc.sweep / 2.0
+            todo += [
+                (RefArc(arc.center, arc.radius, half, arc.end), loop),
+                (RefArc(arc.center, arc.radius, arc.start, half), loop),
+            ]
+        else:
+            out.append((arc, loop))
+    return [a for a, _ in out], [loop for _, loop in out]
 
 
 def integrate(rule: QuadratureRule, f) -> complex:

@@ -28,11 +28,15 @@ from bezmin.roots import RootSet
 from bezmin.separation import delta
 from bezmin.sylvester import build
 from oracles import (
+    RefArc,
     argument_principle_count,
+    contour_of,
     integrate,
     random_pair,
+    ref_arcs,
     residue_sum_solution,
     sample_degrees,
+    subdivide_reference,
 )
 
 Z = Polynomial([0, 1])
@@ -173,11 +177,60 @@ def test_rule_integrates_powers_to_tolerance():
     rule = build_rule(_subdivide(g1), order=16)
     for k in range(8):
         want = 0j
-        for arc in g1.arcs:
-            p0, p1 = arc.start_point, arc.end_point
+        for arc in ref_arcs(g1):
+            p0, p1 = arc.point(0.0), arc.point(1.0)
             want += (p1 ** (k + 1) - p0 ** (k + 1)) / (k + 1)
         got = integrate(rule, lambda z: z**k)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _subdivide_cases():
+    """(contour, poles): the E_A and E_B boundaries of random pairs, with
+    their roots as poles and with none, and a contour of clockwise and
+    counterclockwise loops and full circles with poles just off its arcs."""
+    rng = np.random.default_rng(65)
+    for _ in range(6):
+        da, db = sample_degrees(rng, 1, 6)
+        inst = random_pair(rng, da, db, delta_floor=0.02, require_simple=True)
+        poles = list(inst.rootsA.roots) + list(inst.rootsB.roots)
+        for kind in (RegionKind.E_A, RegionKind.E_B):
+            contour = build_region_with_jitter(kind, inst.rootsA, inst.rootsB)
+            yield contour, poles
+            yield contour, []
+    ccw = [RefArc(0.5j, 1.0, t, t + 1.5) for t in (-2.0, -0.5, 1.0)]
+    ccw.append(RefArc(0.5j, 1.0, 2.5, -2.0 + 2 * math.pi))
+    cw = [a.reversed() for a in reversed(ccw)]
+    full = [
+        RefArc(3 + 0j, 0.5, -math.pi, math.pi),
+        RefArc(-3 + 0j, 0.7, 1.0, 1.0 - 2 * math.pi),
+    ]
+    contour = contour_of(ccw + cw + full, [0] * 4 + [1] * 4 + [2, 3], scale=5.0)
+    yield contour, [0.5j + 1.01 * cmath.exp(0.3j), 3 - 0.49j, -3.7 + 0.01j]
+
+
+def test_subdivide_matches_scalar_reference():
+    # the array passes split the same arcs at the same angles as halving one
+    # arc at a time, and keep the arcs in order along each loop
+    pole_splits = 0
+    for contour, poles in _subdivide_cases():
+        got = _subdivide(contour, np.array(poles, dtype=complex))
+        arcs, loops = subdivide_reference(ref_arcs(contour), contour.loops, poles)
+        assert ref_arcs(got) == arcs
+        assert got.loops == loops
+        assert all(abs(a.sweep) <= math.pi / 2 for a in arcs)
+        if poles:
+            plain, _ = subdivide_reference(ref_arcs(contour), contour.loops, [])
+            pole_splits += len(arcs) - len(plain)
+    assert pole_splits >= 20  # the pole-distance rule is exercised
+
+
+def test_subdivide_leaves_a_split_contour_unchanged():
+    for contour, poles in _subdivide_cases():
+        poles = np.array(poles, dtype=complex)
+        once = _subdivide(contour, poles)
+        twice = _subdivide(once, poles)
+        assert ref_arcs(twice) == ref_arcs(once)
+        assert twice.loops == once.loops
 
 
 def test_quadrature_agrees_with_residue():

@@ -297,6 +297,21 @@ def test_certify_vacuous_floor(tmp_path, capsys):
     assert report["aggregates"]["records"] == 0
 
 
+def test_certify_vacuous_floor_json(tmp_path, capsys):
+    # under --json the aggregates still go to stdout as JSON, the warning
+    # to stderr
+    code = main(["--json", "--out", str(tmp_path), "--seed", "3", "certify",
+                 "--count", "3", "--delta-floor", "10"])
+    assert code == 0
+    captured = capsys.readouterr()
+    aggregates = json.loads(captured.out)
+    assert aggregates["records"] == 0
+    assert aggregates["requested"] == 3
+    assert "no records accepted" in captured.err
+    report = json.loads((tmp_path / "certify_report.json").read_text())
+    assert aggregates == report["aggregates"]
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
     code = main(["--out", str(tmp_path), "certify", "--count", count])

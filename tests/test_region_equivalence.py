@@ -38,16 +38,14 @@ from bezmin.cli import FIG1_ALPHAS, FIG1_BETAS, FIG45_ALPHAS, FIG45_BETAS
 from bezmin.errors import BezminError
 from bezmin.regions import (
     PROBE_OFFSET,
-    Arc,
     ContourSystem,
-    Disk,
     RegionKind,
+    _delta_args,
+    _distances,
     build_region,
-    contour_distance,
-    winding_of_arcs,
 )
 from bezmin.roots import RootSet
-from oracles import arc_delta_arg, distance_to_arc
+from oracles import RefArc, arc_delta_arg, contour_of, distance_to_arc, ref_arcs
 
 FIXTURE = Path(__file__).parent / "data" / "region_contours.json"
 FIXTURE_SEED = 424242
@@ -96,17 +94,16 @@ def _hex(x) -> str:
 
 def contour_record(contour: ContourSystem) -> dict:
     fields = []
-    for a in contour.arcs:
-        c = complex(a.circle.center)
-        fields += [_hex(c.real), _hex(c.imag), _hex(a.circle.radius),
-                   _hex(a.start_angle), _hex(a.end_angle), str(a.ccw)]
+    for c, r, t0, t1 in contour.rows():
+        fields += [_hex(c.real), _hex(c.imag), _hex(r), _hex(t0), _hex(t1),
+                   str(t1 > t0)]
     fields += [str(l) for l in contour.loops]
     for z, w in contour.orientation_certificate.items():
         z = complex(z)
         fields += [_hex(z.real), _hex(z.imag), str(w)]
     fields += [_hex(contour.total_length), _hex(contour.scale)]
     digest = hashlib.sha256("|".join(fields).encode()).hexdigest()
-    return {"n_arcs": len(contour.arcs), "n_loops": contour.n_loops, "sha256": digest}
+    return {"n_arcs": len(contour.radius), "n_loops": contour.n_loops, "sha256": digest}
 
 
 def region_records() -> dict:
@@ -197,10 +194,10 @@ def test_circles_with_kept_arcs_are_live():
                     contour = build_region(kind, rootsA, rootsB)
                 except (BezminError, ArithmeticError):
                     continue
-            circles = {a.circle for a in contour.arcs}
+            circles = set(zip(contour.center.tolist(), contour.radius.tolist()))
             live = regions._live_circles(
-                np.array([c.center for c in circles]),
-                np.array([c.radius for c in circles]),
+                np.array([c for c, _ in circles]),
+                np.array([r for _, r in circles]),
                 regions._region_disks(kind, rootsA, rootsB),
                 10.0 * PROBE_OFFSET * contour.scale,
             )
@@ -215,8 +212,8 @@ def test_circles_with_kept_arcs_are_live():
 
 def _query_contour(rng: np.random.Generator) -> ContourSystem:
     """Closed loops: circles cut into two or three arcs run counterclockwise,
-    or clockwise (inverted, as Arc.reversed gives them), plus one full circle
-    each way."""
+    or clockwise (inverted, as the inversion flips loops), plus one full
+    circle each way."""
     arcs, loops = [], []
     for li in range(6):
         c = complex(rng.standard_normal(), rng.standard_normal())
@@ -224,24 +221,23 @@ def _query_contour(rng: np.random.Generator) -> ContourSystem:
         t0 = float(rng.uniform(-math.pi, math.pi))
         cuts = np.sort(rng.uniform(0.1, 2 * math.pi - 0.1, int(rng.integers(1, 3))))
         ts = [t0] + [t0 + float(s) for s in cuts] + [t0 + 2 * math.pi]
-        loop = [Arc(Disk(c, r), a, b) for a, b in zip(ts, ts[1:])]
+        loop = [RefArc(c, r, a, b) for a, b in zip(ts, ts[1:])]
         if li % 2:
             loop = [a.reversed() for a in reversed(loop)]
         arcs += loop
         loops += [li] * len(loop)
-    arcs.append(Arc(Disk(0.2 - 0.1j, 0.9), -math.pi, math.pi))
-    arcs.append(Arc(Disk(-0.4 + 0.3j, 0.5), 1.0, 1.0 - 2 * math.pi, False))
+    arcs.append(RefArc(0.2 - 0.1j, 0.9, -math.pi, math.pi))
+    arcs.append(RefArc(-0.4 + 0.3j, 0.5, 1.0, 1.0 - 2 * math.pi))
     loops += [6, 7]
-    return ContourSystem(arcs=arcs, loops=loops,
-                         total_length=sum(a.length for a in arcs), scale=3.0)
+    return contour_of(arcs, loops, scale=3.0)
 
 
 def _query_points(contour: ContourSystem, rng: np.random.Generator) -> list[complex]:
     pts = [complex(p) for p in 2.5 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))]
-    for a in contour.arcs:
+    for a in ref_arcs(contour):
         for t in (0.0, 0.3, 0.5, 1.0):
             p = a.point(t)
-            u = (p - a.circle.center) / a.circle.radius
+            u = (p - a.center) / a.radius
             pts += [p + 1e-8 * u, p - 1e-8 * u]
     return pts
 
@@ -253,12 +249,13 @@ def test_array_queries_match_scalar_references():
     for _ in range(4):
         contour = _query_contour(rng)
         pts = _query_points(contour, rng)
-        want_w = [sum(arc_delta_arg(a, z) for a in contour.arcs) / (2 * math.pi)
-                  for z in pts]
-        got_w = [winding_of_arcs(contour.arcs, z) for z in pts]
+        arcs = ref_arcs(contour)
+        want_w = [sum(arc_delta_arg(a, z) for a in arcs) / (2 * math.pi) for z in pts]
+        z = np.array(pts)
+        got_w = np.sum(_delta_args(contour, z), axis=1) / (2 * math.pi)
         assert np.max(np.abs(np.subtract(got_w, want_w))) <= 1e-12
-        want_d = [min(distance_to_arc(a, z) for a in contour.arcs) for z in pts]
-        got_d = [contour_distance(contour.arcs, z) for z in pts]
+        want_d = [min(distance_to_arc(a, z) for a in arcs) for z in pts]
+        got_d = np.min(_distances(contour, z), axis=1)
         assert np.max(np.abs(np.subtract(got_d, want_d))) <= 1e-15 * contour.scale
         # no point lies within POINT_TOL * scale of the arcs
         assert min(want_d) > 1e-9 * contour.scale

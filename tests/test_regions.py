@@ -12,17 +12,13 @@ from bezmin.errors import (
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import (
-    Arc,
     ContourSystem,
-    Disk,
     RegionKind,
-    _arc_table,
     _chain_loops,
     _circle_intersections,
     _distances,
     build_region,
     build_region_with_jitter,
-    contour_distance,
     contour_metrics,
     invert_contour,
     membership,
@@ -33,8 +29,12 @@ from bezmin.separation import delta
 from bezmin.sylvester import build
 from bezmin.svgout import render_svg
 from oracles import (
+    RefArc,
+    arc_delta_arg,
     argument_principle_count,
+    contour_of,
     random_pair,
+    ref_arcs,
     sample_degrees,
     translation_point,
 )
@@ -51,9 +51,11 @@ def fig1():
 
 
 def _unit_circle_contour() -> ContourSystem:
-    arc = Arc(Disk(0j, 1.0), -math.pi, math.pi)
-    return ContourSystem(arcs=[arc], loops=[0], total_length=2 * math.pi,
-                         scale=2.0)
+    return contour_of([RefArc(0j, 1.0, -math.pi, math.pi)], [0], scale=2.0)
+
+
+def _loop(contour: ContourSystem, li: int) -> list[RefArc]:
+    return [a for a, l in zip(ref_arcs(contour), contour.loops) if l == li]
 
 
 def test_winding_unit_circle():
@@ -94,27 +96,25 @@ def test_single_root_region_is_smallest_circle():
     ra, rb = find_roots(A), find_roots(B)
     ea = build_region(RegionKind.E_A, ra, rb)
     assert ea.n_loops == 1
-    assert len(ea.arcs) == 1
+    assert len(ea.radius) == 1
     want = min(abs(b - alpha) / 3.0 for b in rb.roots)
-    assert ea.arcs[0].circle.radius == pytest.approx(want, rel=1e-12)
-    assert ea.arcs[0].is_full_circle
+    assert ea.radius[0] == pytest.approx(want, rel=1e-12)
+    assert ea.table.full[0]
 
 
 def test_loop_closure_and_interior_winding(fig1):
-    from bezmin.regions import winding_of_arcs
-
     A, B, ra, rb = fig1
     ea = build_region(RegionKind.E_A, ra, rb)
     tol = 1e-9 * ea.scale
     for li in range(ea.n_loops):
-        arcs = ea.loop_arcs(li)
+        arcs = _loop(ea, li)
         for a, b in zip(arcs, arcs[1:] + arcs[:1]):
-            assert abs(a.end_point - b.start_point) <= tol
+            assert abs(a.point(1.0) - b.point(0.0)) <= tol
         # the loop winds exactly once around a point just inside its first arc
         first = arcs[0]
-        u = (first.point(0.5) - first.circle.center) / first.circle.radius
-        probe = first.circle.center + (first.circle.radius - 1e-5) * u
-        w = round(winding_of_arcs(arcs, probe))
+        u = (first.point(0.5) - first.center) / first.radius
+        probe = first.center + (first.radius - 1e-5) * u
+        w = round(sum(arc_delta_arg(a, probe) for a in arcs) / (2 * math.pi))
         assert w in (-1, 1)
 
 
@@ -126,7 +126,7 @@ def test_membership_matches_winding_parity(fig1):
     pts = 1.4 * (rng.random(10_000) - 0.5) + 1.4j * (rng.random(10_000) - 0.5)
     member = membership(kind, ra, rb, pts)
     # points within 1e-6 of the contour are skipped
-    far = np.min(_distances(_arc_table(ea.arcs), pts), axis=1) >= 1e-6
+    far = np.min(_distances(ea, pts), axis=1) >= 1e-6
     inside = winding_numbers(ea, pts[far]) == 1
     assert (member[far] == inside).all()
     checked = int(np.count_nonzero(far))
@@ -228,8 +228,8 @@ def test_log_integral_scale_invariance():
         np.mean(0.75 / np.abs(1.0 + 0.75 * np.exp(1j * thetas))) * 2 * math.pi
     )
     for alpha in (0.3, -2.0 + 1.5j, 40j):
-        arc = Arc(Disk(alpha, 0.75 * abs(alpha)), -math.pi, math.pi)
-        contour = ContourSystem([arc], [0], arc.length, {}, 1 + abs(alpha))
+        arc = RefArc(alpha, 0.75 * abs(alpha), -math.pi, math.pi)
+        contour = contour_of([arc], [0], 1 + abs(alpha))
         A = Polynomial.from_roots([alpha])
         B = Polynomial.from_roots([3.0 * abs(alpha)])
         m = contour_metrics(contour, build(A, B), 0.1)
@@ -265,11 +265,11 @@ def test_component_length_within_bounding_circle(fig1):
     for kind in (RegionKind.E_A, RegionKind.E_B):
         region = build_region(kind, ra, rb)
         for li in range(region.n_loops):
-            arcs = region.loop_arcs(li)
+            arcs = _loop(region, li)
             pts = np.array([a.point(t) for a in arcs for t in np.linspace(0, 1, 17)])
             center = pts.mean()
             radius = float(np.max(np.abs(pts - center)))
-            length = sum(a.length for a in arcs)
+            length = sum(a.radius * abs(a.sweep) for a in arcs)
             assert length <= 2 * math.pi * radius + 1e-9
 
 
@@ -287,18 +287,17 @@ def test_scale_covariance_of_lengths():
 
 
 def test_invert_circle_example():
-    arc = Arc(Disk(0j, 2.0), -math.pi, math.pi)
-    contour = ContourSystem([arc], [0], arc.length, {}, 3.0)
+    contour = contour_of([RefArc(0j, 2.0, -math.pi, math.pi)], [0], 3.0)
     inv = invert_contour(contour)
-    assert len(inv.arcs) == 1
-    assert inv.arcs[0].circle.radius == pytest.approx(0.5)
-    assert abs(inv.arcs[0].circle.center) < 1e-14
+    assert len(inv.radius) == 1
+    assert inv.radius[0] == pytest.approx(0.5)
+    assert abs(inv.center[0]) < 1e-14
     assert winding_numbers(inv, [0.0])[0] == 1
 
 
 def test_invert_requires_origin_clear():
-    arc = Arc(Disk(1.0 + 0j, 1.0), -math.pi, math.pi)  # passes through 0
-    contour = ContourSystem([arc], [0], arc.length, {}, 2.0)
+    # the circle passes through 0
+    contour = contour_of([RefArc(1.0 + 0j, 1.0, -math.pi, math.pi)], [0], 2.0)
     with pytest.raises(OriginTooClose):
         invert_contour(contour)
 
@@ -324,9 +323,8 @@ def test_invert_involution():
     ra, rb = find_roots(A), find_roots(B)
     g1 = build_region(RegionKind.GAMMA1, ra, rb)
     back = invert_contour(invert_contour(g1))
-    for a in back.arcs:
-        for t in np.linspace(0, 1, 9):
-            assert contour_distance(g1.arcs, a.point(t)) < 1e-9
+    pts = np.array([a.point(t) for a in ref_arcs(back) for t in np.linspace(0, 1, 9)])
+    assert np.max(np.min(_distances(g1, pts), axis=1)) < 1e-9
 
 
 def test_translation_point_avoids_roots():
@@ -352,7 +350,7 @@ def test_svg_render_deterministic(fig1):
     one = render_svg([ea], list(ra.roots))
     two = render_svg([ea], list(ra.roots))
     assert one == two
-    assert one.count("<path") == len(ea.arcs)
+    assert one.count("<path") == len(ea.radius)
 
 
 def test_inverted_build_near_origin_root_raises():
@@ -383,3 +381,23 @@ def test_winding_checks_stop_at_the_first_bad_point():
         _certify(c, {0.0: 1, 3.0: 1, 1.0: 0})
     with pytest.raises(OnContourError):
         _certify(c, {0.0: 1, 1.0: 0, 3.0: 1})
+
+
+def test_nesting_is_checked_before_the_certificate(fig1, monkeypatch):
+    # one winding pass serves both checks; a nesting failure is still the
+    # error reported when the certificate would fail too
+    from bezmin import regions
+    from bezmin.errors import ContourNestingError
+
+    A, B, ra, rb = fig1
+    wrong = {z: 1 - w for z, w in regions.region_probes(RegionKind.E_A, ra, rb).items()}
+    monkeypatch.setattr(regions, "region_probes", lambda kind, a, b: wrong)
+    with pytest.raises(DegenerateArrangement, match="winding certificate failed"):
+        build_region(RegionKind.E_A, ra, rb)
+    # loop probes far outside every loop: the inside one winds 0, not 1
+    monkeypatch.setattr(
+        regions, "_loop_probes", lambda contour: np.full(2 * contour.n_loops, 50 + 0j)
+    )
+    with pytest.raises(ContourNestingError, match=r"^loop 0 winding probe at 50\+0j "
+                       r"gives 0, expected 1; unsupported nesting structure$"):
+        build_region(RegionKind.E_A, ra, rb)
