@@ -17,7 +17,11 @@ The families:
 * certify: `--seed 1 certify --count 200 --max-degree 5`, with the report it
   writes, less its `seconds` and `total_seconds` fields;
 * examples, figures: each in text and in `--json` mode, with the files it
-  writes.
+  writes;
+* arrangements: `regions.build_region` for all five region kinds on N
+  synthetic root-set pairs of each shape in ARRANGEMENT_SHAPES, drawn with
+  numpy alone (no root finder): each build's `to_json_dict()` and
+  certificate, or its error type and message.
 
 The script imports the `bezmin` of its own checkout (`src/`) and reads
 `bench/pairs.py` without changing anything there. Like `bench/run.py`, it
@@ -46,7 +50,12 @@ for _var in (
 ):
     os.environ[_var] = "1"
 
+import numpy as np  # noqa: E402
+
 from bezmin.cli import main  # noqa: E402
+from bezmin.errors import BezminError  # noqa: E402
+from bezmin.regions import RegionKind, build_region  # noqa: E402
+from bezmin.roots import RootSet  # noqa: E402
 from pairs import PairPool  # noqa: E402
 
 REGION_KINDS = "ea,eb,da,gamma1,inverted"
@@ -62,6 +71,80 @@ PAIR_FAMILIES = {
         "--svg", str(out / "regions.svg"),
     ],
 }
+
+
+ARRANGEMENT_SHAPES = ("random", "tight", "clustered", "scaled", "symmetric", "grid")
+ARRANGEMENT_SEED = 20231
+
+
+def _disk_points(rng: np.random.Generator, n: int, radius: float) -> list[complex]:
+    pts = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return [complex(p) for p in pts]
+
+
+def _arrangement(shape: str, rng: np.random.Generator):
+    """The roots of A and of B, degrees 1..8, for one draw of a shape:
+    independent roots in a disk; a tight pair (one root of B 1e-4..1e-2 from
+    a root of A); one or two clusters of width 1e-3..1e-1; one of those three
+    scaled by 1e-3..1e3; both sets on concentric regular polygons, which
+    repeat circles; or distinct points of a grid offset by half a step from
+    the origin, which tie distances and so meet tangencies."""
+    na, nb = (int(d) for d in rng.integers(1, 9, size=2))
+    if shape == "scaled":
+        ra, rb = _arrangement(("random", "tight", "clustered")[rng.integers(3)], rng)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        return [scale * z for z in ra], [scale * z for z in rb]
+    if shape == "symmetric":
+        turn = np.exp(2j * np.pi * np.arange(na) / na)
+        rho_a, rho_b = rng.uniform(0.2, 1.5, size=2)
+        phase = np.exp(1j * np.pi * rng.integers(0, 2) / na)
+        return list(rho_a * turn), list(rho_b * phase * turn)
+    if shape == "grid":
+        cells = np.arange(-3, 3) + 0.5
+        grid = (cells[:, None] + 1j * cells).ravel() * rng.uniform(0.1, 1.0)
+        pick = rng.permutation(len(grid))[: na + nb]
+        return list(grid[pick[:na]]), list(grid[pick[na:]])
+    if shape == "clustered":
+        hubs = _disk_points(rng, int(rng.integers(1, 3)), 1.5)
+        width = 10.0 ** rng.uniform(-3.0, -1.0)
+        return tuple(
+            [hubs[int(rng.integers(len(hubs)))] + p for p in _disk_points(rng, n, width)]
+            for n in (na, nb)
+        )
+    ra, rb = _disk_points(rng, na, 1.5), _disk_points(rng, nb, 1.5)
+    if shape == "tight":
+        dist = 10.0 ** rng.uniform(-4.0, -2.0)
+        rb[0] = ra[int(rng.integers(na))] + dist * np.exp(2j * np.pi * rng.random())
+    return ra, rb
+
+
+def _root_set(roots) -> RootSet:
+    roots = tuple(complex(r) for r in roots)
+    return RootSet(
+        roots=roots,
+        residuals=(0.0,) * len(roots),
+        multiplicity_suspect=(False,) * len(roots),
+        cauchy_bound=1.0 + max(abs(r) for r in roots),
+        verified=True,
+    )
+
+
+def _arrangement_digest(n_pairs: int):
+    h = hashlib.sha256()
+    for i, shape in enumerate(ARRANGEMENT_SHAPES):
+        rng = np.random.default_rng([ARRANGEMENT_SEED, i])
+        for _ in range(n_pairs):
+            rootsA, rootsB = (_root_set(r) for r in _arrangement(shape, rng))
+            for kind in RegionKind:
+                try:
+                    contour = build_region(kind, rootsA, rootsB)
+                except (BezminError, ArithmeticError) as exc:
+                    h.update(f"{type(exc).__name__}: {exc}\0".encode())
+                    continue
+                h.update(json.dumps(contour.to_json_dict()).encode())
+                h.update(repr(list(contour.orientation_certificate.items())).encode())
+                h.update(b"\0")
+    return h
 
 
 def _run(argv: list[str], tmp: Path) -> bytes:
@@ -117,6 +200,7 @@ def digests(n_pairs: int, tmp: Path) -> dict[str, str]:
             h.update(_run([*mode, "--out", str(out), command], tmp))
             h.update(_files(out) if out.exists() else b"")
         hashes[command] = h
+    hashes["arrangements"] = _arrangement_digest(n_pairs)
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 

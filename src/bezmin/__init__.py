@@ -4,8 +4,9 @@ Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
 from build(A, B): its degrees, Sylvester entries, and the roots, delta and
 LU factors, each computed once on first use), RootSet (certified roots),
 DeltaReport (separation quantities), ContourSystem (a region boundary built
-for a RegionKind, as one table of circular arcs: center, radius, start and
-end angle arrays plus a loop index per arc), and BezoutSolution (the minimal-degree
+for a RegionKind: the arcs between cuts of its disk circles whose midpoints
+lie on the boundary, as one table of center, radius, start and end angle
+arrays plus a loop index per arc), and BezoutSolution (the minimal-degree
 pair R, S with A*R + B*S = P). The separation quantities, solvers and
 reports all take the Pair; the monomial family P = z^l is
 solve(build(A, B), Polynomial.monomial(l)).
@@ -34,7 +35,6 @@ from .regions import (
     build_region,
     contour_metrics,
     invert_contour,
-    membership,
     region_probes,
     winding_numbers,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "build_region",
     "contour_metrics",
     "invert_contour",
-    "membership",
     "region_probes",
     "winding_numbers",
     "certify_main_bound",

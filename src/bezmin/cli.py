@@ -504,6 +504,7 @@ def cmd_certify(args, tol) -> int:
         ("--min-degree", args.min_degree, 1),
         ("--max-degree", args.max_degree, args.min_degree),
         ("--workers", args.workers, 1),
+        ("--separation-samples", args.separation_samples, 1),
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
@@ -682,7 +683,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, _tolerances(args.tol))
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuadratureNotConverged as exc:

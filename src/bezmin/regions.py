@@ -3,8 +3,9 @@
 The regions built here are monotone boolean combinations (unions and
 intersections, never complements) of open disks around the roots of A and B.
 Each kind is stated once: `_region_disks` gives its disks and `region_probes`
-the winding number its boundary must have about each root. Membership, the
-circles of the arrangement and every orientation certificate read these two.
+the winding number its boundary must have about each root. The circles of
+the arrangement, the arcs it keeps and every orientation certificate read
+these two.
 
 Because the combination is monotone, the region always lies locally on the
 inner side of every boundary circle, so orienting every kept arc
@@ -12,17 +13,18 @@ counterclockwise around its own circle yields the positively oriented
 boundary: winding +1 at interior points, 0 outside. Construction first drops
 the circles that cannot carry the boundary: those whose band of half-width
 m = 10 * PROBE_OFFSET * scale lies inside one disk of every row of
-`_region_disks`, or misses every disk of some row. It splits each live circle
-at its intersections with the other live circles and keeps a sub-arc iff a
-probe just inside the circle is in the region while the matching probe just
-outside is not. A dead circle is at least m from the boundary, and m exceeds
-the probes' clearance window (4h) plus their offset h <= PROBE_OFFSET * scale,
-so dropping it moves no kept arc, endpoint, clearance or probe: the contour
-is the one all circles give. Tangency is still checked on all circles, so an
-arrangement that was degenerate stays so. The construction works on arrays:
-all circle pairs, all cut angles and all candidate arcs at once, with the
-stored angles and endpoints rounded exactly as the scalar complex expressions
-that define them (arc_point).
+`_region_disks`, or misses every disk of some row. Near such a dead circle
+the region does not depend on that circle's disks, so dropping it moves no
+kept arc: the contour is the one all circles give. It splits each live circle
+at its intersections with the other live circles. No live circle crosses a
+sub-arc between two consecutive cuts, so the disk inequalities at its
+midpoint decide it exactly: the sub-arc is kept iff the midpoint is in the
+region with the arc's own disks counted as holding it, and out of the region
+with them counted as missing it. Tangency is still checked on all circles, so
+an arrangement that was degenerate stays so. The construction works on
+arrays: all circle pairs, all cut angles and all candidate arcs at once, with
+the stored angles and endpoints rounded exactly as the scalar complex
+expressions that define them (arc_point).
 
 A ContourSystem is one table of arcs: arrays of centers, radii, start and end
 angles, plus a loop index per arc. Everything that reads a contour (windings,
@@ -170,7 +172,9 @@ def region_probes(
 ) -> dict[complex, int]:
     """The winding number the region's boundary must have about each root: 1
     about the roots the region holds and 0 about those it excludes (D_A names
-    only the roots of A). The inverted region names 1/root."""
+    only the roots of A). The inverted region names 1/root, for each root
+    but those at 0: their image is the point at infinity, about which every
+    bounded loop winds 0."""
     inside, outside = rootsA.roots, rootsB.roots
     if kind == RegionKind.E_B:
         inside, outside = outside, inside
@@ -178,34 +182,8 @@ def region_probes(
         outside = ()
     probes = {complex(r): 1 for r in inside} | {complex(r): 0 for r in outside}
     if kind == RegionKind.GAMMA1_INVERTED:
-        return {1.0 / z: w for z, w in probes.items()}
+        return {1.0 / z: w for z, w in probes.items() if z != 0}
     return probes
-
-
-def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
-    """Pointwise region predicate; `z` may be a scalar or an ndarray."""
-    zz = np.asarray(z, dtype=complex)
-    if kind == RegionKind.GAMMA1_INVERTED:
-        safe = np.abs(zz) > 1e-300
-        inv = np.where(safe, 1.0 / np.where(safe, zz, 1.0), 0.0)
-        res = membership(RegionKind.GAMMA1, rootsA, rootsB, inv) & safe
-    else:
-        res = _inside(_region_disks(kind, rootsA, rootsB), zz)
-    return bool(res) if zz.shape == () else res
-
-
-def _inside(region: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
-    """Whether each point lies in the region given by _region_disks."""
-    centers, radii = region
-    # filled one center at a time: a broadcast difference would hold a
-    # complex temporary twice the size of the result
-    dist = np.empty(z.shape + centers.shape)
-    for j, c in enumerate(centers):
-        dist[..., j] = np.abs(z - c)
-    res = np.ones(z.shape, dtype=bool)
-    for row in radii:
-        res &= np.any(dist < row, axis=-1)
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +242,11 @@ def _live_circles(centers, radii, region, margin: float) -> np.ndarray:
     """Mask of the circles (centers, radii) that can carry the region's
     boundary. A circle is dead when the band of half-width `margin` around it
     lies inside one disk of every row of the region (all of it is interior)
-    or misses every disk of some row (none of it is). All circles against
-    all rows and centers in one broadcast: circle x row x center."""
+    or misses every disk of some row (none of it is). The circle's own disks
+    neither hold the band nor belong to a row that misses it, so within the
+    band the region does not depend on them, and dropping the circle moves
+    no kept arc. All circles against all rows and centers in one broadcast:
+    circle x row x center."""
     disk_c, disk_r = region
     d = np.abs(centers[:, None] - disk_c)[:, None, :]
     r = radii[:, None, None]
@@ -365,32 +346,23 @@ def _candidate_arcs(n_circles: int, owner, angle):
     return owner[order], start[order], end[order]
 
 
-_CLEARANCE_BLOCK = 4096
-
-
-def _probe_clearance(mx, my, owner, cx, cy, radii, scale: float, limit):
-    """Per candidate, the distance |abs(mid - c) - r| from its midpoint to
-    the nearest circle other than its own where that is at most `limit`, and
-    inf where a screen shows it is larger. The screen works in units of
-    `scale` with sqrt(dx^2 + dy^2), within 1e-14 * scale of the exact form
-    and several times faster than hypot. Candidates go in blocks: candidates
-    x circles at once would hold a matrix several times the size of the
-    arrangement, so a block holds at most _CLEARANCE_BLOCK candidate-circle
-    entries."""
-    sx, sy, sr = cx / scale, cy / scale, radii / scale
-    smx, smy = mx / scale, my / scale
-    out = np.full(len(owner), math.inf)
-    block = max(1, _CLEARANCE_BLOCK // max(1, len(radii)))
-    for lo in range(0, len(owner), block):
-        rows = np.arange(lo, min(lo + block, len(owner)))
-        dx, dy = smx[rows, None] - sx, smy[rows, None] - sy
-        gap = np.abs(np.sqrt(dx * dx + dy * dy) - sr)
-        gap[np.arange(len(rows)), owner[rows]] = math.inf
-        rows = rows[~(gap.min(axis=1, initial=math.inf) > limit[rows] / scale + 1e-12)]
-        gap = np.abs(np.hypot(mx[rows, None] - cx, my[rows, None] - cy) - radii)
-        gap[np.arange(len(rows)), owner[rows]] = math.inf
-        out[rows] = gap.min(axis=1, initial=math.inf)
-    return out
+def _crosses(region, mid, owner, centers, radii, tol: float) -> np.ndarray:
+    """Whether each candidate arc, on the circle (centers, radii)[owner] with
+    midpoint mid, lies on the region's boundary: the midpoint is in the
+    region when the arc's own disks (center and radius within tol of its
+    circle) count as holding it, and out of it when they count as missing
+    it. Every other disk is tested with the strict `<`. All candidates
+    against all rows and centers in one broadcast: candidate x row x center
+    (the own disks go circle x row x center first, then to the candidates)."""
+    disk_c, disk_r = region
+    own = (np.abs(centers[:, None] - disk_c) <= tol)[:, None, :] & (
+        np.abs(radii[:, None, None] - disk_r) <= tol
+    )
+    own = own[owner]
+    hit = np.abs(mid[:, None] - disk_c)[:, None, :] < disk_r
+    held = (hit | own).any(axis=2).all(axis=1)
+    hit &= ~own
+    return held & ~hit.any(axis=2).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +543,15 @@ def build_region(
     Identical circles (symmetric configurations produce them) are merged,
     and any (near-)tangent pair among the rest raises DegenerateArrangement.
     Only the live circles go on (_live_circles with margin
-    m = 10 * PROBE_OFFSET * scale): a dead one is at least m from the
-    boundary, beyond the 4h clearance window plus the probe offset h, so it
-    can own, end or disturb no kept arc. Every live circle is split at its
-    intersections with the other live circles; a sub-arc survives iff its
-    midpoint offset inward lies in the region and offset outward does not.
-    Kept arcs run counterclockwise around their own circles, which orients
-    the boundary positively (interior winding +1). The construction works on
-    arrays, and its arcs round exactly as the scalar expressions that define
-    them.
+    m = 10 * PROBE_OFFSET * scale): near a dead one the region does not
+    depend on its disks, so it can own or end no kept arc. Every live circle
+    is split at its intersections with the other live circles, and a sub-arc
+    survives iff its midpoint lies on the region's boundary (_crosses): in
+    the region with the arc's own disks counted as holding it, out of it with
+    them counted as missing it. Kept arcs run counterclockwise around their
+    own circles, which orients the boundary positively (interior winding +1).
+    The construction works on arrays, and its arcs round exactly as the
+    scalar expressions that define them.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
         inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
@@ -591,6 +563,7 @@ def build_region(
         return inverted
 
     scale = 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
+    tol = POINT_TOL * scale
     region = _region_disks(kind, rootsA, rootsB)
     centers, radii = region
     d_row = kind in (RegionKind.D_A, RegionKind.GAMMA1)
@@ -602,7 +575,7 @@ def build_region(
         )
     # the circles row by row
     centers, radii = np.broadcast_to(centers, radii.shape).ravel(), radii.ravel()
-    keep = _distinct_circles(centers, radii, POINT_TOL * scale)
+    keep = _distinct_circles(centers, radii, tol)
     centers, radii = centers[keep], radii[keep]
     live = _live_circles(centers, radii, region, 10.0 * PROBE_OFFSET * scale)
     owner, px, py = _circle_intersections(
@@ -615,25 +588,12 @@ def build_region(
     angle = np.fromiter(
         map(math.atan2, py - cy[owner], px - cx[owner]), dtype=float, count=len(owner)
     )
-    owner, angle = _split_angles(owner, angle, radii, POINT_TOL * scale)
+    owner, angle = _split_angles(owner, angle, radii, tol)
     owner, t0, t1 = _candidate_arcs(len(radii), owner, angle)
 
-    ox, oy, r = cx[owner], cy[owner], radii[owner]
-    mx, my = _on_circle(ox, oy, r, t0 + 0.5 * (t1 - t0))
-    ux, uy = _divided(mx - ox, my - oy, np.hypot(mx - ox, my - oy))
-    # probes must not jump across another circle that passes close to this
-    # arc (near-tangent configurations), so the offset shrinks below the
-    # local clearance
-    h = np.minimum(PROBE_OFFSET * scale, 0.3 * r)
-    clearance = _probe_clearance(mx, my, owner, cx, cy, radii, scale, 4.0 * h)
-    h = np.minimum(h, 0.25 * clearance)
-    h = np.maximum(h, 64.0 * np.finfo(float).eps * scale)
-    inner_outer = np.concatenate([
-        _complex(ox + dx, oy + dy)
-        for dx, dy in (_scaled(r - h, ux, uy), _scaled(r + h, ux, uy))
-    ])
-    mem_in, mem_out = np.split(_inside(region, inner_outer), 2)
-    kept = np.flatnonzero(mem_in & ~mem_out)
+    theta = t0 + 0.5 * (t1 - t0)
+    mid = _complex(*_on_circle(cx[owner], cy[owner], radii[owner], theta))
+    kept = np.flatnonzero(_crosses(region, mid, owner, centers, radii, tol))
 
     if not len(kept):
         raise DegenerateArrangement("region boundary is empty")
@@ -641,7 +601,7 @@ def build_region(
     owner = owner[kept]
     arcs = centers[owner], radii[owner], t0[kept], t1[kept]
     table = _table(*arcs)
-    order, loops = _chain_loops(table.p0, table.p1, POINT_TOL * scale)
+    order, loops = _chain_loops(table.p0, table.p1, tol)
     contour = ContourSystem(*(col[order] for col in arcs), loops, scale)
     contour.table = _ArcTable(*(col[order] for col in table))
     # the loop probes and the certificate's probes in one winding pass

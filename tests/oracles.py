@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: the literal residue sum (an
 oracle for the interpolation backend), the translation p(z + z0), a
-root-free translation point, a sub-level set predicate, a per-arc record of
-a contour with the scalar per-arc winding increment, distance and
+root-free translation point, a sub-level set predicate, the pointwise region
+predicate (membership, a reference for build_region), a per-arc record of a
+contour with the scalar per-arc winding increment, distance and
 subdivision (references for the array code in regions and backends), a
 quadrature rule's integral of a function, the argument-principle zero count,
 and rejection sampling of random pairs."""
@@ -18,7 +19,7 @@ from bezmin.backends import QuadratureRule, _guard_simple, _subdivide, build_rul
 from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
-from bezmin.regions import ContourSystem
+from bezmin.regions import ContourSystem, RegionKind, _region_disks
 from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution, Pair, build
@@ -102,6 +103,32 @@ def sublevel_member(p: Polynomial, eps: float, z: complex) -> bool:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return bool(abs(p(z)) < eps)
+
+
+def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
+    """Pointwise region predicate; `z` may be a scalar or an ndarray."""
+    zz = np.asarray(z, dtype=complex)
+    if kind == RegionKind.GAMMA1_INVERTED:
+        safe = np.abs(zz) > 1e-300
+        inv = np.where(safe, 1.0 / np.where(safe, zz, 1.0), 0.0)
+        res = membership(RegionKind.GAMMA1, rootsA, rootsB, inv) & safe
+    else:
+        res = _inside(_region_disks(kind, rootsA, rootsB), zz)
+    return bool(res) if zz.shape == () else res
+
+
+def _inside(region: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
+    """Whether each point lies in the region given by _region_disks."""
+    centers, radii = region
+    # filled one center at a time: a broadcast difference would hold a
+    # complex temporary twice the size of the result
+    dist = np.empty(z.shape + centers.shape)
+    for j, c in enumerate(centers):
+        dist[..., j] = np.abs(z - c)
+    res = np.ones(z.shape, dtype=bool)
+    for row in radii:
+        res &= np.any(dist < row, axis=-1)
+    return res
 
 
 @dataclass(frozen=True)

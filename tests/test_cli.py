@@ -326,7 +326,8 @@ def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
     (["--min-degree", "0"], "--min-degree"),
     (["--min-degree", "4", "--max-degree", "2"], "--max-degree"),
     (["--workers", "0"], "--workers"),
-], ids=["min-degree-0", "max-below-min", "workers-0"])
+    (["--separation-samples", "-5"], "--separation-samples"),
+], ids=["min-degree-0", "max-below-min", "workers-0", "separation-samples-negative"])
 def test_certify_bad_flag_values_are_usage_errors(tmp_path, capsys, flags, name):
     # at seed 0, 40 draws include a degree-0 one for --min-degree 0
     code = main(["--out", str(tmp_path), "certify", "--count", "40", *flags])
@@ -342,6 +343,20 @@ def test_tolerance_override_usage_error():
 
 def test_missing_file_usage_error(tmp_path):
     assert main(["roots", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d, f: ["roots", str(d)],
+    lambda d, f: ["--out", str(f), "figures"],
+    lambda d, f: ["--out", str(f / "x"), "certify", "--count", "1"],
+], ids=["roots-of-a-directory", "out-is-a-file", "out-under-a-file"])
+def test_os_errors_are_usage_errors(tmp_path, capsys, argv):
+    f = tmp_path / "file"
+    f.write_text("")
+    assert main(argv(tmp_path, f)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_command_exits_two():

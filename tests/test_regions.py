@@ -12,6 +12,9 @@ from bezmin.errors import (
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import (
+    POINT_TOL,
+    PROBE_OFFSET,
+    TANGENCY_TOL,
     ContourSystem,
     RegionKind,
     _chain_loops,
@@ -21,10 +24,9 @@ from bezmin.regions import (
     build_region_with_jitter,
     contour_metrics,
     invert_contour,
-    membership,
     winding_numbers,
 )
-from bezmin.roots import find_roots
+from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
 from bezmin.sylvester import build
 from bezmin.svgout import render_svg
@@ -33,6 +35,7 @@ from oracles import (
     arc_delta_arg,
     argument_principle_count,
     contour_of,
+    membership,
     random_pair,
     ref_arcs,
     sample_degrees,
@@ -48,6 +51,17 @@ def fig1():
     A = Polynomial.from_roots(FIG1_ALPHAS)
     B = Polynomial.from_roots(FIG1_BETAS)
     return A, B, find_roots(A), find_roots(B)
+
+
+def _roots(roots) -> RootSet:
+    roots = tuple(complex(r) for r in roots)
+    return RootSet(
+        roots=roots,
+        residuals=(0.0,) * len(roots),
+        multiplicity_suspect=(False,) * len(roots),
+        cauchy_bound=1.0 + max(abs(r) for r in roots),
+        verified=True,
+    )
 
 
 def _unit_circle_contour() -> ContourSystem:
@@ -178,6 +192,35 @@ def test_argument_principle_on_boundaries(fig1):
     count_b = argument_principle_count(B, ea)
     assert abs(count_a - A.degree) < 1e-6
     assert abs(count_b) < 1e-6
+
+
+@pytest.mark.parametrize("gap", [1e-7, -1e-7], ids=["apart", "overlapping"])
+def test_circle_passing_close_to_an_arc_midpoint(gap):
+    # E_A of A = (z + 0.3) z (z - 1) and B = z - iy is the union of the disks
+    # around -0.3, 0 and 1 with radii |a - iy| / 3, and y is chosen so that
+    # the circles around 0 and 1 are gap apart (or overlap by -gap), well
+    # clear of tangency. Every cut is symmetric about the real axis, so one
+    # candidate arc of the circle around 0 has its midpoint at r1, the point
+    # nearest the circle around 1. (The circle around -0.3 comes first, so
+    # the loop nesting probes sit on its far side, clear of the close pass.)
+    y = (9 * (1 - gap) ** 2 - 1) / (6 * (1 - gap))
+    ra = _roots([-0.3, 0, 1])
+    rb = _roots([1j * y])
+    scale = 1 + y
+    r1, r2 = y / 3, abs(1 - 1j * y) / 3
+    pass_distance = abs(abs(r1 - 1) - r2)
+    assert TANGENCY_TOL * scale < pass_distance < 4 * PROBE_OFFSET * scale
+    ea = build_region(RegionKind.E_A, ra, rb)
+    assert ea.orientation_certificate == {-0.3 + 0j: 1, 0j: 1, 1 + 0j: 1, 1j * y: 0}
+    assert ea.n_loops == (2 if gap > 0 else 1)
+    # points around the close pass, across the gap and both circles
+    xs = r1 + np.linspace(-6e-7, 6e-7, 49)
+    pts = (xs[:, None] + 1j * np.linspace(-6e-7, 6e-7, 49)).ravel()
+    far = np.min(_distances(ea, pts), axis=1) > POINT_TOL * ea.scale
+    member = membership(RegionKind.E_A, ra, rb, pts[far])
+    assert (member == (winding_numbers(ea, pts[far]) == 1)).all()
+    assert member.all() == (gap < 0)
+    assert np.count_nonzero(far) > 2000
 
 
 def test_tangent_circles_raise():
@@ -313,6 +356,12 @@ def test_inverted_region_windings():
         assert winding_numbers(inv, [1.0 / a])[0] == 1
     for b in rb.roots:
         assert winding_numbers(inv, [1.0 / b])[0] == 0
+
+
+def test_inverted_region_leaves_roots_at_the_origin_out_of_its_probes():
+    ra, rb = find_roots(Polynomial([-0.5, 1])), find_roots(Polynomial([0, 1]))
+    inv = build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
+    assert inv.orientation_certificate == {2 + 0j: 1}
 
 
 def test_invert_involution():
