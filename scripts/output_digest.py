@@ -21,7 +21,9 @@ The families:
 * arrangements: `regions.build_region` for all five region kinds on N
   synthetic root-set pairs of each shape in ARRANGEMENT_SHAPES, drawn with
   numpy alone (no root finder): each build's `to_json_dict()` and
-  certificate, or its error type and message.
+  certificate, or its error type and message. After the digests the script
+  prints how many of these builds succeeded and how many raised each error
+  type, so a change in what a build refuses shows as numbers.
 
 The script imports the `bezmin` of its own checkout (`src/`) and reads
 `bench/pairs.py` without changing anything there. Like `bench/run.py`, it
@@ -32,6 +34,7 @@ digests do not depend on the shell they are run from.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -130,7 +133,10 @@ def _root_set(roots) -> RootSet:
 
 
 def _arrangement_digest(n_pairs: int):
+    """The arrangements digest, and a count of the builds per outcome: "built"
+    or the error type."""
     h = hashlib.sha256()
+    outcomes: collections.Counter[str] = collections.Counter()
     for i, shape in enumerate(ARRANGEMENT_SHAPES):
         rng = np.random.default_rng([ARRANGEMENT_SEED, i])
         for _ in range(n_pairs):
@@ -140,11 +146,13 @@ def _arrangement_digest(n_pairs: int):
                     contour = build_region(kind, rootsA, rootsB)
                 except (BezminError, ArithmeticError) as exc:
                     h.update(f"{type(exc).__name__}: {exc}\0".encode())
+                    outcomes[type(exc).__name__] += 1
                     continue
                 h.update(json.dumps(contour.to_json_dict()).encode())
                 h.update(repr(list(contour.orientation_certificate.items())).encode())
                 h.update(b"\0")
-    return h
+                outcomes["built"] += 1
+    return h, outcomes
 
 
 def _run(argv: list[str], tmp: Path) -> bytes:
@@ -168,7 +176,8 @@ def _files(directory: Path) -> bytes:
     return b"".join(parts)
 
 
-def digests(n_pairs: int, tmp: Path) -> dict[str, str]:
+def digests(n_pairs: int, tmp: Path) -> tuple[dict[str, str], collections.Counter]:
+    """The digest per family, and the arrangement builds per outcome."""
     hashes = {name: hashlib.sha256() for name in PAIR_FAMILIES}
     written = tmp / "written"
     for workload in ("solve-d8", "solve-tight"):
@@ -200,8 +209,8 @@ def digests(n_pairs: int, tmp: Path) -> dict[str, str]:
             h.update(_run([*mode, "--out", str(out), command], tmp))
             h.update(_files(out) if out.exists() else b"")
         hashes[command] = h
-    hashes["arrangements"] = _arrangement_digest(n_pairs)
-    return {name: h.hexdigest() for name, h in hashes.items()}
+    hashes["arrangements"], outcomes = _arrangement_digest(n_pairs)
+    return {name: h.hexdigest() for name, h in hashes.items()}, outcomes
 
 
 def main_digest() -> None:
@@ -209,8 +218,12 @@ def main_digest() -> None:
     ap.add_argument("pairs", type=int, help="pairs taken from each pool")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in digests(args.pairs, Path(tmp)).items():
-            print(f"{name:<15} {digest}")
+        hexdigests, outcomes = digests(args.pairs, Path(tmp))
+    for name, digest in hexdigests.items():
+        print(f"{name:<15} {digest}")
+    print(f"arrangements: {sum(outcomes.values())} builds")
+    for outcome, count in outcomes.most_common():
+        print(f"  {outcome:<22} {count}")
 
 
 if __name__ == "__main__":

@@ -43,8 +43,9 @@ from .separation import delta
 from .sylvester import BezoutSolution, Pair
 
 # the first quadrature order; solve_quadrature doubles it until the
-# coefficients settle
+# coefficients settle, up to MAX_ORDER
 START_ORDER = 16
+MAX_ORDER = 2048
 
 
 def _guard_simple(roots: RootSet, who: str) -> None:
@@ -176,12 +177,11 @@ def _coefficients_from_integrals(
 def solve_quadrature(
     pair: Pair,
     P: Polynomial | None = None,
-    max_order: int = 2048,
     tol: float = 1e-9,
 ) -> BezoutSolution:
     """Evaluate the coefficient contour integrals by per-arc Gauss-Legendre
     quadrature, doubling the order until every coefficient is stable. The
-    orders run START_ORDER, 2 * START_ORDER, ... up to at most max_order.
+    orders run START_ORDER, 2 * START_ORDER, ... up to at most MAX_ORDER.
 
     The contours are the E_A and E_B region boundaries, whose certificates
     must give the windings region_probes asks for.
@@ -219,7 +219,7 @@ def solve_quadrature(
 
     order = START_ORDER
     r_prev, s_prev = solve_at(order)
-    while 2 * order <= max_order:
+    while 2 * order <= MAX_ORDER:
         order *= 2
         r_new, s_new = solve_at(order)
         change = max(
@@ -231,10 +231,6 @@ def solve_quadrature(
                 pair, P, Polynomial(r_new), Polynomial(s_new), "quadrature"
             )
         r_prev, s_prev = r_new, s_new
-    if order == START_ORDER:
-        raise QuadratureNotConverged(
-            f"max_order {max_order} leaves no order to compare with {order}"
-        )
     raise QuadratureNotConverged(
         f"coefficients still moving between orders {order // 2} and {order}"
     )

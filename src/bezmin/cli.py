@@ -13,6 +13,7 @@ import cmath
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -508,6 +509,8 @@ def cmd_certify(args, tol) -> int:
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if not math.isfinite(args.delta_floor):
+        raise ValueError(f"--delta-floor must be finite, got {args.delta_floor}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(args.seed).spawn(args.count)
@@ -674,8 +677,11 @@ def _tolerances(specs: list[str]) -> dict[str, float]:
             )
         tolerances[name] = float(value)
     for name, value in tolerances.items():
-        if value <= 0:
-            raise ValueError(f"tolerance {name} must be positive")
+        # a NaN tolerance fails every check and an infinite one none
+        if not (0 < value < math.inf):
+            raise ValueError(
+                f"tolerance {name} must be finite and positive, got {value}"
+            )
     return tolerances
 
 

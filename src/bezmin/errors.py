@@ -26,12 +26,10 @@ class SeparationViolation(BezminError):
 
 
 class DegenerateArrangement(BezminError):
-    """Two distinct circles of an arrangement are tangent within tolerance."""
-
-
-class ContourNestingError(BezminError):
-    """A constructed boundary has nested loops; orientation rules are not
-    defined for this case and the caller should jitter the instance."""
+    """A region boundary cannot be built or certified: two circles that can
+    carry it are tangent within tolerance, a disk has radius 0, a root of A
+    lies at 0 where D_A needs it off, the boundary is empty, its arcs do not
+    close into loops, or it fails its winding certificate."""
 
 
 class OnContourError(BezminError):

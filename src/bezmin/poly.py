@@ -82,12 +82,10 @@ class Polynomial:
                 last = k
         return Polynomial(self._coeffs[: last + 1])
 
-    def reverse(self, target_degree: int | None = None) -> "Polynomial":
+    def reverse(self, target_degree: int) -> "Polynomial":
         """Return z**target_degree * p(1/z): coefficients reversed in a
         window of length target_degree + 1."""
         d = self.degree
-        if target_degree is None:
-            target_degree = d
         if target_degree < d:
             raise ValueError(
                 f"target_degree {target_degree} below actual degree {d}"
@@ -159,8 +157,8 @@ class Polynomial:
         return cls(out)
 
     @classmethod
-    def monomial(cls, k: int, c: complex = 1.0) -> "Polynomial":
-        return cls([0j] * k + [complex(c)])
+    def monomial(cls, k: int) -> "Polynomial":
+        return cls([0] * k + [1])
 
     # Shared JSON wire format: {"coeffs": [[re, im], ...]}, index = power.
     def to_json_dict(self) -> dict:

@@ -9,22 +9,27 @@ these two.
 
 Because the combination is monotone, the region always lies locally on the
 inner side of every boundary circle, so orienting every kept arc
-counterclockwise around its own circle yields the positively oriented
-boundary: winding +1 at interior points, 0 outside. Construction first drops
-the circles that cannot carry the boundary: those whose band of half-width
-m = 10 * PROBE_OFFSET * scale lies inside one disk of every row of
-`_region_disks`, or misses every disk of some row. Near such a dead circle
-the region does not depend on that circle's disks, so dropping it moves no
-kept arc: the contour is the one all circles give. It splits each live circle
-at its intersections with the other live circles. No live circle crosses a
-sub-arc between two consecutive cuts, so the disk inequalities at its
-midpoint decide it exactly: the sub-arc is kept iff the midpoint is in the
-region with the arc's own disks counted as holding it, and out of the region
-with them counted as missing it. Tangency is still checked on all circles, so
-an arrangement that was degenerate stays so. The construction works on
-arrays: all circle pairs, all cut angles and all candidate arcs at once, with
-the stored angles and endpoints rounded exactly as the scalar complex
-expressions that define them (arc_point).
+counterclockwise around its own circle puts the region on its left. Windings
+add over arcs, so the kept arcs together wind +1 about every interior point
+and 0 about every exterior point, however their loops nest; the winding
+certificate about the roots is the one check a build makes of its result.
+
+Construction first drops the circles that cannot carry the boundary: those
+whose band of half-width m = LIVE_MARGIN * scale lies inside one disk of
+every row of `_region_disks`, or misses every disk of some row. Near such a
+dead circle the region does not depend on that circle's disks, so dropping
+it moves no kept arc: the contour is the one all circles give. The band lies
+wholly inside or wholly outside the region, so no point where another circle
+touches a dead one is on the contour, and tangency is checked only among the
+live circles. Each live circle is then split at its intersections with the
+other live circles. No live circle crosses a sub-arc between two
+consecutive cuts, so the disk inequalities at its midpoint decide it
+exactly: the sub-arc is kept iff the midpoint is in the region with the
+arc's own disks counted as holding it, and out of the region with them
+counted as missing it. The construction works on arrays: all circle pairs,
+all cut angles and all candidate arcs at once, with the stored angles and
+endpoints rounded exactly as the scalar complex expressions that define them
+(arc_point).
 
 A ContourSystem is one table of arcs: arrays of centers, radii, start and end
 angles, plus a loop index per arc. Everything that reads a contour (windings,
@@ -37,7 +42,7 @@ query point lies in the circular segment between chord and arc. No quadrature
 or subdivision is involved. The queries take the contour's endpoints and
 midpoints (ContourSystem.table, derived once per contour) and run all arcs
 against all query points in one pass (winding_numbers); a build checks its
-loops' nesting and its certificate in one such pass.
+certificate in one such pass.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ContourNestingError,
     DegenerateArrangement,
     OnContourError,
     OriginInRegionError,
@@ -63,7 +67,7 @@ from .sylvester import Pair
 
 TANGENCY_TOL = 1e-12
 POINT_TOL = 1e-9
-PROBE_OFFSET = 1e-7
+LIVE_MARGIN = 1e-6
 WINDING_INT_TOL = 1e-6
 
 
@@ -244,9 +248,10 @@ def _live_circles(centers, radii, region, margin: float) -> np.ndarray:
     lies inside one disk of every row of the region (all of it is interior)
     or misses every disk of some row (none of it is). The circle's own disks
     neither hold the band nor belong to a row that misses it, so within the
-    band the region does not depend on them, and dropping the circle moves
-    no kept arc. All circles against all rows and centers in one broadcast:
-    circle x row x center."""
+    band the region does not depend on them: dropping the circle moves no
+    kept arc, and no circle that touches it there touches the contour. All
+    circles against all rows and centers in one broadcast: circle x row x
+    center."""
     disk_c, disk_r = region
     d = np.abs(centers[:, None] - disk_c)[:, None, :]
     r = radii[:, None, None]
@@ -255,13 +260,11 @@ def _live_circles(centers, radii, region, margin: float) -> np.ndarray:
     return ~(inside.any(axis=2).all(axis=1) | clear.all(axis=2).any(axis=1))
 
 
-def _circle_intersections(cx, cy, radii, scale: float, live):
-    """Transversal intersection points of the live circle pairs i < j (`live`
-    masks the circles), as arrays (owner, x, y): each pair lists its two
-    points for circle i, then for circle j, pairs in row-major order, with
-    owners numbered among the live circles. Raises DegenerateArrangement at
-    the first (near-)tangent pair of all the circles, live or not, in that
-    order."""
+def _circle_intersections(cx, cy, radii, scale: float):
+    """Transversal intersection points of the circle pairs i < j, as arrays
+    (owner, x, y): each pair lists its two points for circle i, then for
+    circle j, pairs in row-major order. Raises DegenerateArrangement at the
+    first (near-)tangent pair in that order."""
     # the pairs as np.triu_indices(n, 1) orders them, at a fraction of its cost
     idx = np.arange(len(radii))
     i, j = np.nonzero(idx[:, None] < idx)
@@ -274,7 +277,7 @@ def _circle_intersections(cx, cy, radii, scale: float, live):
         k = int(np.argmax(tangent))
         c1, c2 = complex(cx[i[k]], cy[i[k]]), complex(cx[j[k]], cy[j[k]])
         raise DegenerateArrangement(f"tangent circles at centers {c1:.6g}, {c2:.6g}")
-    meet = ~(disc < 0) & live[i] & live[j]
+    meet = ~(disc < 0)
     i, j, dx, dy, d = i[meet], j[meet], dx[meet], dy[meet], d[meet]
     # r**2 as Python's float power rounds it
     rsq = np.array([r**2 for r in radii.tolist()])
@@ -287,7 +290,7 @@ def _circle_intersections(cx, cy, radii, scale: float, live):
     # off = (1j * h) * e
     hr, hi = 0.0 * h - 0.0, 0.0 + h
     ox, oy = hr * ex - hi * ey, hr * ey + hi * ex
-    owner = (np.cumsum(live) - 1)[np.array([i, i, j, j]).T.ravel()]
+    owner = np.array([i, i, j, j]).T.ravel()
     x = np.array([bx + ox, bx - ox, bx + ox, bx - ox]).T.ravel()
     y = np.array([by + oy, by - oy, by + oy, by - oy]).T.ravel()
     return owner, x, y
@@ -509,49 +512,25 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     return order, loop_ids
 
 
-def _loop_probes(contour: ContourSystem) -> np.ndarray:
-    """Per loop, the point just inside and then the one just outside the
-    midpoint of its first arc."""
-    loops = contour.loops
-    first = [loops.index(li) for li in range(contour.n_loops)]
-    c, r = contour.center[first], contour.radius[first]
-    u = (contour.table.mid[first] - c) / r
-    h = np.minimum(PROBE_OFFSET * contour.scale, 0.3 * r)
-    return np.stack([c + (r - h) * u, c + (r + h) * u], axis=1).ravel()
-
-
-def _check_loop_consistency(probes: np.ndarray, windings: np.ndarray) -> None:
-    """Every loop must see total winding 1 just inside itself and 0 just
-    outside, at its _loop_probes. Holes (nested loops bounding a complement
-    component) satisfy this automatically under the per-arc ccw orientation;
-    anything else is an unsupported nesting structure."""
-    expected = [1, 0] * (len(probes) // 2)
-    for k, (w, want) in enumerate(zip(windings.tolist(), expected)):
-        w = round(w)
-        if w != want:
-            raise ContourNestingError(
-                f"loop {k // 2} winding probe at {probes[k]:.6g} gives {w}, "
-                f"expected {want}; unsupported nesting structure"
-            )
-
-
 def build_region(
     kind: RegionKind, rootsA: RootSet, rootsB: RootSet
 ) -> ContourSystem:
     """Oriented boundary of the requested region as chained circular arcs.
 
-    Identical circles (symmetric configurations produce them) are merged,
-    and any (near-)tangent pair among the rest raises DegenerateArrangement.
+    Identical circles (symmetric configurations produce them) are merged.
     Only the live circles go on (_live_circles with margin
-    m = 10 * PROBE_OFFSET * scale): near a dead one the region does not
-    depend on its disks, so it can own or end no kept arc. Every live circle
-    is split at its intersections with the other live circles, and a sub-arc
+    m = LIVE_MARGIN * scale): near a dead one the region does not depend on
+    its disks, so it can own or end no kept arc. A (near-)tangent pair of
+    live circles raises DegenerateArrangement. Every live circle is split
+    at its intersections with the other live circles, and a sub-arc
     survives iff its midpoint lies on the region's boundary (_crosses): in
     the region with the arc's own disks counted as holding it, out of it with
     them counted as missing it. Kept arcs run counterclockwise around their
-    own circles, which orients the boundary positively (interior winding +1).
-    The construction works on arrays, and its arcs round exactly as the
-    scalar expressions that define them.
+    own circles, so the boundary winds +1 about interior points and 0 about
+    exterior ones whatever its loops' nesting; the winding certificate about
+    the roots (_certify) is the build's last step. The construction works on
+    arrays, and its arcs round exactly as the scalar expressions that define
+    them.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
         inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
@@ -577,12 +556,10 @@ def build_region(
     centers, radii = np.broadcast_to(centers, radii.shape).ravel(), radii.ravel()
     keep = _distinct_circles(centers, radii, tol)
     centers, radii = centers[keep], radii[keep]
-    live = _live_circles(centers, radii, region, 10.0 * PROBE_OFFSET * scale)
-    owner, px, py = _circle_intersections(
-        centers.real, centers.imag, radii, scale, live
-    )
+    live = _live_circles(centers, radii, region, LIVE_MARGIN * scale)
     centers, radii = centers[live], radii[live]
     cx, cy = centers.real, centers.imag
+    owner, px, py = _circle_intersections(cx, cy, radii, scale)
 
     # math.atan2, not np.arctan2: the two differ in the last bit
     angle = np.fromiter(
@@ -604,12 +581,7 @@ def build_region(
     order, loops = _chain_loops(table.p0, table.p1, tol)
     contour = ContourSystem(*(col[order] for col in arcs), loops, scale)
     contour.table = _ArcTable(*(col[order] for col in table))
-    # the loop probes and the certificate's probes in one winding pass
-    nesting = _loop_probes(contour)
-    probes = region_probes(kind, rootsA, rootsB)
-    w, near = _windings(contour, [*nesting, *probes])
-    _check_loop_consistency(nesting, w[: len(nesting)])
-    _record_certificate(contour, probes, w[len(nesting):], near[len(nesting):])
+    _certify(contour, region_probes(kind, rootsA, rootsB))
     return contour
 
 
@@ -618,12 +590,8 @@ def _certify(contour: ContourSystem, probes: dict[complex, int]) -> None:
     certificate once each point has that winding number. Raises
     DegenerateArrangement at the first point with another winding number,
     unless a point before it has none (the error of _integer_windings)."""
-    _record_certificate(contour, probes, *_windings(contour, list(probes)))
-
-
-def _record_certificate(contour, probes, w, near) -> None:
-    """_certify, given the _windings of the probes."""
-    ks, err = _integer_windings(list(probes), w, near)
+    points = list(probes)
+    ks, err = _integer_windings(points, *_windings(contour, points))
     for (z, expected), k in zip(probes.items(), ks.tolist()):
         if k != expected:
             raise DegenerateArrangement(

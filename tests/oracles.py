@@ -24,6 +24,9 @@ from bezmin.roots import RootSet, find_roots
 from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution, Pair, build
 
+# the highest order argument_principle_count evaluates
+MAX_ORDER = 1024
+
 
 def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Literal residue summation of the coefficient integrals. Identical in
@@ -239,11 +242,10 @@ def argument_principle_count(
     P: Polynomial,
     contour: ContourSystem,
     start_order: int = 16,
-    max_order: int = 1024,
     tol: float = 1e-8,
 ) -> complex:
     """(1/2 pi i) * integral of P'/P over the contour: counts enclosed zeros
-    of P weighted by winding. Order doubles until stable."""
+    of P weighted by winding. Order doubles until stable, up to MAX_ORDER."""
     dP = P.derivative()
     contour = _subdivide(contour, np.array(find_roots(P).roots))
 
@@ -253,7 +255,7 @@ def argument_principle_count(
 
     order = start_order
     prev = value(order)
-    while 2 * order <= max_order:
+    while 2 * order <= MAX_ORDER:
         order *= 2
         cur = value(order)
         if abs(cur - prev) <= tol:

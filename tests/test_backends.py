@@ -284,7 +284,7 @@ def test_quadrature_stable_under_doubling():
 
 
 def test_quadrature_never_exceeds_max_order(monkeypatch):
-    # an unreachable tolerance doubles the order until max_order, which is
+    # an unreachable tolerance doubles the order until MAX_ORDER, which is
     # the last order evaluated, and the error names the last two compared
     rng = np.random.default_rng(64)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
@@ -295,8 +295,9 @@ def test_quadrature_never_exceeds_max_order(monkeypatch):
         return build_rule(contour, order)
 
     monkeypatch.setattr(backends, "build_rule", spy)
+    monkeypatch.setattr(backends, "MAX_ORDER", 64)
     with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
-        solve_quadrature(inst.pair, max_order=64, tol=1e-30)
+        solve_quadrature(inst.pair, tol=1e-30)
     assert max(built) == 64
 
 
@@ -313,8 +314,9 @@ def test_argument_principle_count_never_exceeds_max_order(monkeypatch):
         return build_rule(contour, order)
 
     monkeypatch.setattr(oracles, "build_rule", spy)
+    monkeypatch.setattr(oracles, "MAX_ORDER", 64)
     with pytest.raises(QuadratureNotConverged, match="orders 32 and 64"):
-        argument_principle_count(inst.A, g1, max_order=64, tol=1e-30)
+        argument_principle_count(inst.A, g1, tol=1e-30)
     assert max(built) == 64
 
 

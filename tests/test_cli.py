@@ -327,7 +327,10 @@ def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
     (["--min-degree", "4", "--max-degree", "2"], "--max-degree"),
     (["--workers", "0"], "--workers"),
     (["--separation-samples", "-5"], "--separation-samples"),
-], ids=["min-degree-0", "max-below-min", "workers-0", "separation-samples-negative"])
+    (["--delta-floor", "nan"], "--delta-floor"),
+    (["--delta-floor", "inf"], "--delta-floor"),
+], ids=["min-degree-0", "max-below-min", "workers-0", "separation-samples-negative",
+        "delta-floor-nan", "delta-floor-inf"])
 def test_certify_bad_flag_values_are_usage_errors(tmp_path, capsys, flags, name):
     # at seed 0, 40 draws include a degree-0 one for --min-degree 0
     code = main(["--out", str(tmp_path), "certify", "--count", "40", *flags])
@@ -337,8 +340,13 @@ def test_certify_bad_flag_values_are_usage_errors(tmp_path, capsys, flags, name)
     assert not (tmp_path / "certify_report.json").exists()
 
 
-def test_tolerance_override_usage_error():
+def test_tolerance_override_usage_error(capsys):
     assert main(["--tol", "bogus", "examples"]) == 2
+    # a NaN tolerance fails every check and an infinite one passes every one
+    for value in ("nan", "inf", "-inf", "0"):
+        assert main(["--tol", f"residual={value}", "examples"]) == 2
+        err = capsys.readouterr().err
+        assert "tolerance residual must be finite and positive" in err
 
 
 def test_missing_file_usage_error(tmp_path):
@@ -377,12 +385,15 @@ def test_certify_worker_pool_matches_sequential(tmp_path):
     assert r1 == r2
 
 
-def test_solve_quadrature_nonconvergence_exit_code(tmp_path):
+def test_solve_quadrature_nonconvergence_exit_code(tmp_path, monkeypatch):
     # a higher-degree pair keeps ~1e-13 fluctuation under doubling, so an
     # absurd tolerance cannot be met and the command reports non-convergence
     import numpy as np
 
+    from bezmin import backends
     from oracles import random_pair
+
+    monkeypatch.setattr(backends, "MAX_ORDER", 64)
 
     inst = random_pair(np.random.default_rng(63), 5, 5, delta_floor=0.05,
                        require_simple=True)

@@ -37,7 +37,7 @@ from bezmin import regions
 from bezmin.cli import FIG1_ALPHAS, FIG1_BETAS, FIG45_ALPHAS, FIG45_BETAS
 from bezmin.errors import BezminError
 from bezmin.regions import (
-    PROBE_OFFSET,
+    LIVE_MARGIN,
     ContourSystem,
     RegionKind,
     _delta_args,
@@ -199,7 +199,7 @@ def test_circles_with_kept_arcs_are_live():
                 np.array([c for c, _ in circles]),
                 np.array([r for _, r in circles]),
                 regions._region_disks(kind, rootsA, rootsB),
-                10.0 * PROBE_OFFSET * contour.scale,
+                LIVE_MARGIN * contour.scale,
             )
             assert live.all()
             owners += len(circles)

@@ -12,14 +12,16 @@ from bezmin.errors import (
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import (
+    LIVE_MARGIN,
     POINT_TOL,
-    PROBE_OFFSET,
     TANGENCY_TOL,
     ContourSystem,
     RegionKind,
     _chain_loops,
     _circle_intersections,
     _distances,
+    _live_circles,
+    _region_disks,
     build_region,
     build_region_with_jitter,
     contour_metrics,
@@ -194,24 +196,31 @@ def test_argument_principle_on_boundaries(fig1):
     assert abs(count_b) < 1e-6
 
 
-@pytest.mark.parametrize("gap", [1e-7, -1e-7], ids=["apart", "overlapping"])
-def test_circle_passing_close_to_an_arc_midpoint(gap):
-    # E_A of A = (z + 0.3) z (z - 1) and B = z - iy is the union of the disks
-    # around -0.3, 0 and 1 with radii |a - iy| / 3, and y is chosen so that
+@pytest.mark.parametrize("gap, alphas", [
+    (1e-7, [-0.3, 0, 1]),
+    (-1e-7, [-0.3, 0, 1]),
+    (1e-7, [0, 1]),
+    (-1e-7, [0, 1]),
+], ids=["apart", "overlapping", "apart-root-0-first", "overlapping-root-0-first"])
+def test_circle_passing_close_to_an_arc_midpoint(gap, alphas):
+    # E_A of A with roots alphas and B = z - iy is the union of the disks
+    # around the alphas with radii |a - iy| / 3, and y is chosen so that
     # the circles around 0 and 1 are gap apart (or overlap by -gap), well
     # clear of tangency. Every cut is symmetric about the real axis, so one
     # candidate arc of the circle around 0 has its midpoint at r1, the point
-    # nearest the circle around 1. (The circle around -0.3 comes first, so
-    # the loop nesting probes sit on its far side, clear of the close pass.)
+    # nearest the circle around 1. With 0 listed first, that arc's circle
+    # is the first one the build meets; the contour must not depend on it.
     y = (9 * (1 - gap) ** 2 - 1) / (6 * (1 - gap))
-    ra = _roots([-0.3, 0, 1])
+    ra = _roots(alphas)
     rb = _roots([1j * y])
     scale = 1 + y
     r1, r2 = y / 3, abs(1 - 1j * y) / 3
     pass_distance = abs(abs(r1 - 1) - r2)
-    assert TANGENCY_TOL * scale < pass_distance < 4 * PROBE_OFFSET * scale
+    assert TANGENCY_TOL * scale < pass_distance < 4e-7 * scale
     ea = build_region(RegionKind.E_A, ra, rb)
-    assert ea.orientation_certificate == {-0.3 + 0j: 1, 0j: 1, 1 + 0j: 1, 1j * y: 0}
+    assert ea.orientation_certificate == {
+        **{complex(a): 1 for a in alphas}, 1j * y: 0
+    }
     assert ea.n_loops == (2 if gap > 0 else 1)
     # points around the close pass, across the gap and both circles
     xs = r1 + np.linspace(-6e-7, 6e-7, 49)
@@ -225,10 +234,37 @@ def test_circle_passing_close_to_an_arc_midpoint(gap):
 
 def test_tangent_circles_raise():
     cx, cy, radii = np.array([0.0, 2.0]), np.zeros(2), np.ones(2)
-    # tangency is checked on every circle, live or not
-    for live in (np.ones(2, dtype=bool), np.zeros(2, dtype=bool)):
-        with pytest.raises(DegenerateArrangement):
-            _circle_intersections(cx, cy, radii, 1.0, live)
+    with pytest.raises(DegenerateArrangement):
+        _circle_intersections(cx, cy, radii, 1.0)
+
+
+def test_tangent_dead_circles_do_not_stop_a_build():
+    # the radius-1 circles around the two roots of A (rows 0.5 + 0.5i and
+    # -2.5 + 1.5i) touch at -2.5 - 0.5i, but both miss every disk of the row
+    # -1.5 + 0.5i (radii 1/3 and sqrt(5)/3), so neither can carry the
+    # boundary: E_A is the full circles of those two disks
+    ra = _roots([-2.5 + 0.5j, -2.5 - 1.5j])
+    rb = _roots([0.5 + 0.5j, -2.5 + 1.5j, -1.5 + 0.5j, -0.5 - 2.5j])
+    region = _region_disks(RegionKind.E_A, ra, rb)
+    centers = np.array([-2.5 + 0.5j, -2.5 - 1.5j])
+    radii = np.ones(2)
+    assert abs(abs(centers[1] - centers[0]) - 2.0) < TANGENCY_TOL
+    scale = 1 + max(abs(r) for r in ra.roots + rb.roots)
+    assert not _live_circles(centers, radii, region, LIVE_MARGIN * scale).any()
+    ea = build_region(RegionKind.E_A, ra, rb)
+    assert (len(ea.radius), ea.n_loops) == (2, 2)
+    assert ea.orientation_certificate == {
+        **{a: 1 for a in ra.roots}, **{b: 0 for b in rb.roots}
+    }
+    # parity against the disk inequalities around the touching point
+    offsets = np.linspace(-0.4, 0.4, 41)
+    pts = (-2.5 - 0.5j + offsets[:, None] + 1j * offsets).ravel()
+    far = np.min(_distances(ea, pts), axis=1) > POINT_TOL * ea.scale
+    member = membership(RegionKind.E_A, ra, rb, pts[far])
+    assert (member == (winding_numbers(ea, pts[far]) == 1)).all()
+    assert member.any() and not member.all()
+    # GAMMA1 shares the rows of E_A, and so the dead pair
+    assert build_region(RegionKind.GAMMA1, ra, rb).orientation_certificate
 
 
 def test_chain_loops_takes_the_nearest_start_and_the_last_on_ties():
@@ -432,21 +468,12 @@ def test_winding_checks_stop_at_the_first_bad_point():
         _certify(c, {0.0: 1, 1.0: 0, 3.0: 1})
 
 
-def test_nesting_is_checked_before_the_certificate(fig1, monkeypatch):
-    # one winding pass serves both checks; a nesting failure is still the
-    # error reported when the certificate would fail too
+def test_build_fails_a_wrong_certificate(fig1, monkeypatch):
+    # the winding certificate is the build's last check
     from bezmin import regions
-    from bezmin.errors import ContourNestingError
 
     A, B, ra, rb = fig1
     wrong = {z: 1 - w for z, w in regions.region_probes(RegionKind.E_A, ra, rb).items()}
     monkeypatch.setattr(regions, "region_probes", lambda kind, a, b: wrong)
     with pytest.raises(DegenerateArrangement, match="winding certificate failed"):
-        build_region(RegionKind.E_A, ra, rb)
-    # loop probes far outside every loop: the inside one winds 0, not 1
-    monkeypatch.setattr(
-        regions, "_loop_probes", lambda contour: np.full(2 * contour.n_loops, 50 + 0j)
-    )
-    with pytest.raises(ContourNestingError, match=r"^loop 0 winding probe at 50\+0j "
-                       r"gives 0, expected 1; unsupported nesting structure$"):
         build_region(RegionKind.E_A, ra, rb)
