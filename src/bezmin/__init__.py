@@ -33,13 +33,13 @@ from .regions import (
     ContourSystem,
     RegionKind,
     build_region,
-    contour_metrics,
     invert_contour,
     region_probes,
     winding_numbers,
 )
 from .backends import (
     certify_main_bound,
+    contour_metrics,
     solve_quadrature,
     solve_residue,
     solve_reversed,
@@ -64,11 +64,11 @@ __all__ = [
     "ContourSystem",
     "RegionKind",
     "build_region",
-    "contour_metrics",
     "invert_contour",
     "region_probes",
     "winding_numbers",
     "certify_main_bound",
+    "contour_metrics",
     "solve_quadrature",
     "solve_residue",
     "solve_reversed",

@@ -13,12 +13,17 @@ each takes (pair, P) with P = 1 by default:
 * the reversal pipeline: solve the companion identity with right-hand side
   z^(N+K-1) P(1/z) for the coefficient-reversed pair, then reverse back.
   This is the route that stays bounded when roots are large.
+
+Both contour integrals, solve_quadrature's coefficients and contour_metrics'
+integral of |du|/|u|, run build_rule on the _subdivide'd arc table, with the
+order doubled by _settle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +40,14 @@ from .regions import (
     ContourSystem,
     RegionKind,
     build_region_with_jitter,
-    gauss_legendre,
     region_probes,
 )
 from .roots import RootSet
 from .separation import delta
 from .sylvester import BezoutSolution, Pair
 
-# the first quadrature order; solve_quadrature doubles it until the
-# coefficients settle, up to MAX_ORDER
+# the first quadrature order; _settle doubles it until the value settles, up
+# to MAX_ORDER
 START_ORDER = 16
 MAX_ORDER = 2048
 
@@ -102,6 +106,16 @@ def solve_residue(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
 # quadrature backend
 
 
+@lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    (leggauss solves an eigenproblem each call) and returned read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes and complex dzeta-weights per arc, flattened."""
@@ -111,9 +125,7 @@ class QuadratureRule:
     order: int
 
 
-def _subdivide(
-    contour: ContourSystem, poles: np.ndarray = np.empty(0)
-) -> ContourSystem:
+def _subdivide(contour: ContourSystem, poles: np.ndarray) -> ContourSystem:
     """The same contour with arcs split until each sweeps at most a quarter
     turn and is no longer than the distance from its midpoint to the nearest
     integrand pole (keeps the Gauss-Legendre convergence rate healthy). Each
@@ -162,6 +174,23 @@ def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
     )
 
 
+def _settle(value, tol: float, what: str) -> np.ndarray:
+    """value(order) for order = START_ORDER, 2 * START_ORDER, ... up to
+    MAX_ORDER, once two orders in a row agree within tol in every entry;
+    QuadratureNotConverged, naming `what`, when the orders run out first."""
+    order = START_ORDER
+    prev = value(order)
+    while 2 * order <= MAX_ORDER:
+        order *= 2
+        new = value(order)
+        if np.max(np.abs(new - prev), initial=0.0) <= tol:
+            return new
+        prev = new
+    raise QuadratureNotConverged(
+        f"{what} still moving between orders {order // 2} and {order}"
+    )
+
+
 def _coefficients_from_integrals(
     g: Polynomial, moments: np.ndarray
 ) -> np.ndarray:
@@ -180,8 +209,8 @@ def solve_quadrature(
     tol: float = 1e-9,
 ) -> BezoutSolution:
     """Evaluate the coefficient contour integrals by per-arc Gauss-Legendre
-    quadrature, doubling the order until every coefficient is stable. The
-    orders run START_ORDER, 2 * START_ORDER, ... up to at most MAX_ORDER.
+    quadrature, doubling the order until every coefficient is stable
+    (_settle).
 
     The contours are the E_A and E_B region boundaries, whose certificates
     must give the windings region_probes asks for.
@@ -210,29 +239,90 @@ def solve_quadrature(
             acc = acc * rule.nodes
         return out
 
-    def solve_at(order: int) -> tuple[np.ndarray, np.ndarray]:
+    def solve_at(order: int) -> np.ndarray:
         m1 = moments(build_rule(gamma1, order), n)
         m2 = moments(build_rule(gamma2, order), k)
         s = _coefficients_from_integrals(pair.An, m1)
         r = _coefficients_from_integrals(pair.Bn, m2)
-        return r, s
+        return np.concatenate([r, s])
 
-    order = START_ORDER
-    r_prev, s_prev = solve_at(order)
-    while 2 * order <= MAX_ORDER:
-        order *= 2
-        r_new, s_new = solve_at(order)
-        change = max(
-            float(np.max(np.abs(r_new - r_prev))) if len(r_new) else 0.0,
-            float(np.max(np.abs(s_new - s_prev))) if len(s_new) else 0.0,
-        )
-        if change <= tol:
-            return BezoutSolution.checked(
-                pair, P, Polynomial(r_new), Polynomial(s_new), "quadrature"
-            )
-        r_prev, s_prev = r_new, s_new
-    raise QuadratureNotConverged(
-        f"coefficients still moving between orders {order // 2} and {order}"
+    rs = _settle(solve_at, tol, "coefficients")
+    return BezoutSolution.checked(
+        pair, P, Polynomial(rs[:k]), Polynomial(rs[k:]), "quadrature"
+    )
+
+
+# ---------------------------------------------------------------------------
+# contour metrics
+
+
+@dataclass
+class ContourMetrics:
+    total_length: float
+    log_derivative_integral: float  # integral of |du| / |u|
+    min_abs_a: float
+    min_abs_b: float
+    bound_log_integral: float  # 6 pi N^(K+1)
+    lower_a: float  # min(C5 * norm(A) / 2^N, delta / 3^N)
+    lower_b: float  # delta / 3^K
+    c5: float
+    c5_formula: str
+    a_bound_ok: bool
+    b_bound_ok: bool
+    log_integral_ok: bool
+
+    def to_json_dict(self) -> dict:
+        return dict(self.__dict__)
+
+
+def contour_metrics(
+    contour: ContourSystem, pair: Pair, delta_value: float
+) -> ContourMetrics:
+    """Length, the scale-invariant integral of |du|/|u|, and the lower bounds
+    on |A| and |B| along the contour. The integral is the sum of |w| / |zeta|
+    over a Gauss-Legendre rule on the contour subdivided about the origin,
+    settled to 1e-9 (QuadratureNotConverged when it does not settle).
+    Violated bounds are reported, not raised; they validate the theory
+    rather than gate the build."""
+    A, B, n, k = pair.A, pair.B, pair.N, pair.K
+    split = _subdivide(contour, np.zeros(1, dtype=complex))
+
+    def log_integral(order: int) -> float:
+        rule = build_rule(split, order)
+        return np.sum(np.abs(rule.weights) / np.abs(rule.nodes))
+
+    log_int = float(_settle(log_integral, 1e-9, "log integral"))
+
+    # m midpoint samples per arc, at least 16 and 64 per half turn
+    sweep = contour.end - contour.start
+    m = np.maximum(16, (64 * np.abs(sweep) / math.pi).astype(int))
+    arc = np.repeat(np.arange(len(m)), m)
+    sample = np.arange(len(arc)) - np.repeat(np.cumsum(m) - m, m)
+    theta = contour.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
+    zs = contour.center[arc] + contour.radius[arc] * np.exp(1j * theta)
+    min_a = float(np.min(np.abs(A(zs)), initial=math.inf))
+    min_b = float(np.min(np.abs(B(zs)), initial=math.inf))
+
+    eps = 1.0 / (4.0 * (n + k + 2.0))
+    c5 = min(1.0, eps**n)
+    lower_a = min(c5 * A.norm() / 2.0**n, delta_value / 3.0**n)
+    lower_b = delta_value / 3.0**k
+    bound_log = 6.0 * math.pi * n ** (k + 1)
+    tol = 1e-9 * (1.0 + max(min_a, min_b))
+    return ContourMetrics(
+        total_length=contour.total_length,
+        log_derivative_integral=log_int,
+        min_abs_a=min_a,
+        min_abs_b=min_b,
+        bound_log_integral=bound_log,
+        lower_a=lower_a,
+        lower_b=lower_b,
+        c5=c5,
+        c5_formula="min(1, eps^N) with eps = 1/(4(N+K+2)), from Cauchy "
+        "coefficient estimates on |z| <= eps",
+        a_bound_ok=min_a >= lower_a - tol,
+        b_bound_ok=min_b >= lower_b - tol,
+        log_integral_ok=log_int <= bound_log + 1e-9 * bound_log,
     )
 
 

@@ -19,8 +19,6 @@ DATA_PATH = Path(__file__).parent / "data" / "ceilings.json"
 
 @lru_cache(maxsize=1)
 def _load() -> dict:
-    if not DATA_PATH.exists():
-        return {}
     with open(DATA_PATH) as fh:
         return json.load(fh)
 

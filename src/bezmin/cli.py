@@ -29,7 +29,7 @@ from .errors import (
     SeparationViolation,
 )
 from .poly import Polynomial
-from .regions import RegionKind, build_region, contour_metrics, winding_numbers
+from .regions import RegionKind, build_region, winding_numbers
 from .roots import find_roots
 from .separation import (
     DescentStats,
@@ -212,7 +212,9 @@ def cmd_regions(args, tol) -> int:
         entry = contour.to_json_dict()
         if kind in (RegionKind.GAMMA1,):
             rep = delta(pair)
-            entry["metrics"] = contour_metrics(contour, pair, rep.delta).to_json_dict()
+            entry["metrics"] = backends.contour_metrics(
+                contour, pair, rep.delta
+            ).to_json_dict()
         info[kind.value] = entry
     markers = list(rootsA.roots) + list(rootsB.roots)
     if args.svg:

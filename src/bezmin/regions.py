@@ -33,8 +33,9 @@ endpoints rounded exactly as the scalar complex expressions that define them
 
 A ContourSystem is one table of arcs: arrays of centers, radii, start and end
 angles, plus a loop index per arc. Everything that reads a contour (windings,
-certificates, inversion, metrics, quadrature, SVG) reads these arrays, or
-their rows as Python numbers.
+certificates, inversion, SVG, and backends' quadrature and metrics) reads
+these arrays, or their rows as Python numbers. This module is geometry on
+root sets alone: it imports nothing from sylvester or backends.
 
 Winding numbers are computed exactly per arc: the argument increment along an
 arc equals the principal angle of the chord plus a +-2*pi correction when the
@@ -51,7 +52,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +64,6 @@ from .errors import (
     OriginTooClose,
 )
 from .roots import RootSet
-from .sylvester import Pair
 
 TANGENCY_TOL = 1e-12
 POINT_TOL = 1e-9
@@ -661,106 +661,6 @@ def invert_contour(contour: ContourSystem) -> ContourSystem:
         loops += [li] * len(arcs)
     scale = 1.0 + max(abs(arc_point(*arc, t)) for t in (0.0, 1.0) for arc in image)
     return ContourSystem(*map(np.array, zip(*image)), loops, scale)
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-@dataclass
-class ContourMetrics:
-    total_length: float
-    log_derivative_integral: float  # integral of |du| / |u|
-    min_abs_a: float
-    min_abs_b: float
-    bound_log_integral: float  # 6 pi N^(K+1)
-    lower_a: float  # min(C5 * norm(A) / 2^N, delta / 3^N)
-    lower_b: float  # delta / 3^K
-    c5: float
-    c5_formula: str
-    a_bound_ok: bool
-    b_bound_ok: bool
-    log_integral_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    (leggauss solves an eigenproblem each call) and returned read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _arc_quadrature_real(
-    c: complex, r: float, t0: float, t1: float, f,
-    start_order: int = 16, tol: float = 1e-9,
-) -> float:
-    """Integral of f(zeta) * |dzeta| over the arc (c, r, t0, t1) with order
-    doubling."""
-    lo, hi = min(t0, t1), max(t0, t1)
-    prev = None
-    order = start_order
-    while order <= 2048:
-        nodes, weights = gauss_legendre(order)
-        theta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        vals = f(c + r * np.exp(1j * theta))
-        total = float(np.sum(weights * vals) * 0.5 * (hi - lo) * r)
-        if prev is not None and abs(total - prev) <= tol * (1.0 + abs(total)):
-            return total
-        prev = total
-        order *= 2
-    return prev
-
-
-def contour_metrics(
-    contour: ContourSystem, pair: Pair, delta_value: float
-) -> ContourMetrics:
-    """Length, the scale-invariant integral of |du|/|u|, and the lower bounds
-    on |A| and |B| along the contour. Violated bounds are reported, not
-    raised; they validate the theory rather than gate the build."""
-    A, B, n, k = pair.A, pair.B, pair.N, pair.K
-
-    log_int = sum(
-        _arc_quadrature_real(*row, lambda z: 1.0 / np.abs(z)) for row in contour.rows()
-    )
-
-    # m midpoint samples per arc, at least 16 and 64 per half turn
-    sweep = contour.end - contour.start
-    m = np.maximum(16, (64 * np.abs(sweep) / math.pi).astype(int))
-    arc = np.repeat(np.arange(len(m)), m)
-    sample = np.arange(len(arc)) - np.repeat(np.cumsum(m) - m, m)
-    theta = contour.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
-    center = contour.center[arc]
-    zs = _complex(*_on_circle(center.real, center.imag, contour.radius[arc], theta))
-    min_a = float(np.min(np.abs(A(zs)), initial=math.inf))
-    min_b = float(np.min(np.abs(B(zs)), initial=math.inf))
-
-    eps = 1.0 / (4.0 * (n + k + 2.0))
-    c5 = min(1.0, eps**n)
-    lower_a = min(c5 * A.norm() / 2.0**n, delta_value / 3.0**n)
-    lower_b = delta_value / 3.0**k
-    bound_log = 6.0 * math.pi * n ** (k + 1)
-    tol = 1e-9 * (1.0 + max(min_a, min_b))
-    return ContourMetrics(
-        total_length=contour.total_length,
-        log_derivative_integral=log_int,
-        min_abs_a=min_a,
-        min_abs_b=min_b,
-        bound_log_integral=bound_log,
-        lower_a=lower_a,
-        lower_b=lower_b,
-        c5=c5,
-        c5_formula="min(1, eps^N) with eps = 1/(4(N+K+2)), from Cauchy "
-        "coefficient estimates on |z| <= eps",
-        a_bound_ok=min_a >= lower_a - tol,
-        b_bound_ok=min_b >= lower_b - tol,
-        log_integral_ok=log_int <= bound_log + 1e-9 * bound_log,
-    )
 
 
 def build_region_with_jitter(

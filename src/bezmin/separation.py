@@ -302,6 +302,11 @@ def _scrambled_halton(n: int, seed: int) -> np.ndarray:
     return out
 
 
+# the sampling rings around each root, as multiples of the distance to the
+# nearest root of the other polynomial
+_RING_SCALES = np.geomspace(1e-3, 1.5, 8)
+
+
 def check_separation(
     pair: Pair, delta_value: float, n_samples: int, seed: int = 0
 ) -> SeparationReport:
@@ -326,21 +331,21 @@ def check_separation(
     uv = _scrambled_halton(n_disk, seed)
     pts_disk = radius * np.sqrt(uv[:, 0]) * np.exp(2j * np.pi * uv[:, 1])
 
-    ring_pts: list[np.ndarray] = []
-    all_roots = [(r, rootsB.roots) for r in rootsA.roots]
-    all_roots += [(r, rootsA.roots) for r in rootsB.roots]
-    n_rings = 8
+    # root x ring x angle, the roots of A then of B; hypot, not np.abs, rounds
+    # the distances to the other polynomial's roots as Python's abs does
+    ra, rb = np.array(rootsA.roots), np.array(rootsB.roots)
+    diff = ra[:, None] - rb
+    dist = np.hypot(diff.real, diff.imag)
+    d_near = np.concatenate([dist.min(axis=1), dist.min(axis=0)])
+    d_near[d_near == 0] = 1e-3 * (1.0 + radius)
     budget = n_samples - n_disk
-    per_ring = max(4, budget // max(1, len(all_roots) * n_rings))
-    for root, others in all_roots:
-        d_near = min(abs(root - o) for o in others)
-        if d_near == 0:
-            d_near = 1e-3 * (1.0 + radius)
-        radii = d_near * np.geomspace(1e-3, 1.5, n_rings)
-        for i, r in enumerate(radii):
-            ang = 2 * np.pi * (np.arange(per_ring) + 0.37 * i) / per_ring
-            ring_pts.append(root + r * np.exp(1j * ang))
-    pts = np.concatenate([pts_disk] + ring_pts) if ring_pts else pts_disk
+    per_ring = max(4, budget // max(1, len(d_near) * len(_RING_SCALES)))
+    ring = np.arange(len(_RING_SCALES))[:, None]
+    ang = 2 * np.pi * (np.arange(per_ring) + 0.37 * ring) / per_ring
+    rings = np.concatenate([ra, rb])[:, None, None] + (
+        d_near[:, None] * _RING_SCALES
+    )[:, :, None] * np.exp(1j * ang)
+    pts = np.concatenate([pts_disk, rings.ravel()])
 
     in_a = np.abs(A(pts)) < eps_a
     in_b = np.abs(B(pts)) < eps_b

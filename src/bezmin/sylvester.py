@@ -40,6 +40,9 @@ from .errors import DegreeZeroError, SingularSystemError
 from .poly import Polynomial
 from .roots import RootSet, find_roots
 
+# solve refines at most this often, stopping at a step that does not help
+REFINE_STEPS = 3
+
 
 @dataclass(frozen=True, eq=False)
 class Pair:
@@ -168,15 +171,15 @@ def _factor(pair: Pair) -> None:
         )
 
 
-def _refined_solve(pair: Pair, b: np.ndarray, steps: int = 3) -> np.ndarray:
-    """Solve plus iterative refinement with clongdouble residuals; each
-    iterate's residual is computed once."""
+def _refined_solve(pair: Pair, b: np.ndarray) -> np.ndarray:
+    """Solve plus up to REFINE_STEPS steps of iterative refinement with
+    clongdouble residuals; each iterate's residual is computed once."""
     se = pair.entries.astype(np.clongdouble)
     be = b.astype(np.clongdouble)
     best = np.linalg.solve(pair.entries, b)
     r = be - se @ best.astype(np.clongdouble)
     best_res = float(np.max(np.abs(r)))
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         if best_res == 0.0:
             break
         cand = best + np.linalg.solve(pair.entries, r.astype(complex))

@@ -16,7 +16,8 @@ from bezmin import backends, sylvester
 from bezmin.cli import main as cli_main
 from bezmin.errors import CommonRootError, DegenerateArrangement
 from bezmin.poly import Polynomial
-from bezmin.regions import RegionKind, build_region_with_jitter, contour_metrics
+from bezmin.backends import contour_metrics
+from bezmin.regions import RegionKind, build_region_with_jitter
 from bezmin.separation import check_separation, delta, delta_tilde
 from bezmin.cli import sharpness_instance, discontinuity_pair
 from oracles import argument_principle_count, random_pair, sample_degrees

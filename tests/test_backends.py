@@ -174,7 +174,7 @@ def test_rule_integrates_powers_to_tolerance():
     rng = np.random.default_rng(54)
     inst = random_pair(rng, 3, 3, delta_floor=0.05, require_simple=True)
     g1 = _region_a(inst)
-    rule = build_rule(_subdivide(g1), order=16)
+    rule = build_rule(_subdivide(g1, np.empty(0)), order=16)
     for k in range(8):
         want = 0j
         for arc in ref_arcs(g1):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bezmin import ceilings
 from bezmin.ceilings import lookup_ceiling
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "generate_ceilings.py"
@@ -26,3 +27,15 @@ def test_shipped_table_reproduces_first_entries():
         assert gen.SAFETY_FACTOR * ratio == pytest.approx(
             lookup_ceiling(1, k), rel=1e-12
         )
+
+
+def test_missing_table_raises(monkeypatch, tmp_path):
+    # a missing table must not turn every ceiling into None, which would
+    # drop certify's ratio_ceiling check without a word
+    monkeypatch.setattr(ceilings, "DATA_PATH", tmp_path / "missing.json")
+    ceilings._load.cache_clear()
+    try:
+        with pytest.raises(FileNotFoundError):
+            lookup_ceiling(1, 1)
+    finally:
+        ceilings._load.cache_clear()

@@ -1,14 +1,18 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from bezmin.backends import contour_metrics
 from bezmin.errors import (
     DegenerateArrangement,
     OnContourError,
     OriginTooClose,
+    QuadratureNotConverged,
 )
 from bezmin.poly import Polynomial
 from bezmin.regions import (
@@ -24,7 +28,6 @@ from bezmin.regions import (
     _region_disks,
     build_region,
     build_region_with_jitter,
-    contour_metrics,
     invert_contour,
     winding_numbers,
 )
@@ -313,6 +316,32 @@ def test_log_integral_scale_invariance():
         B = Polynomial.from_roots([3.0 * abs(alpha)])
         m = contour_metrics(contour, build(A, B), 0.1)
         assert m.log_derivative_integral == pytest.approx(oracle, rel=1e-8)
+
+
+def test_log_integral_raises_when_it_does_not_settle():
+    # a full circle 1e-9 from the origin: subdivision stops at arcs of sweep
+    # 1e-3, so no order up to MAX_ORDER resolves 1/|z| there
+    arc = RefArc(1.0, 1.0 - 1e-9, -math.pi, math.pi)
+    contour = contour_of([arc], [0], 2.0)
+    pair = build(Polynomial.from_roots([1.0]), Polynomial.from_roots([3.0]))
+    with pytest.raises(QuadratureNotConverged):
+        contour_metrics(contour, pair, 0.1)
+
+
+def test_regions_imports_no_algebra():
+    # the region geometry works on root sets alone
+    from bezmin import regions
+
+    tree = ast.parse(Path(regions.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update("." * node.level + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    banned = {".sylvester", ".backends", "bezmin.sylvester", "bezmin.backends"}
+    assert not imported & banned
 
 
 def test_gamma1_log_integral_bound_random():
