@@ -2,7 +2,11 @@
 """One SHA-256 per command family over what `bezmin` prints and writes, so two
 checkouts can be compared for byte-identical output.
 
-    python scripts/output_digest.py N
+    python scripts/output_digest.py N [--dump DIR]
+
+With --dump, the bytes each family hashes are also written under DIR, one
+file per case (DIR/FAMILY/CASE), for `scripts/output_drift.py` to compare
+two checkouts whose digests differ.
 
 Each run calls `bezmin.cli.main` in-process; its digest covers the exit code,
 stdout and stderr, with the temporary directory replaced by a placeholder.
@@ -132,27 +136,30 @@ def _root_set(roots) -> RootSet:
     )
 
 
-def _arrangement_digest(n_pairs: int):
-    """The arrangements digest, and a count of the builds per outcome: "built"
-    or the error type."""
-    h = hashlib.sha256()
+def _arrangement_cases(n_pairs: int, sink: "Sink") -> collections.Counter:
+    """Feeds each synthetic pair's builds to the arrangements family, and
+    counts the builds per outcome: "built" or the error type."""
     outcomes: collections.Counter[str] = collections.Counter()
     for i, shape in enumerate(ARRANGEMENT_SHAPES):
         rng = np.random.default_rng([ARRANGEMENT_SEED, i])
-        for _ in range(n_pairs):
+        for j in range(n_pairs):
             rootsA, rootsB = (_root_set(r) for r in _arrangement(shape, rng))
+            parts = []
             for kind in RegionKind:
                 try:
                     contour = build_region(kind, rootsA, rootsB)
                 except (BezminError, ArithmeticError) as exc:
-                    h.update(f"{type(exc).__name__}: {exc}\0".encode())
+                    parts.append(f"{type(exc).__name__}: {exc}\0".encode())
                     outcomes[type(exc).__name__] += 1
                     continue
-                h.update(json.dumps(contour.to_json_dict()).encode())
-                h.update(repr(list(contour.orientation_certificate.items())).encode())
-                h.update(b"\0")
+                parts.append(json.dumps(contour.to_json_dict()).encode())
+                parts.append(
+                    repr(list(contour.orientation_certificate.items())).encode()
+                )
+                parts.append(b"\0")
                 outcomes["built"] += 1
-    return h, outcomes
+            sink.add("arrangements", f"{shape}-{j:04d}", b"".join(parts))
+    return outcomes
 
 
 def _run(argv: list[str], tmp: Path) -> bytes:
@@ -176,49 +183,66 @@ def _files(directory: Path) -> bytes:
     return b"".join(parts)
 
 
-def digests(n_pairs: int, tmp: Path) -> tuple[dict[str, str], collections.Counter]:
+class Sink:
+    """One SHA-256 per family; with a dump directory, each case's bytes are
+    also written to DIR/FAMILY/CASE."""
+
+    def __init__(self, dump: Path | None):
+        self.hashes: dict[str, hashlib._Hash] = {}
+        self.dump = dump
+
+    def add(self, family: str, case: str, data: bytes) -> None:
+        self.hashes.setdefault(family, hashlib.sha256()).update(data)
+        if self.dump is not None:
+            path = self.dump / family / case
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+
+def digests(
+    n_pairs: int, tmp: Path, dump: Path | None = None
+) -> tuple[dict[str, str], collections.Counter]:
     """The digest per family, and the arrangement builds per outcome."""
-    hashes = {name: hashlib.sha256() for name in PAIR_FAMILIES}
+    sink = Sink(dump)
     written = tmp / "written"
     for workload in ("solve-d8", "solve-tight"):
         pool = PairPool(workload, 5, tmp / workload)
         pool.ensure(n_pairs)
-        for a, b in pool.paths[:n_pairs]:
+        for i, (a, b) in enumerate(pool.paths[:n_pairs]):
             for name, argv in PAIR_FAMILIES.items():
                 written.mkdir()
-                hashes[name].update(_run(argv(a, b, written), tmp))
-                hashes[name].update(_files(written))
+                data = _run(argv(a, b, written), tmp) + _files(written)
+                sink.add(name, f"{workload}-{i:04d}", data)
                 shutil.rmtree(written)
 
     out = tmp / "certify"
-    h = hashlib.sha256(_run(
+    data = _run(
         ["--seed", "1", "--out", str(out), "certify", "--count", "200",
          "--max-degree", "5"], tmp,
-    ))
+    )
     report = json.loads((out / "certify_report.json").read_text())
     del report["aggregates"]["total_seconds"]
     for record in report["records"]:
         del record["seconds"]
-    h.update(json.dumps(report, sort_keys=True).encode())
-    hashes["certify"] = h
+    sink.add("certify", "seed-1", data + json.dumps(report, sort_keys=True).encode())
 
     for command in ("examples", "figures"):
-        h = hashlib.sha256()
         for mode in ([], ["--json"]):
             out = tmp / command / ("json" if mode else "text")
-            h.update(_run([*mode, "--out", str(out), command], tmp))
-            h.update(_files(out) if out.exists() else b"")
-        hashes[command] = h
-    hashes["arrangements"], outcomes = _arrangement_digest(n_pairs)
-    return {name: h.hexdigest() for name, h in hashes.items()}, outcomes
+            data = _run([*mode, "--out", str(out), command], tmp)
+            data += _files(out) if out.exists() else b""
+            sink.add(command, "json" if mode else "text", data)
+    outcomes = _arrangement_cases(n_pairs, sink)
+    return {name: h.hexdigest() for name, h in sink.hashes.items()}, outcomes
 
 
 def main_digest() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("pairs", type=int, help="pairs taken from each pool")
+    ap.add_argument("--dump", type=Path, help="write each case's bytes here")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        hexdigests, outcomes = digests(args.pairs, Path(tmp))
+        hexdigests, outcomes = digests(args.pairs, Path(tmp), args.dump)
     for name, digest in hexdigests.items():
         print(f"{name:<15} {digest}")
     print(f"arrangements: {sum(outcomes.values())} builds")

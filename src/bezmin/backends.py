@@ -21,6 +21,7 @@ order doubled by _settle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -63,29 +64,29 @@ def _interpolate(nodes, values) -> Polynomial:
     """Coefficients of the unique interpolant, assembled from deflations of
     the full node product scaled by barycentric weights."""
     nodes = [complex(x) for x in nodes]
-    full = Polynomial.from_roots(nodes)
+    full = Polynomial.from_roots(nodes).coeffs
     n = len(nodes)
-    out = np.zeros(n, dtype=complex)
+    out = [0j] * n
     for x, y in zip(nodes, values):
         # synthetic division of `full` by (z - x)
-        q = np.empty(n, dtype=complex)
+        q = [0j] * n
         acc = 0j
         for k in range(n, 0, -1):
-            acc = full.coeff(k) + x * acc
+            acc = full[k] + x * acc
             q[k - 1] = acc
         qx = 0j
-        for k in range(n - 1, -1, -1):
-            qx = qx * x + q[k]
-        if qx == 0 or not np.isfinite(abs(qx)):
+        for c in reversed(q):
+            qx = qx * x + c
+        if qx == 0 or not cmath.isfinite(qx):
             raise IllConditionedInterpolation(
                 f"repeated or degenerate node {x:.6g}"
             )
         w = y / qx
-        if not np.isfinite(abs(w)):
+        if not cmath.isfinite(w):
             raise IllConditionedInterpolation(
                 f"barycentric weight overflow at node {x:.6g}"
             )
-        out += w * q
+        out = [o + w * c for o, c in zip(out, q)]
     return Polynomial(out)
 
 

@@ -4,6 +4,11 @@ families, figure reconstructions, and the randomized certification run.
 Exit codes: 0 success, 1 check failure or refused input (any BezminError,
 reported as one "error: <Type>: <message>" line), 2 usage error, 3 numerical
 non-convergence.
+
+Every JSON document the commands print or write comes from one writer,
+_json_text, which gives the bytes of json.dumps(obj, indent=1,
+sort_keys=True) without the standard library's pure-Python encoder that
+json.dumps runs whenever indent is set.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +90,71 @@ def _load_pair(args) -> sylvester.Pair:
     return sylvester.build(_load_poly(args.poly_a), _load_poly(args.poly_b))
 
 
+# float.__repr__ of the values JSON spells differently, and the constants
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+def _scalar_text(obj) -> str:
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(
+        f"Object of type {obj.__class__.__name__} is not JSON serializable"
+    )
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_scalar_text(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(obj, level: int = 0) -> str:
+    """obj as json.dumps(obj, indent=1, sort_keys=True) writes it, nested
+    `level` deep; a list of floats, such as each [re, im] pair, is one
+    join."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        indent = "\n" + " " * (level + 1)
+        sep = "," + indent
+        try:
+            # float.__repr__ refuses anything but a float, bool included
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:
+            text = sep.join([_json_text(v, level + 1) for v in obj])
+        else:
+            if "n" in text:  # nan or inf
+                text = sep.join(map(_float_text, obj))
+        return f"[{indent}{text}\n{' ' * level}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        indent = "\n" + " " * (level + 1)
+        text = f",{indent}".join([
+            f"{_key_text(key)}: {_json_text(value, level + 1)}"
+            for key, value in sorted(obj.items())
+        ])
+        return f"{{{indent}{text}\n{' ' * level}}}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return _scalar_text(obj)
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=1, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _emit(args, obj, text) -> None:
@@ -181,6 +250,14 @@ def cmd_solve(args, tol) -> int:
     _emit(args, results, text)
     if all("error" in res for res in results.values()):
         return EXIT_CHECK_FAILED
+    above = [
+        f"{name} {res['residual']:.3e}" for name, res in results.items()
+        if "error" not in res and not res["residual"] <= tol["residual"]
+    ]
+    if above:
+        print(f"check failed: residual above tolerance {tol['residual']:g}: "
+              f"{', '.join(above)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -221,7 +298,7 @@ def cmd_regions(args, tol) -> int:
         emit_svg(contours, markers, args.svg)
     if args.arcs_json:
         with open(args.arcs_json, "w") as fh:
-            json.dump(info, fh, indent=1, sort_keys=True)
+            fh.write(_json_text(info))
     _emit(args, info, lambda: [
         f"{kind}: {entry['n_loops']} loops, length {entry['total_length']:.6g}"
         for kind, entry in info.items()
@@ -394,7 +471,7 @@ def cmd_figures(args, tol) -> int:
     ok &= all(w == 0 for w in windings["betas"])
 
     with open(out_dir / "figures.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        fh.write(_json_text(summary))
     _emit(args, summary, lambda: [
         f"fig1: E_A components {ea.n_loops} (want 2), "
         f"E_B components {eb.n_loops} (want 1)",
@@ -567,7 +644,7 @@ def cmd_certify(args, tol) -> int:
 
     path = out_dir / "certify_report.json"
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write(_json_text(report))
 
     if not records:
         warning = (f"warning: no records accepted (delta floor too high?); "

@@ -9,6 +9,7 @@ return new objects and are safe to share across threads.
 from __future__ import annotations
 
 import cmath
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,8 +91,9 @@ class Polynomial:
             raise ValueError(
                 f"target_degree {target_degree} below actual degree {d}"
             )
+        cs = self._coeffs[: target_degree + 1]
         return Polynomial(
-            [self.coeff(target_degree - k) for k in range(target_degree + 1)]
+            [0j] * (target_degree + 1 - len(cs)) + list(reversed(cs))
         )
 
     def scale(self, c: complex) -> "Polynomial":
@@ -100,17 +102,13 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         other = _as_poly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial(
-            [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0j)
+        return Polynomial([a + b for a, b in pairs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         other = _as_poly(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Polynomial(
-            [self.coeff(k) - other.coeff(k) for k in range(n)]
-        )
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0j)
+        return Polynomial([a - b for a, b in pairs])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self._coeffs])
@@ -120,13 +118,13 @@ class Polynomial:
             return self.scale(other)
         other = _as_poly(other)
         da, db = self.degree, other.degree
+        bs = other._coeffs[: db + 1]
         out = [0j] * (da + db + 1)
-        for i in range(da + 1):
-            a = self.coeff(i)
+        for i, a in enumerate(self._coeffs[: da + 1]):
             if a == 0:
                 continue
-            for j in range(db + 1):
-                out[i + j] += a * other.coeff(j)
+            for j, b in enumerate(bs, i):
+                out[j] += a * b
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -134,8 +132,8 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
+        pairs = zip_longest(self._coeffs, other._coeffs, fillvalue=0j)
+        return all(a == b for a, b in pairs)
 
     def __hash__(self):
         return hash(self._coeffs[: self.degree + 1])

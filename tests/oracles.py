@@ -5,7 +5,8 @@ predicate (membership, a reference for build_region), a per-arc record of a
 contour with the scalar per-arc winding increment, distance and
 subdivision (references for the array code in regions and backends), a
 quadrature rule's integral of a function, the argument-principle zero count,
-and rejection sampling of random pairs."""
+rejection sampling of random pairs, and the numpy Newton polish of the
+companion roots (a reference for roots.find_roots)."""
 
 from __future__ import annotations
 
@@ -20,7 +21,13 @@ from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
 from bezmin.regions import ContourSystem, RegionKind, _region_disks
-from bezmin.roots import RootSet, find_roots
+from bezmin.roots import (
+    CLUSTER_TOL_FACTOR,
+    DEFAULT_RESIDUAL_TOL,
+    RootSet,
+    companion_roots,
+    find_roots,
+)
 from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution, Pair, build
 
@@ -323,3 +330,45 @@ def sample_degrees(
     rng: np.random.Generator, lo: int, hi: int
 ) -> tuple[int, int]:
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))
+
+
+def numpy_find_roots(p: Polynomial) -> RootSet:
+    """find_roots with every polish step on numpy arrays: three guarded
+    Newton steps over all roots at once, each evaluating p and p' by Horner
+    on the whole array."""
+    q = p.normalize()
+    n = q.degree
+    cs = np.asarray(q.coeffs[: n + 1], dtype=complex)
+    cauchy_bound = 1.0 + float(np.max(np.abs(cs))) / abs(cs[-1])
+    roots = companion_roots(cs)
+
+    dp = p.derivative()
+    for _ in range(3):
+        vals = p(roots)
+        dvals = dp(roots)
+        ok = np.abs(dvals) > 0
+        step = np.zeros_like(roots)
+        step[ok] = vals[ok] / dvals[ok]
+        cand = roots - step
+        better = np.abs(p(cand)) <= np.abs(vals)
+        roots = np.where(better, cand, roots)
+
+    residuals = np.abs(p(roots))
+    caps = DEFAULT_RESIDUAL_TOL * p.norm() * (1.0 + np.abs(roots)) ** n
+    verified = bool(np.all(residuals <= caps))
+
+    cluster_tol = CLUSTER_TOL_FACTOR * (1.0 + cauchy_bound)
+    suspect = [False] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(roots[i] - roots[j]) < cluster_tol:
+                suspect[i] = suspect[j] = True
+
+    order = np.lexsort((roots.imag, roots.real))
+    return RootSet(
+        roots=tuple(complex(r) for r in roots[order]),
+        residuals=tuple(float(r) for r in residuals[order]),
+        multiplicity_suspect=tuple(suspect[k] for k in order),
+        cauchy_bound=cauchy_bound,
+        verified=verified,
+    )

@@ -485,3 +485,28 @@ def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):
     p.write_text('{"coeffs": [[1, 0], [NaN, 0]]}')
     assert main(["roots", str(p)]) == 2
     assert "coefficient 1" in capsys.readouterr().err
+
+
+def test_solve_exits_one_when_a_residual_exceeds_its_tolerance(tmp_path, capsys):
+    # sharpness_instance(4, 0.01) has delta 1e-8 and a Sylvester condition
+    # number near 2e14, so double precision cannot reach the default 1e-9
+    from bezmin.cli import sharpness_instance
+
+    A, B = sharpness_instance(4, 0.01)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(A.to_json_dict()))
+    b.write_text(json.dumps(B.to_json_dict()))
+    argv = ["--json", "solve", str(a), str(b), "--backend", "sylvester"]
+    assert main(argv) == 1
+    failed = capsys.readouterr()
+    residual = json.loads(failed.out)["sylvester"]["residual"]
+    assert 1e-9 < residual < 1e-3
+    assert len(failed.err.splitlines()) == 1
+    assert "sylvester" in failed.err and "residual" in failed.err
+
+    # stdout does not depend on the tolerance; only the exit code does
+    assert main(["--tol", "residual=1e-3"] + argv) == 0
+    passed = capsys.readouterr()
+    assert passed.out == failed.out
+    assert passed.err == ""

@@ -1,11 +1,15 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bezmin.errors import DegreeZeroError
 from bezmin.poly import Polynomial
-from bezmin.roots import find_roots
+from bezmin.roots import CLUSTER_TOL_FACTOR, find_roots
+from oracles import numpy_find_roots
 
 
 def _match(got, expected, tol):
@@ -112,3 +116,75 @@ def test_graded_and_spread_roots_verify_and_scale_invariant():
             assert rs.multiplicity_suspect == base.multiplicity_suspect
             got, want = np.array(rs.roots), np.array(base.roots)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_huge_coefficients_raise_no_warning():
+    # the numpy polish divided inf by inf here; warnings are errors in the suite
+    rs = find_roots(Polynomial([1e308] * 3))
+    assert len(rs.roots) == 2
+
+
+UNIT = st.floats(0, 2 * math.pi).map(lambda t: cmath.rect(1.0, t))
+SMALL = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@st.composite
+def polish_cases(draw):
+    """Random polynomials of degree 1-8, graded ones (coefficients spread
+    over 1e-6..1e6), and ones with two roots 1e-9 or 1e-5 apart."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "graded", 1e-9, 1e-5]))
+    if kind in ("random", "graded"):
+        coeffs = draw(st.lists(SMALL, min_size=n, max_size=n))
+        coeffs.append(draw(st.floats(0.5, 1)) * draw(UNIT))
+        if kind == "graded":
+            exps = draw(st.lists(st.floats(-6, 6), min_size=n + 1, max_size=n + 1))
+            coeffs = [c * 10.0**e for c, e in zip(coeffs, exps)]
+        return Polynomial(coeffs)
+    center = draw(SMALL)
+    others = draw(st.lists(SMALL, min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    roots = [center, center + kind * draw(UNIT)] + others
+    return Polynomial.from_roots(roots[: max(n, 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polish_cases())
+def test_python_polish_matches_numpy_polish(p):
+    got = find_roots(p)
+    with np.errstate(all="ignore"):  # the numpy polish can overflow a step
+        want = numpy_find_roots(p)
+    assert got.cauchy_bound == want.cauchy_bound
+    assert got.verified == want.verified
+    n = len(want.roots)
+    # the residual is |p| at the root, from the same Horner scheme
+    for r, res in zip(got.roots, got.residuals):
+        v = p(r)
+        assert res == math.hypot(v.real, v.imag)
+
+    # numpy's complex product, quotient and modulus round differently from
+    # Python's, so the two polishes agree to rounding in well separated
+    # roots, and to the root's first-order condition, 2(n+1)u sum|c_k||r|^k
+    # / |p'(r)| for each side, where p cannot resolve a cluster; roots that
+    # tie in real part may swap places in the sort, so match by distance
+    dp = p.derivative()
+    gamma = 2 * len(p.coeffs) * 2.0**-53
+    free = list(range(n))
+    match = []
+    for w in want.roots:
+        j = min(free, key=lambda k: abs(got.roots[k] - w))
+        free.remove(j)
+        match.append(j)
+        noise = gamma * sum(abs(c) * abs(w) ** k for k, c in enumerate(p.coeffs))
+        tol = 1e-14 * (1 + abs(w)) + 2 * noise / max(abs(dp(w)), 1e-300)
+        assert abs(got.roots[j] - w) <= tol
+
+    # the cluster rule is the same; a flag may differ only where the two
+    # polishes put a pair of roots on either side of the cluster tolerance
+    cluster_tol = CLUSTER_TOL_FACTOR * (1 + want.cauchy_bound)
+    for i, j in enumerate(match):
+        if got.multiplicity_suspect[j] != want.multiplicity_suspect[i]:
+            assert any(
+                (abs(want.roots[i] - want.roots[k]) < cluster_tol)
+                != (abs(got.roots[j] - got.roots[match[k]]) < cluster_tol)
+                for k in range(n) if k != i
+            )
