@@ -43,6 +43,7 @@ from .separation import (
     delta,
     delta_report,
     delta_tilde,
+    sandwich_holds,
 )
 from .svgout import emit_svg, render_svg
 
@@ -192,7 +193,7 @@ def cmd_roots(args, tol) -> int:
 
 
 def cmd_delta(args, tol) -> int:
-    report = delta_report(_load_pair(args))
+    report = delta_report(_load_pair(args), tol["sandwich"])
     _emit(args, report.to_json_dict(), lambda: [
         f"delta            {report.delta:.12g}",
         f"witness          {report.argmin_witness:.12g}",
@@ -523,9 +524,7 @@ def _certify_one(task) -> dict:
     record["tilde_upper"] = up
     record["tilde_steps"] = descent.steps
     record["tilde_evals"] = descent.evals
-    record["checks"]["sandwich"] = bool(
-        lo - tol["sandwich"] <= up <= rep.delta + tol["sandwich"]
-    )
+    record["checks"]["sandwich"] = sandwich_holds(lo, up, rep.delta, tol["sandwich"])
 
     try:
         check_separation(

@@ -8,7 +8,7 @@ return new objects and are safe to share across threads.
 
 from __future__ import annotations
 
-import cmath
+import math
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -142,9 +142,9 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
     @classmethod
-    def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
-        """leading * prod(z - r) expanded by convolution."""
-        out = [complex(leading)]
+    def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
+        """prod(z - r) expanded by convolution."""
+        out = [1 + 0j]
         for r in roots:
             r = complex(r)
             nxt = [0j] * (len(out) + 1)
@@ -175,8 +175,10 @@ class Polynomial:
                 "polynomial JSON 'coeffs' must be a list of [re, im] number pairs"
             ) from exc
         for k, c in enumerate(coeffs):
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient {k} is not finite: {c}")
+            # finite parts can still have a modulus that overflows, which
+            # norm() and every later abs() would raise on
+            if not math.isfinite(math.hypot(c.real, c.imag)):
+                raise ValueError(f"coefficient {k} has no finite modulus: {c}")
         return cls(coeffs)
 
 

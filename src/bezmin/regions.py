@@ -26,10 +26,8 @@ other live circles. No live circle crosses a sub-arc between two
 consecutive cuts, so the disk inequalities at its midpoint decide it
 exactly: the sub-arc is kept iff the midpoint is in the region with the
 arc's own disks counted as holding it, and out of the region with them
-counted as missing it. The construction works on arrays: all circle pairs,
-all cut angles and all candidate arcs at once, with the stored angles and
-endpoints rounded exactly as the scalar complex expressions that define them
-(arc_point).
+counted as missing it. The construction works on numpy arrays: all circle
+pairs, all cut angles and all candidate arcs at once.
 
 A ContourSystem is one table of arcs: arrays of centers, radii, start and end
 angles, plus a loop index per arc. Everything that reads a contour (windings,
@@ -82,7 +80,7 @@ class RegionKind(str, Enum):
 class _ArcTable(NamedTuple):
     """What the winding and distance queries derive from a contour's arcs,
     one entry per arc: whether it is a full circle, and its start, end and
-    midpoint, rounded as arc_point gives them."""
+    midpoint (the points at fractions 0, 1 and 0.5 of the arc)."""
 
     full: np.ndarray
     p0: np.ndarray
@@ -112,7 +110,7 @@ class ContourSystem:
     @property
     def total_length(self) -> float:
         """Sum of radius * |sweep| over the arcs, in arc order."""
-        return sum((self.radius * np.abs(self.end - self.start)).tolist())
+        return float(np.sum(self.radius * np.abs(self.end - self.start)))
 
     @cached_property
     def table(self) -> _ArcTable:
@@ -156,19 +154,20 @@ def _region_disks(
 
     E_A has one row per root b of B, with radii |b - a| / 3 around the roots
     a of A; E_B is the same with A and B swapped; D_A is one row with radii
-    3|a| / 4; GAMMA1 is the rows of E_A and then the row of D_A. The radii
-    are Python abs values, which the arcs built on them inherit."""
+    3|a| / 4; GAMMA1 is the rows of E_A and then the row of D_A."""
     if kind not in (RegionKind.E_A, RegionKind.E_B, RegionKind.D_A, RegionKind.GAMMA1):
         raise ValueError(f"unknown region kind {kind}")
-    centers, others = rootsA.roots, rootsB.roots
+    centers = np.array(rootsA.roots, dtype=complex)
+    others = np.array(rootsB.roots, dtype=complex)
     if kind == RegionKind.E_B:
         centers, others = others, centers
-    rows = []
-    if kind != RegionKind.D_A:
-        rows = [[abs(b - a) / 3.0 for a in centers] for b in others]
-    if kind in (RegionKind.D_A, RegionKind.GAMMA1):
-        rows.append([0.75 * abs(a) for a in centers])
-    return np.array(centers, dtype=complex), np.array(rows, dtype=float)
+    rows = np.abs(others[:, None] - centers) / 3
+    d_row = 0.75 * np.abs(centers)[None, :]
+    if kind == RegionKind.D_A:
+        rows = d_row
+    elif kind == RegionKind.GAMMA1:
+        rows = np.concatenate([rows, d_row])
+    return centers, rows
 
 
 def region_probes(
@@ -191,49 +190,13 @@ def region_probes(
 
 
 # ---------------------------------------------------------------------------
-# complex arithmetic on (real, imaginary) arrays
-#
-# Arc angles and endpoints are stored, so they must round exactly as the
-# scalar complex expressions that define them (arc_point). CPython promotes
-# the float in `float * complex` and `complex / float` to a complex with a
-# zero imaginary part, and those zero products keep their signs; `abs` of a
-# complex is hypot. numpy's complex multiply, divide and abs round
-# differently, so the products are spelled out here.
-
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
-def _scaled(f, re, im):
-    """f * (re + i im) for real f."""
-    return f * re - 0.0 * im, f * im + 0.0 * re
-
-
-def _divided(re, im, f):
-    """(re + i im) / f for real f > 0."""
-    return (re + im * 0.0) / f, (im - re * 0.0) / f
-
-
-def _on_circle(cx, cy, radius, theta):
-    """center + radius * exp(i theta)."""
-    e = np.exp(1j * theta)
-    re, im = _scaled(radius, e.real, e.imag)
-    return cx + re, cy + im
-
-
-# ---------------------------------------------------------------------------
 # arrangement: circles, cuts, candidate arcs
 
 
 def _distinct_circles(c: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the circles (centers c, radii r) to keep: all but those within
     tol (center and radius) of an earlier kept circle."""
-    dc = c[:, None] - c[None, :]
-    near = (np.hypot(dc.real, dc.imag) <= tol) & (np.abs(r[:, None] - r) <= tol)
+    near = (np.abs(c[:, None] - c) <= tol) & (np.abs(r[:, None] - r) <= tol)
     near = np.tril(near, -1)
     keep = ~near.any(axis=1)
     # a repeat is dropped only when a circle it repeats was kept
@@ -260,40 +223,34 @@ def _live_circles(centers, radii, region, margin: float) -> np.ndarray:
     return ~(inside.any(axis=2).all(axis=1) | clear.all(axis=2).any(axis=1))
 
 
-def _circle_intersections(cx, cy, radii, scale: float):
+def _circle_intersections(centers, radii, scale: float):
     """Transversal intersection points of the circle pairs i < j, as arrays
-    (owner, x, y): each pair lists its two points for circle i, then for
+    (owner, point): each pair lists its two points for circle i, then for
     circle j, pairs in row-major order. Raises DegenerateArrangement at the
     first (near-)tangent pair in that order."""
     # the pairs as np.triu_indices(n, 1) orders them, at a fraction of its cost
     idx = np.arange(len(radii))
     i, j = np.nonzero(idx[:, None] < idx)
-    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-    d = np.hypot(dx, dy)
+    dc = centers[j] - centers[i]
+    d = np.abs(dc)
     r1, r2 = radii[i], radii[j]
     disc = np.minimum(r1 + r2 - d, d - np.abs(r1 - r2))
     tangent = np.abs(disc) < TANGENCY_TOL * scale
     if tangent.any():
         k = int(np.argmax(tangent))
-        c1, c2 = complex(cx[i[k]], cy[i[k]]), complex(cx[j[k]], cy[j[k]])
+        c1, c2 = complex(centers[i[k]]), complex(centers[j[k]])
         raise DegenerateArrangement(f"tangent circles at centers {c1:.6g}, {c2:.6g}")
     meet = ~(disc < 0)
-    i, j, dx, dy, d = i[meet], j[meet], dx[meet], dy[meet], d[meet]
-    # r**2 as Python's float power rounds it
-    rsq = np.array([r**2 for r in radii.tolist()])
-    ex, ey = _divided(dx, dy, d)
+    i, j, dc, d = i[meet], j[meet], dc[meet], d[meet]
+    rsq = radii * radii
     a = (d * d + rsq[i] - rsq[j]) / (2 * d)
-    hsq = rsq[i] - a * a
-    h = np.sqrt(np.where(0.0 > hsq, 0.0, hsq))
-    bx, by = _scaled(a, ex, ey)
-    bx, by = cx[i] + bx, cy[i] + by
-    # off = (1j * h) * e
-    hr, hi = 0.0 * h - 0.0, 0.0 + h
-    ox, oy = hr * ex - hi * ey, hr * ey + hi * ex
+    h = np.sqrt(np.maximum(rsq[i] - a * a, 0.0))
+    e = dc / d
+    base = centers[i] + a * e
+    off = 1j * h * e
     owner = np.array([i, i, j, j]).T.ravel()
-    x = np.array([bx + ox, bx - ox, bx + ox, bx - ox]).T.ravel()
-    y = np.array([by + oy, by - oy, by + oy, by - oy]).T.ravel()
-    return owner, x, y
+    point = np.array([base + off, base - off, base + off, base - off]).T.ravel()
+    return owner, point
 
 
 def _group_edges(owner):
@@ -374,14 +331,10 @@ def _crosses(region, mid, owner, centers, radii, tol: float) -> np.ndarray:
 
 def _table(center, radius, start, end) -> _ArcTable:
     sweep = end - start
-    # start, end and midpoint, as arc_point at t = 0, 1 and 0.5
+    # start, end and midpoint: arc_point at t = 0, 1 and 0.5
     theta = start + np.array([[0.0], [1.0], [0.5]]) * sweep
-    p0, p1, mid = _complex(*_on_circle(center.real, center.imag, radius, theta))
+    p0, p1, mid = center + radius * np.exp(1j * theta)
     return _ArcTable(np.abs(np.abs(sweep) - 2 * math.pi) < 1e-12, p0, p1, mid)
-
-
-def _hypot(z):
-    return np.hypot(z.real, z.imag)
 
 
 def _delta_args(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
@@ -392,7 +345,7 @@ def _delta_args(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
     c, t = contour, contour.table
     zc = z[:, None]
     turn = np.copysign(2 * math.pi, c.end - c.start)
-    inside = _hypot(zc - c.center) < c.radius
+    inside = np.abs(zc - c.center) < c.radius
     with np.errstate(divide="ignore", invalid="ignore"):
         principal = np.angle((t.p1 - zc) / (t.p0 - zc))
     chord = np.conj(t.p1 - t.p0)
@@ -411,12 +364,12 @@ def _distances(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
     """Distance from each point (rows) to each arc (columns)."""
     c, t = contour, contour.table
     v = z[:, None] - c.center
-    radial = np.abs(_hypot(v) - c.radius)
+    radial = np.abs(np.abs(v) - c.radius)
     phi = np.arctan2(v.imag, v.real)[..., None] + _TURN_SHIFTS
     lo = np.minimum(c.start, c.end)[:, None]
     hi = np.maximum(c.start, c.end)[:, None]
     on_span = t.full | np.any((lo <= phi) & (phi <= hi), axis=-1)
-    ends = np.minimum(_hypot(z[:, None] - t.p0), _hypot(z[:, None] - t.p1))
+    ends = np.minimum(np.abs(z[:, None] - t.p0), np.abs(z[:, None] - t.p1))
     return np.where(on_span, radial, ends)
 
 
@@ -471,9 +424,7 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     the current end, the last such arc on ties.
     """
     n = len(start)
-    gap = np.hypot(
-        start.real[None, :] - end.real[:, None], start.imag[None, :] - end.imag[:, None]
-    )
+    gap = np.abs(start - end[:, None])
     # per arc, the (index, gap) of the starts within tol of its end, by index
     near: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     ends, starts = np.nonzero(gap <= tol)
@@ -529,8 +480,7 @@ def build_region(
     own circles, so the boundary winds +1 about interior points and 0 about
     exterior ones whatever its loops' nesting; the winding certificate about
     the roots (_certify) is the build's last step. The construction works on
-    arrays, and its arcs round exactly as the scalar expressions that define
-    them.
+    arrays.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
         inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
@@ -558,29 +508,21 @@ def build_region(
     centers, radii = centers[keep], radii[keep]
     live = _live_circles(centers, radii, region, LIVE_MARGIN * scale)
     centers, radii = centers[live], radii[live]
-    cx, cy = centers.real, centers.imag
-    owner, px, py = _circle_intersections(cx, cy, radii, scale)
-
-    # math.atan2, not np.arctan2: the two differ in the last bit
-    angle = np.fromiter(
-        map(math.atan2, py - cy[owner], px - cx[owner]), dtype=float, count=len(owner)
-    )
-    owner, angle = _split_angles(owner, angle, radii, tol)
+    owner, point = _circle_intersections(centers, radii, scale)
+    owner, angle = _split_angles(owner, np.angle(point - centers[owner]), radii, tol)
     owner, t0, t1 = _candidate_arcs(len(radii), owner, angle)
 
-    theta = t0 + 0.5 * (t1 - t0)
-    mid = _complex(*_on_circle(cx[owner], cy[owner], radii[owner], theta))
-    kept = np.flatnonzero(_crosses(region, mid, owner, centers, radii, tol))
+    arcs = centers[owner], radii[owner], t0, t1
+    table = _table(*arcs)
+    kept = np.flatnonzero(_crosses(region, table.mid, owner, centers, radii, tol))
 
     if not len(kept):
         raise DegenerateArrangement("region boundary is empty")
 
-    owner = owner[kept]
-    arcs = centers[owner], radii[owner], t0[kept], t1[kept]
-    table = _table(*arcs)
-    order, loops = _chain_loops(table.p0, table.p1, tol)
-    contour = ContourSystem(*(col[order] for col in arcs), loops, scale)
-    contour.table = _ArcTable(*(col[order] for col in table))
+    order, loops = _chain_loops(table.p0[kept], table.p1[kept], tol)
+    kept = kept[order]
+    contour = ContourSystem(*(col[kept] for col in arcs), loops, scale)
+    contour.table = _ArcTable(*(col[kept] for col in table))
     _certify(contour, region_probes(kind, rootsA, rootsB))
     return contour
 

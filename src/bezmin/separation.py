@@ -26,7 +26,6 @@ from .roots import find_roots
 from .sylvester import Pair
 
 ZERO_THRESHOLD_FACTOR = 1e-12
-SANDWICH_TOL = 1e-9
 
 
 @dataclass
@@ -256,8 +255,15 @@ def delta_tilde(
     return lower, float(vals[best]), complex(points[best])
 
 
-def delta_report(pair: Pair) -> DeltaReport:
-    """Full report: delta, the delta-tilde bracket, and the sandwich flag.
+def sandwich_holds(lower: float, upper: float, delta_value: float, tol: float) -> bool:
+    """Whether lower <= upper <= delta, each within tol: the delta-tilde
+    bracket sits below delta, as the paper's sandwich says it must."""
+    return bool(lower - tol <= upper <= delta_value + tol)
+
+
+def delta_report(pair: Pair, sandwich_tol: float) -> DeltaReport:
+    """Full report: delta, the delta-tilde bracket, and the sandwich flag
+    (sandwich_holds within sandwich_tol).
 
     Unlike delta(), a common root is reported (delta ~ 0) instead of raised.
     """
@@ -269,9 +275,7 @@ def delta_report(pair: Pair) -> DeltaReport:
     report.delta_tilde_lower = lower
     report.delta_tilde_upper = upper
     report.tilde_witness = witness
-    report.sandwich_ok = bool(
-        lower - SANDWICH_TOL <= upper <= report.delta + SANDWICH_TOL
-    )
+    report.sandwich_ok = sandwich_holds(lower, upper, report.delta, sandwich_tol)
     return report
 
 
@@ -331,11 +335,9 @@ def check_separation(
     uv = _scrambled_halton(n_disk, seed)
     pts_disk = radius * np.sqrt(uv[:, 0]) * np.exp(2j * np.pi * uv[:, 1])
 
-    # root x ring x angle, the roots of A then of B; hypot, not np.abs, rounds
-    # the distances to the other polynomial's roots as Python's abs does
+    # root x ring x angle, the roots of A then of B
     ra, rb = np.array(rootsA.roots), np.array(rootsB.roots)
-    diff = ra[:, None] - rb
-    dist = np.hypot(diff.real, diff.imag)
+    dist = np.abs(ra[:, None] - rb)
     d_near = np.concatenate([dist.min(axis=1), dist.min(axis=0)])
     d_near[d_near == 0] = 1e-3 * (1.0 + radius)
     budget = n_samples - n_disk

@@ -34,6 +34,20 @@ def test_delta_command_json(poly_files, capsys):
     assert out["sandwich_ok"] is True
 
 
+def test_delta_command_applies_the_sandwich_tolerance(poly_files, capsys, monkeypatch):
+    from bezmin import separation
+
+    def loose_upper(pair, **kwargs):
+        return 0.0, pair.delta_min[0] + 1e-6, 0j
+
+    monkeypatch.setattr(separation, "delta_tilde", loose_upper)
+    a, b = poly_files
+    assert main(["--json", "delta", a, b]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich_ok"] is False
+    assert main(["--json", "--tol", "sandwich=1e-5", "delta", a, b]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich_ok"] is True
+
+
 def test_solve_all_backends(poly_files, capsys):
     a, b = poly_files
     assert main(["--json", "solve", a, b, "--backend", "all"]) == 0
@@ -484,6 +498,16 @@ def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):
     p = tmp_path / "p.json"
     p.write_text('{"coeffs": [[1, 0], [NaN, 0]]}')
     assert main(["roots", str(p)]) == 2
+    assert "coefficient 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["roots", "solve"])
+def test_overflowing_coefficient_is_usage_error(tmp_path, capsys, command):
+    # each part is finite, but the modulus is not: |1.5e308 (1 + i)| > 1.8e308
+    p = tmp_path / "p.json"
+    p.write_text('{"coeffs": [[1, 0], [1.5e308, 1.5e308]]}')
+    files = [str(p)] if command == "roots" else [str(p), str(p)]
+    assert main([command] + files) == 2
     assert "coefficient 1" in capsys.readouterr().err
 
 

@@ -115,7 +115,7 @@ def test_translate_round_trip():
 
 def test_from_roots_and_eval():
     roots = [1.0, -2.0, 3j]
-    p = Polynomial.from_roots(roots, leading=2.0)
+    p = Polynomial.from_roots(roots).scale(2.0)
     for r in roots:
         assert abs(p(r)) < 1e-12
     assert p.coeff(3) == 2.0
@@ -141,3 +141,11 @@ def test_json_rejects_non_finite_coefficients(bad):
         Polynomial.from_json_dict({"coeffs": [[1.0, 0.0], [float(bad), 0.0]]})
     with pytest.raises(ValueError, match="coefficient 0"):
         Polynomial.from_json_dict({"coeffs": [[0.0, float(bad)]]})
+
+
+def test_json_rejects_coefficients_whose_modulus_overflows():
+    with pytest.raises(ValueError, match="coefficient 1"):
+        Polynomial.from_json_dict({"coeffs": [[1.0, 0.0], [1.5e308, 1.5e308]]})
+    # a modulus just below the largest double is accepted
+    p = Polynomial.from_json_dict({"coeffs": [[1.7e308, 0.0], [0.0, -1.7e308]]})
+    assert p.norm() == 1.7e308

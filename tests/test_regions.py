@@ -238,7 +238,7 @@ def test_circle_passing_close_to_an_arc_midpoint(gap, alphas):
 def test_tangent_circles_raise():
     cx, cy, radii = np.array([0.0, 2.0]), np.zeros(2), np.ones(2)
     with pytest.raises(DegenerateArrangement):
-        _circle_intersections(cx, cy, radii, 1.0)
+        _circle_intersections(cx + 1j * cy, radii, 1.0)
 
 
 def test_tangent_dead_circles_do_not_stop_a_build():

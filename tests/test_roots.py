@@ -65,9 +65,9 @@ def test_product_reconstruction():
             (i - deg / 2) * 0.7 + 0.3j * rng.standard_normal() for i in range(deg)
         ]
         lead = 0.5 + rng.random()
-        p = Polynomial.from_roots(roots, lead)
+        p = Polynomial.from_roots(roots).scale(lead)
         rs = find_roots(p)
-        q = Polynomial.from_roots(rs.roots, lead)
+        q = Polynomial.from_roots(rs.roots).scale(lead)
         err = max(abs(p.coeff(k) - q.coeff(k)) for k in range(deg + 1))
         assert err <= 1e-8 * p.norm()
 

@@ -307,7 +307,7 @@ def test_discontinuity_family():
 
 
 def test_full_report_fields():
-    rep = delta_report(build(Z, ONE_MINUS_Z))
+    rep = delta_report(build(Z, ONE_MINUS_Z), 1e-9)
     assert rep.sandwich_ok
     assert rep.delta == 1.0
     assert rep.delta_tilde_lower <= rep.delta_tilde_upper <= rep.delta + 1e-9
