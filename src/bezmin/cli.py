@@ -4,11 +4,6 @@ families, figure reconstructions, and the randomized certification run.
 Exit codes: 0 success, 1 check failure or refused input (any BezminError,
 reported as one "error: <Type>: <message>" line), 2 usage error, 3 numerical
 non-convergence.
-
-Every JSON document the commands print or write comes from one writer,
-_json_text, which gives the bytes of json.dumps(obj, indent=1,
-sort_keys=True) without the standard library's pure-Python encoder that
-json.dumps runs whenever indent is set.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import json
 import math
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -91,67 +85,10 @@ def _load_pair(args) -> sylvester.Pair:
     return sylvester.build(_load_poly(args.poly_a), _load_poly(args.poly_b))
 
 
-# float.__repr__ of the values JSON spells differently, and the constants
-_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_SPECIALS.get(text, text)
-
-
-def _scalar_text(obj) -> str:
-    if obj is None or obj is True or obj is False:
-        return _CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    raise TypeError(
-        f"Object of type {obj.__class__.__name__} is not JSON serializable"
-    )
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return f'"{_scalar_text(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_text(obj, level: int = 0) -> str:
-    """obj as json.dumps(obj, indent=1, sort_keys=True) writes it, nested
-    `level` deep; a list of floats, such as each [re, im] pair, is one
-    join."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        indent = "\n" + " " * (level + 1)
-        sep = "," + indent
-        try:
-            # float.__repr__ refuses anything but a float, bool included
-            text = sep.join(map(float.__repr__, obj))
-        except TypeError:
-            text = sep.join([_json_text(v, level + 1) for v in obj])
-        else:
-            if "n" in text:  # nan or inf
-                text = sep.join(map(_float_text, obj))
-        return f"[{indent}{text}\n{' ' * level}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        indent = "\n" + " " * (level + 1)
-        text = f",{indent}".join([
-            f"{_key_text(key)}: {_json_text(value, level + 1)}"
-            for key, value in sorted(obj.items())
-        ])
-        return f"{{{indent}{text}\n{' ' * level}}}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    return _scalar_text(obj)
+def _json_text(obj) -> str:
+    """obj as the one line of JSON, keys sorted, that every command prints
+    and writes; without indent, json.dumps runs its C encoder."""
+    return json.dumps(obj, sort_keys=True)
 
 
 def _print_json(obj) -> None:
@@ -574,6 +511,10 @@ def _certify_one(task) -> dict:
             record["analytic_backend_skipped"] = f"{type(exc).__name__}: {exc}"
 
     record["seconds"] = time.perf_counter() - t0
+    if "analytic_backend_skipped" in record or not all(record["checks"].values()):
+        # the input files of `bezmin solve A.json B.json`, which replays it
+        record["A"] = pair.A.to_json_dict()
+        record["B"] = pair.B.to_json_dict()
     return record
 
 

@@ -25,8 +25,6 @@ from .errors import CommonRootError, SeparationViolation
 from .roots import find_roots
 from .sylvester import Pair
 
-ZERO_THRESHOLD_FACTOR = 1e-12
-
 
 @dataclass
 class DeltaReport:
@@ -54,12 +52,11 @@ class DeltaReport:
 
 
 def delta(pair: Pair) -> DeltaReport:
-    """Exact-by-construction min over roots; raises CommonRootError when the
-    value underflows the zero threshold (downstream solvers must refuse)."""
-    value, witness = pair.delta_min
-    threshold = ZERO_THRESHOLD_FACTOR * max(pair.A.norm(), pair.B.norm())
+    """Exact-by-construction min over roots; raises CommonRootError when A
+    and B share a root (see Pair.delta_min; downstream solvers must refuse)."""
+    value, witness, threshold = pair.delta_min
     report = DeltaReport(delta=value, argmin_witness=witness,
-                         common_root=value < threshold)
+                         common_root=threshold is not None)
     if report.common_root:
         raise CommonRootError(
             f"delta = {value:.3e} below common-root threshold {threshold:.3e}",
@@ -239,7 +236,7 @@ def delta_tilde(
     descent's iteration, evaluation and unconverged-seed counts are added to
     it.
     """
-    dval, _ = pair.delta_min
+    dval = pair.delta_min[0]
     lower = max(dval / 3.0 ** max(pair.N, pair.K), 0.0)
 
     jet = _Jet(pair)

@@ -43,12 +43,15 @@ from .roots import RootSet, find_roots
 # solve refines at most this often, stopping at a step that does not help
 REFINE_STEPS = 3
 
+COMMON_ROOT_REL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Pair:
     """One input pair: A and B as given, An and Bn after normalize() with
-    degrees N and K, and the Sylvester entries. The roots, delta's value and
-    witness, and the LU factors are computed on first use and kept."""
+    degrees N and K, and the Sylvester entries. The roots, delta's value,
+    witness and common-root threshold, and the LU factors are computed on
+    first use and kept."""
 
     A: Polynomial
     B: Polynomial
@@ -71,13 +74,20 @@ class Pair:
         return find_roots(self.B)
 
     @cached_property
-    def delta_min(self) -> tuple[float, complex]:
+    def delta_min(self) -> tuple[float, complex, float | None]:
         """delta's value, the min of |B| over the roots of A and |A| over the
-        roots of B, and the first root where it is attained."""
-        vals = [(abs(self.B(r)), r) for r in self.rootsA.roots]
-        vals += [(abs(self.A(r)), r) for r in self.rootsB.roots]
-        value, witness = min(vals, key=lambda t: t[0])
-        return float(value), complex(witness)
+        roots of B; the first root where it is attained; and the common-root
+        threshold it falls below, or None. |B| at a root of A scales with B
+        alone, so A and B share a root when |B| there is below
+        COMMON_ROOT_REL * norm(B), or |A| at a root of B below that of A."""
+        sides = [
+            (*min(((abs(other(r)), r) for r in roots.roots), key=lambda t: t[0]),
+             COMMON_ROOT_REL * other.norm())
+            for roots, other in ((self.rootsA, self.B), (self.rootsB, self.A))
+        ]
+        value, witness, _ = min(sides, key=lambda t: t[0])
+        common = [threshold for side, _, threshold in sides if side < threshold]
+        return value, witness, common[0] if common else None
 
     @cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:

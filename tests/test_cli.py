@@ -126,6 +126,19 @@ def test_solve_common_root_exits_nonzero(tmp_path, capsys):
     assert main(["solve", str(a), str(a)]) == 1
 
 
+def test_pair_of_different_scales_is_not_a_common_root(tmp_path, capsys):
+    # A = 1e13 (z - 1) and B = z + 2: |A| at -2 is 3e13, |B| at 1 is 3
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(Polynomial([-1, 1]).scale(1e13).to_json_dict()))
+    b.write_text(json.dumps(Polynomial([2, 1]).to_json_dict()))
+    assert main(["--json", "solve", str(a), str(b), "--backend", "all"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(res["residual"] <= 1e-9 for res in out.values())
+    assert main(["--json", "delta", str(a), str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["common_root"] is False
+
+
 def test_regions_command(poly_files, tmp_path, capsys):
     a, b = poly_files
     svg = tmp_path / "r.svg"
@@ -298,6 +311,8 @@ def test_certify_small_run_and_determinism(tmp_path, capsys):
         assert rec["checks"]["sandwich"] is True
         assert "sylvester" in rec["backends"]
         assert 0 < rec["tilde_steps"] < rec["tilde_evals"]
+        # only a failing or skipped record carries its pair
+        assert "A" not in rec and "B" not in rec
 
 
 def test_certify_vacuous_floor(tmp_path, capsys):
@@ -397,6 +412,52 @@ def test_certify_worker_pool_matches_sequential(tmp_path):
     r1 = _strip_timing(json.loads((seq / "certify_report.json").read_text()))
     r2 = _strip_timing(json.loads((par / "certify_report.json").read_text()))
     assert r1 == r2
+
+
+def _write_pair(tmp_path, record) -> tuple[str, str]:
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps(record["A"]))
+    b.write_text(json.dumps(record["B"]))
+    return str(a), str(b)
+
+
+def test_failing_certify_records_replay_with_solve(tmp_path, capsys):
+    # no residual meets 1e-300, so every record fails; `bezmin solve` on the
+    # pair a record carries gives that record's residual and norm(R)
+    out = tmp_path / "c"
+    assert main(["--out", str(out), "--tol", "residual=1e-300", "--seed", "7",
+                 "certify", "--count", "4", "--separation-samples", "300"]) == 1
+    capsys.readouterr()
+    records = json.loads((out / "certify_report.json").read_text())["records"]
+    assert records
+    for rec in records:
+        assert rec["checks"]["residual"] is False
+        assert main(["--json", "solve", *_write_pair(tmp_path, rec)]) == 0
+        sol = json.loads(capsys.readouterr().out)["sylvester"]
+        assert sol["residual"] == rec["residual_sylvester"]
+        assert Polynomial.from_json_dict(sol["R"]).norm() == rec["norm_r"]
+
+
+def test_skipped_analytic_backends_carry_the_pair(tmp_path, capsys, monkeypatch):
+    from bezmin import backends
+    from bezmin.errors import QuadratureNotConverged
+
+    def refuse(*args, **kwargs):
+        raise QuadratureNotConverged("refused")
+
+    monkeypatch.setattr(backends, "solve_quadrature", refuse)
+    out = tmp_path / "c"
+    assert main(["--out", str(out), "--seed", "7", "certify", "--count", "4",
+                 "--separation-samples", "300"]) == 0
+    capsys.readouterr()
+    records = json.loads((out / "certify_report.json").read_text())["records"]
+    skipped = [r for r in records if "analytic_backend_skipped" in r]
+    assert skipped
+    for rec in skipped:
+        assert rec["analytic_backend_skipped"] == "QuadratureNotConverged: refused"
+        assert main(["--json", "delta", *_write_pair(tmp_path, rec)]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == rec["delta"]
 
 
 def test_solve_quadrature_nonconvergence_exit_code(tmp_path, monkeypatch):

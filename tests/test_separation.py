@@ -52,6 +52,27 @@ def test_delta_identical_raises():
         delta(build(Z, Z))
 
 
+@pytest.mark.parametrize("c", [1e-13, 1e13])
+def test_delta_accepts_a_separated_pair_whatever_the_scale_of_a(c):
+    # |B| at a root of A scales with B alone, and |A| at a root of B with A
+    # alone, so neither is measured against the larger of the two norms
+    A, B = Polynomial([-1, 1]).scale(c), Polynomial([2, 1])
+    rep = delta(build(A, B))
+    assert not rep.common_root
+    assert rep.delta == pytest.approx(3 * min(c, 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_delta_refuses_a_common_root_at_every_scale(c, side):
+    # z + z^2 and 2 + 3z + z^2 = (z + 1)(z + 2) share the root -1 with 1 + z
+    for shared in (Polynomial([0, 1, 1]), Polynomial([2, 3, 1])):
+        A, B = shared, Polynomial([1, 1])
+        A, B = (A.scale(c), B) if side == "A" else (A, B.scale(c))
+        with pytest.raises(CommonRootError):
+            delta(build(A, B))
+
+
 def test_delta_scale_law():
     rng = np.random.default_rng(21)
     for _ in range(10):
