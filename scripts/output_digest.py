@@ -12,10 +12,11 @@ Each run calls `bezmin.cli.main` in-process; its digest covers the exit code,
 stdout and stderr, with the temporary directory replaced by a placeholder.
 The families:
 
-* solve-all, solve-monomial, sylvester, regions: `--json solve A B --backend
-  all`, `--json solve A B --rhs monomial:1`, `--json sylvester A B` and
-  `--json regions A B --kind ea,eb,da,gamma1,inverted --svg FILE`, with the
-  SVG file it writes, on the first N pairs of
+* solve-all, solve-monomial, sylvester, delta, regions: `--json solve A B
+  --backend all`, `--json solve A B --rhs monomial:1`, `--json sylvester A
+  B`, `--json delta A B` and `--json regions A B --kind
+  ea,eb,da,gamma1,inverted --svg FILE`, with the SVG file it writes, on the
+  first N pairs of
   `bench/pairs.PairPool("solve-d8", 5)` and then of
   `PairPool("solve-tight", 5)`;
 * certify: `--seed 1 certify --count 200 --max-degree 5`, with the report it
@@ -73,6 +74,7 @@ PAIR_FAMILIES = {
         "--json", "solve", a, b, "--rhs", "monomial:1"
     ],
     "sylvester": lambda a, b, out: ["--json", "sylvester", a, b],
+    "delta": lambda a, b, out: ["--json", "delta", a, b],
     "regions": lambda a, b, out: [
         "--json", "regions", a, b, "--kind", REGION_KINDS,
         "--svg", str(out / "regions.svg"),

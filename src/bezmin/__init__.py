@@ -1,15 +1,17 @@
 """Minimal Bezout cofactors for coprime complex polynomials.
 
 Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
-from build(A, B): its degrees, Sylvester entries, and the roots, delta and
-LU factors, each computed once on first use), RootSet (certified roots),
-DeltaReport (separation quantities), ContourSystem (a region boundary built
-for a RegionKind: the arcs between cuts of its disk circles whose midpoints
-lie on the boundary, as one table of center, radius, start and end angle
-arrays plus a loop index per arc), and BezoutSolution (the minimal-degree
-pair R, S with A*R + B*S = P). The separation quantities, solvers and
-reports all take the Pair; the monomial family P = z^l is
-solve(build(A, B), Polynomial.monomial(l)).
+from build(A, B): its degrees, Sylvester entries, and the roots, the values
+of each polynomial at the other's roots, delta and LU factors, each computed
+once on first use; Pair.delta refuses a common root with CommonRootError),
+RootSet (certified roots), DeltaReport (separation quantities),
+ContourSystem (a region boundary built for a RegionKind: the arcs between
+cuts of its disk circles whose midpoints lie on the boundary, as one table of
+center, radius, start and end angle arrays plus a loop index per arc), and
+BezoutSolution (the minimal-degree pair R, S with A*R + B*S = P). The
+separation quantities, solvers and reports all take the Pair and read delta
+from it; the monomial family P = z^l is solve(build(A, B),
+Polynomial.monomial(l)).
 """
 
 from .poly import Polynomial
@@ -17,7 +19,6 @@ from .roots import RootSet, find_roots
 from .separation import (
     DeltaReport,
     check_separation,
-    delta,
     delta_report,
     delta_tilde,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "RootSet",
     "find_roots",
     "DeltaReport",
-    "delta",
     "delta_report",
     "delta_tilde",
     "check_separation",

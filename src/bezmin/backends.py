@@ -44,7 +44,6 @@ from .regions import (
     region_probes,
 )
 from .roots import RootSet
-from .separation import delta
 from .sylvester import BezoutSolution, Pair
 
 # the first quadrature order; _settle doubles it until the value settles, up
@@ -94,12 +93,12 @@ def solve_residue(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Closed-form evaluation of the contour formulas for simple roots:
     interpolate P/B at the roots of A and P/A at the roots of B."""
     P = sylvester.right_hand_side(pair, P)
-    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
-    _guard_simple(rootsA, "A")
-    _guard_simple(rootsB, "B")
-    delta(pair)  # raises CommonRootError on a shared root
-    S = _interpolate(rootsA.roots, [P(a) / B(a) for a in rootsA.roots])
-    R = _interpolate(rootsB.roots, [P(b) / A(b) for b in rootsB.roots])
+    _guard_simple(pair.rootsA, "A")
+    _guard_simple(pair.rootsB, "B")
+    pair.delta  # raises CommonRootError on a shared root
+    ra, rb = pair.rootsA.roots, pair.rootsB.roots
+    S = _interpolate(ra, [P(a) / v for a, v in zip(ra, pair.B_at_rootsA)])
+    R = _interpolate(rb, [P(b) / v for b, v in zip(rb, pair.A_at_rootsB)])
     return BezoutSolution.checked(pair, P, R, S, "residue")
 
 
@@ -276,16 +275,15 @@ class ContourMetrics:
         return dict(self.__dict__)
 
 
-def contour_metrics(
-    contour: ContourSystem, pair: Pair, delta_value: float
-) -> ContourMetrics:
+def contour_metrics(contour: ContourSystem, pair: Pair) -> ContourMetrics:
     """Length, the scale-invariant integral of |du|/|u|, and the lower bounds
-    on |A| and |B| along the contour. The integral is the sum of |w| / |zeta|
+    on |A| and |B| along the contour at the pair's delta (CommonRootError
+    on a shared root). The integral is the sum of |w| / |zeta|
     over a Gauss-Legendre rule on the contour subdivided about the origin,
     settled to 1e-9 (QuadratureNotConverged when it does not settle).
     Violated bounds are reported, not raised; they validate the theory
     rather than gate the build."""
-    A, B, n, k = pair.A, pair.B, pair.N, pair.K
+    A, B, n, k, delta = pair.A, pair.B, pair.N, pair.K, pair.delta
     split = _subdivide(contour, np.zeros(1, dtype=complex))
 
     def log_integral(order: int) -> float:
@@ -306,8 +304,8 @@ def contour_metrics(
 
     eps = 1.0 / (4.0 * (n + k + 2.0))
     c5 = min(1.0, eps**n)
-    lower_a = min(c5 * A.norm() / 2.0**n, delta_value / 3.0**n)
-    lower_b = delta_value / 3.0**k
+    lower_a = min(c5 * A.norm() / 2.0**n, delta / 3.0**n)
+    lower_b = delta / 3.0**k
     bound_log = 6.0 * math.pi * n ** (k + 1)
     tol = 1e-9 * (1.0 + max(min_a, min_b))
     return ContourMetrics(
@@ -367,20 +365,17 @@ class BoundCertification:
         return dict(self.__dict__)
 
 
-def certify_main_bound(
-    pair: Pair, solution: BezoutSolution, delta_value: float
-) -> BoundCertification:
-    """Ratios norm(R) * delta^2 / max(1, max-norm) (and for S), checked
-    against the empirical per-degree ceiling table when available."""
-    if delta_value <= 0:
-        raise ValueError("certification requires delta > 0")
-    n, k = pair.N, pair.K
+def certify_main_bound(pair: Pair, solution: BezoutSolution) -> BoundCertification:
+    """Ratios norm(R) * delta^2 / max(1, max-norm) (and for S) at the pair's
+    delta, checked against the empirical per-degree ceiling table when
+    available."""
+    n, k, delta = pair.N, pair.K, pair.delta
     cap = max(1.0, pair.A.norm(), pair.B.norm())
     nr, ns = solution.R.norm(), solution.S.norm()
-    ratio_r = nr * delta_value**2 / cap
-    ratio_s = ns * delta_value**2 / cap
-    crude_r = nr * delta_value ** min(n, k)
-    crude_s = ns * delta_value ** min(n, k)
+    ratio_r = nr * delta**2 / cap
+    ratio_s = ns * delta**2 / cap
+    crude_r = nr * delta ** min(n, k)
+    crude_s = ns * delta ** min(n, k)
     from .ceilings import lookup_ceiling
 
     ceiling = lookup_ceiling(n, k)
@@ -390,7 +385,7 @@ def certify_main_bound(
         ratio_s=ratio_s,
         crude_ratio_r=crude_r,
         crude_ratio_s=crude_s,
-        delta=delta_value,
+        delta=delta,
         norm_r=nr,
         norm_s=ns,
         norm_cap=cap,

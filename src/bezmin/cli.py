@@ -34,7 +34,6 @@ from .roots import find_roots
 from .separation import (
     DescentStats,
     check_separation,
-    delta,
     delta_report,
     delta_tilde,
     sandwich_holds,
@@ -157,7 +156,7 @@ def _parse_rhs(spec: str, n: int, k: int) -> Polynomial:
 def cmd_solve(args, tol) -> int:
     pair = _load_pair(args)
     P = _parse_rhs(args.rhs, pair.N, pair.K)
-    rep = delta(pair)
+    pair.delta  # a common root is refused before any backend runs
 
     results = {}
     for name in BACKENDS if args.backend == "all" else [args.backend]:
@@ -170,7 +169,7 @@ def cmd_solve(args, tol) -> int:
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
         if P == Polynomial([1.0]):
-            cert = backends.certify_main_bound(pair, sol, rep.delta)
+            cert = backends.certify_main_bound(pair, sol)
             sol.bound_report = cert.to_json_dict()
         results[name] = sol.to_json_dict()
 
@@ -226,10 +225,7 @@ def cmd_regions(args, tol) -> int:
         contours.append(contour)
         entry = contour.to_json_dict()
         if kind in (RegionKind.GAMMA1,):
-            rep = delta(pair)
-            entry["metrics"] = backends.contour_metrics(
-                contour, pair, rep.delta
-            ).to_json_dict()
+            entry["metrics"] = backends.contour_metrics(contour, pair).to_json_dict()
         info[kind.value] = entry
     markers = list(rootsA.roots) + list(rootsB.roots)
     if args.svg:
@@ -247,8 +243,7 @@ def cmd_regions(args, tol) -> int:
 def cmd_sylvester(args, tol) -> int:
     pair = _load_pair(args)
     triple = sylvester.resultant(pair)
-    rep = delta(pair)
-    inv = sylvester.inverse_norm_report(pair, rep.delta)
+    inv = sylvester.inverse_norm_report(pair)
     out = {
         "matrix": [[[v.real, v.imag] for v in row] for row in pair.entries],
         "resultant": {
@@ -317,14 +312,13 @@ def cmd_examples(args, tol) -> int:
     for n in (2, 3, 4, 5):
         for a in (1.0, 0.9, 0.5, 0.25, 0.1):
             pair = sylvester.build(*sharpness_instance(n, a))
-            rep = delta(pair)
             sol = sylvester.solve(pair)
-            predicted = rep.delta ** (-2.0 + 1.0 / n)
+            predicted = pair.delta ** (-2.0 + 1.0 / n)
             err = abs(sol.R.norm() - predicted) / predicted
-            passed = err <= tol["sharpness"] and abs(rep.delta - a**n) <= 1e-9
+            passed = err <= tol["sharpness"] and abs(pair.delta - a**n) <= 1e-9
             ok &= passed
             rows.append(
-                {"family": "sharpness", "N": n, "a": a, "delta": rep.delta,
+                {"family": "sharpness", "N": n, "a": a, "delta": pair.delta,
                  "norm_R": sol.R.norm(), "predicted": predicted,
                  "rel_err": err, "pass": passed}
             )
@@ -333,32 +327,28 @@ def cmd_examples(args, tol) -> int:
         for a in (0.9, 0.5, 0.25, 0.1):
             A, B = sharpness_instance(n, a)
             pair = sylvester.build(A.scale(a**-2), B.scale(a**-2))
-            rep = delta(pair)
             sol = sylvester.solve(pair)
-            ratio = sol.R.norm() * rep.delta**2
+            ratio = sol.R.norm() * pair.delta**2
             err = abs(ratio - 1.0 / a) * a
             passed = err <= tol["sharpness"]
             ok &= passed
             rows.append(
-                {"family": "unnormalized", "N": n, "a": a, "delta": rep.delta,
+                {"family": "unnormalized", "N": n, "a": a, "delta": pair.delta,
                  "ratio": ratio, "expected": 1.0 / a, "rel_err": err,
                  "pass": passed}
             )
 
     A0 = Polynomial([0.0, 1.0])
     B0 = Polynomial([1.0, -1.0])
-    rep0 = delta(sylvester.build(A0, B0))
-    base_ok = abs(rep0.delta - 1.0) < 1e-15
+    base = sylvester.build(A0, B0).delta
+    base_ok = abs(base - 1.0) < 1e-15
     ok &= base_ok
     rows.append({"family": "discontinuity", "n": None,
-                 "delta_base": rep0.delta, "pass": base_ok})
+                 "delta_base": base, "pass": base_ok})
     for n in range(2, 11):
         An, Bn = discontinuity_pair(n)
-        try:
-            rep = delta(sylvester.build(An, Bn))
-            dval = rep.delta
-        except CommonRootError as exc:
-            dval = exc.report.delta
+        # A_n and B_n share a root, so delta_min reports it without refusing
+        dval = sylvester.build(An, Bn).delta_min[0]
         drift = (An - A0).norm()
         passed = dval <= 1e-9 and drift == 1.0 / n
         ok &= passed
@@ -439,10 +429,10 @@ def _certify_one(task) -> dict:
     if not (pair.rootsA.verified and pair.rootsB.verified):
         return {"index": index, "rejected": "unverified_roots"}
     try:
-        rep = delta(pair)
+        delta = pair.delta
     except CommonRootError:
         return {"index": index, "rejected": "common_root"}
-    if rep.delta < args.delta_floor:
+    if delta < args.delta_floor:
         return {"index": index, "rejected": "delta_floor"}
 
     t0 = time.perf_counter()
@@ -450,7 +440,7 @@ def _certify_one(task) -> dict:
         "index": index,
         "deg_a": deg_a,
         "deg_b": deg_b,
-        "delta": rep.delta,
+        "delta": delta,
         "backends": ["sylvester"],
         "checks": {},
     }
@@ -461,12 +451,11 @@ def _certify_one(task) -> dict:
     record["tilde_upper"] = up
     record["tilde_steps"] = descent.steps
     record["tilde_evals"] = descent.evals
-    record["checks"]["sandwich"] = sandwich_holds(lo, up, rep.delta, tol["sandwich"])
+    record["checks"]["sandwich"] = sandwich_holds(lo, up, delta, tol["sandwich"])
 
     try:
         check_separation(
-            pair, rep.delta, args.separation_samples,
-            seed=int(rng.integers(2**31)),
+            pair, args.separation_samples, seed=int(rng.integers(2**31))
         )
         record["checks"]["separation"] = True
     except SeparationViolation:
@@ -477,7 +466,7 @@ def _certify_one(task) -> dict:
     record["norm_r"] = sol.R.norm()
     record["norm_s"] = sol.S.norm()
     record["checks"]["residual"] = sol.residual <= tol["residual"]
-    cert = backends.certify_main_bound(pair, sol, rep.delta)
+    cert = backends.certify_main_bound(pair, sol)
     record["ratio"] = max(cert.ratio_r, cert.ratio_s)
     record["checks"]["ratio_ceiling"] = cert.passed
 
@@ -490,7 +479,7 @@ def _certify_one(task) -> dict:
     record["resultant_rel_spread"] = rel
     record["checks"]["resultant"] = rel <= tol["resultant"]
 
-    inv = sylvester.inverse_norm_report(pair, rep.delta)
+    inv = sylvester.inverse_norm_report(pair)
     record["sylvester_inverse_ratio"] = inv.tightness_ratio
 
     simple = not (pair.rootsA.any_suspect or pair.rootsB.any_suspect)

@@ -11,14 +11,8 @@ class DegreeZeroError(BezminError):
 
 
 class CommonRootError(BezminError):
-    """A and B (numerically) share a root, so no Bezout solution exists.
-
-    Carries the offending DeltaReport in ``report`` when available.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A and B (numerically) share a root, so no Bezout solution exists;
+    raised by Pair.delta."""
 
 
 class SeparationViolation(BezminError):

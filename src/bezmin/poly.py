@@ -63,8 +63,12 @@ class Polynomial:
         return acc
 
     def norm(self) -> float:
-        """Max modulus of the coefficients."""
-        return max(abs(c) for c in self._coeffs)
+        """Max modulus of the coefficients by abs() (math.hypot rounds some
+        moduli differently); inf when a modulus overflows."""
+        try:
+            return max(abs(c) for c in self._coeffs)
+        except OverflowError:
+            return math.inf
 
     def derivative(self) -> "Polynomial":
         if len(self._coeffs) == 1:
@@ -72,10 +76,13 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])
 
     def normalize(self) -> "Polynomial":
-        """Trim trailing coefficients below _TRIM_REL * norm()."""
+        """Trim trailing coefficients below _TRIM_REL * norm(); a norm that
+        is not finite is refused."""
         nrm = self.norm()
         if nrm == 0.0:
             return Polynomial([0])
+        if not math.isfinite(nrm):
+            raise ValueError(f"polynomial norm is not finite: {nrm}")
         cut = _TRIM_REL * nrm
         last = 0
         for k, c in enumerate(self._coeffs):
@@ -176,7 +183,7 @@ class Polynomial:
             ) from exc
         for k, c in enumerate(coeffs):
             # finite parts can still have a modulus that overflows, which
-            # norm() and every later abs() would raise on
+            # normalize() would refuse without naming the coefficient
             if not math.isfinite(math.hypot(c.real, c.imag)):
                 raise ValueError(f"coefficient {k} has no finite modulus: {c}")
         return cls(coeffs)

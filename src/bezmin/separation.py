@@ -1,18 +1,19 @@
 """Separation quantities for a coprime pair (A, B).
 
-delta(pair) is the min of |B| over the roots of A and |A| over the roots of
-B. delta_tilde(pair) is the global minimum over the plane of max(|A(z)|,
-|B(z)|); it cannot be certified cheaply, so it is reported as a bracket: a
-rigorous lower bound delta / 3**max(N, K) from the sub-level separation
-result, and an upper bound from a multistart descent. The minimiser lies on
-|A| = |B| where the two gradients are opposed, so the descent is damped
-Newton on that minimax condition, with a root step toward the zeros of the
-larger polynomial while a seed is far from the curve. All seeds advance
-together through one vectorised loop, and a seed only moves where
-max(|A|, |B|) falls. It has no derivative-free fallback: on 2,083 certify
-pairs its upper end was never above that of the restarted Nelder-Mead
-descent it replaced. All of them read the roots, degrees and delta's value
-from the Pair, which computes each once.
+delta, the min of |B| over the roots of A and |A| over the roots of B, lives
+on the Pair: Pair.delta_min gives its value, witness and common-root test,
+and Pair.delta its value, refusing a common root. delta_tilde(pair) is the
+global minimum over the plane of max(|A(z)|, |B(z)|); it cannot be certified
+cheaply, so it is reported as a bracket: a rigorous lower bound
+delta / 3**max(N, K) from the sub-level separation result, and an upper
+bound from a multistart descent. The minimiser lies on |A| = |B| where the
+two gradients are opposed, so the descent is damped Newton on that minimax
+condition, with a root step toward the zeros of the larger polynomial while
+a seed is far from the curve. All seeds advance together through one
+vectorised loop, and a seed only moves where max(|A|, |B|) falls. It has no
+derivative-free fallback: on 2,083 certify pairs its upper end was never
+above that of the restarted Nelder-Mead descent it replaced. All of them
+read the roots, degrees and delta from the Pair, which computes each once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommonRootError, SeparationViolation
+from .errors import SeparationViolation
 from .roots import find_roots
 from .sylvester import Pair
 
@@ -30,39 +31,22 @@ from .sylvester import Pair
 class DeltaReport:
     delta: float
     argmin_witness: complex
-    delta_tilde_lower: float | None = None
-    delta_tilde_upper: float | None = None
-    tilde_witness: complex | None = None
-    sandwich_ok: bool | None = None
-    common_root: bool = False
+    delta_tilde_lower: float
+    delta_tilde_upper: float
+    tilde_witness: complex
+    sandwich_ok: bool
+    common_root: bool
 
     def to_json_dict(self) -> dict:
-        def c(z):
-            return None if z is None else [z.real, z.imag]
-
         return {
             "delta": self.delta,
-            "argmin_witness": c(self.argmin_witness),
+            "argmin_witness": [self.argmin_witness.real, self.argmin_witness.imag],
             "delta_tilde_lower": self.delta_tilde_lower,
             "delta_tilde_upper": self.delta_tilde_upper,
-            "tilde_witness": c(self.tilde_witness),
+            "tilde_witness": [self.tilde_witness.real, self.tilde_witness.imag],
             "sandwich_ok": self.sandwich_ok,
             "common_root": self.common_root,
         }
-
-
-def delta(pair: Pair) -> DeltaReport:
-    """Exact-by-construction min over roots; raises CommonRootError when A
-    and B share a root (see Pair.delta_min; downstream solvers must refuse)."""
-    value, witness, threshold = pair.delta_min
-    report = DeltaReport(delta=value, argmin_witness=witness,
-                         common_root=threshold is not None)
-    if report.common_root:
-        raise CommonRootError(
-            f"delta = {value:.3e} below common-root threshold {threshold:.3e}",
-            report=report,
-        )
-    return report
 
 
 # Damped Newton on the minimax condition F(z) = 0 (see delta_tilde). Each
@@ -252,28 +236,30 @@ def delta_tilde(
     return lower, float(vals[best]), complex(points[best])
 
 
-def sandwich_holds(lower: float, upper: float, delta_value: float, tol: float) -> bool:
+def sandwich_holds(lower: float, upper: float, delta: float, tol: float) -> bool:
     """Whether lower <= upper <= delta, each within tol: the delta-tilde
     bracket sits below delta, as the paper's sandwich says it must."""
-    return bool(lower - tol <= upper <= delta_value + tol)
+    return bool(lower - tol <= upper <= delta + tol)
 
 
 def delta_report(pair: Pair, sandwich_tol: float) -> DeltaReport:
     """Full report: delta, the delta-tilde bracket, and the sandwich flag
     (sandwich_holds within sandwich_tol).
 
-    Unlike delta(), a common root is reported (delta ~ 0) instead of raised.
+    Unlike Pair.delta, a common root is reported (delta ~ 0) instead of
+    raised.
     """
-    try:
-        report = delta(pair)
-    except CommonRootError as exc:
-        report = exc.report
-    lower, upper, witness = delta_tilde(pair)
-    report.delta_tilde_lower = lower
-    report.delta_tilde_upper = upper
-    report.tilde_witness = witness
-    report.sandwich_ok = sandwich_holds(lower, upper, report.delta, sandwich_tol)
-    return report
+    value, witness, threshold = pair.delta_min
+    lower, upper, tilde_witness = delta_tilde(pair)
+    return DeltaReport(
+        delta=value,
+        argmin_witness=witness,
+        delta_tilde_lower=lower,
+        delta_tilde_upper=upper,
+        tilde_witness=tilde_witness,
+        sandwich_ok=sandwich_holds(lower, upper, value, sandwich_tol),
+        common_root=threshold is not None,
+    )
 
 
 @dataclass(frozen=True)
@@ -308,11 +294,9 @@ def _scrambled_halton(n: int, seed: int) -> np.ndarray:
 _RING_SCALES = np.geomspace(1e-3, 1.5, 8)
 
 
-def check_separation(
-    pair: Pair, delta_value: float, n_samples: int, seed: int = 0
-) -> SeparationReport:
+def check_separation(pair: Pair, n_samples: int, seed: int = 0) -> SeparationReport:
     """Sample the plane and verify the sub-level sets L(A, delta/3^N) and
-    L(B, delta/3^K) never intersect.
+    L(B, delta/3^K) never intersect, at the pair's delta.
 
     Sampling mixes a Halton set over the joint Cauchy disk with rings around
     every root at the separation-relevant scale. A joint hit is a numerical
@@ -321,11 +305,9 @@ def check_separation(
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     if A.norm() > 1 + 1e-12 or B.norm() > 1 + 1e-12:
         raise ValueError("separation check requires norm(A), norm(B) <= 1")
-    if delta_value <= 0:
-        raise ValueError("separation check requires delta > 0")
 
-    eps_a = delta_value / 3.0**pair.N
-    eps_b = delta_value / 3.0**pair.K
+    eps_a = pair.delta / 3.0**pair.N
+    eps_b = pair.delta / 3.0**pair.K
 
     radius = max(rootsA.cauchy_bound, rootsB.cauchy_bound)
     n_disk = max(1, int(0.7 * n_samples))

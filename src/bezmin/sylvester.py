@@ -3,10 +3,13 @@ checks, and the inverse-norm conditioning report.
 
 `build(A, B)` gives the one Pair of an input pair: A and B as given, An and
 Bn after normalize() with their degrees N and K, and the Sylvester entries.
-The roots of A and B, delta's value and witness, and the LU factors with
-partial pivoting are computed on first use and kept. Every layer of the
-package (separation, the solvers, the reports, the contour metrics) reads
-the same Pair, so no per-pair quantity is computed twice.
+The roots of A and B, the values of B at the roots of A and of A at the
+roots of B, delta (with its witness and the common-root test), and the LU
+factors with partial pivoting are computed on first use and kept. Every
+layer of the package (separation, the solvers, the reports, the contour
+metrics) reads the same Pair, so no per-pair quantity is computed twice:
+delta_min, resultant and the residue backend share the cross values, and
+every report that needs delta reads Pair.delta.
 
 The matrix layout puts K shifted copies of A's coefficient column first and N
 shifted copies of B's column after, so that S(A,B) @ [r_0..r_{K-1}, s_0..
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeZeroError, SingularSystemError
+from .errors import CommonRootError, DegreeZeroError, SingularSystemError
 from .poly import Polynomial
 from .roots import RootSet, find_roots
 
@@ -49,9 +52,9 @@ COMMON_ROOT_REL = 1e-12
 @dataclass(frozen=True, eq=False)
 class Pair:
     """One input pair: A and B as given, An and Bn after normalize() with
-    degrees N and K, and the Sylvester entries. The roots, delta's value,
-    witness and common-root threshold, and the LU factors are computed on
-    first use and kept."""
+    degrees N and K, and the Sylvester entries. The roots, the cross values,
+    delta's value, witness and common-root threshold, and the LU factors are
+    computed on first use and kept."""
 
     A: Polynomial
     B: Polynomial
@@ -74,6 +77,16 @@ class Pair:
         return find_roots(self.B)
 
     @cached_property
+    def B_at_rootsA(self) -> list[complex]:
+        """B at each root of A, in the order of rootsA.roots."""
+        return [self.B(a) for a in self.rootsA.roots]
+
+    @cached_property
+    def A_at_rootsB(self) -> list[complex]:
+        """A at each root of B, in the order of rootsB.roots."""
+        return [self.A(b) for b in self.rootsB.roots]
+
+    @cached_property
     def delta_min(self) -> tuple[float, complex, float | None]:
         """delta's value, the min of |B| over the roots of A and |A| over the
         roots of B; the first root where it is attained; and the common-root
@@ -81,13 +94,25 @@ class Pair:
         alone, so A and B share a root when |B| there is below
         COMMON_ROOT_REL * norm(B), or |A| at a root of B below that of A."""
         sides = [
-            (*min(((abs(other(r)), r) for r in roots.roots), key=lambda t: t[0]),
+            (*min(zip(map(abs, values), roots.roots), key=lambda t: t[0]),
              COMMON_ROOT_REL * other.norm())
-            for roots, other in ((self.rootsA, self.B), (self.rootsB, self.A))
+            for roots, values, other in ((self.rootsA, self.B_at_rootsA, self.B),
+                                         (self.rootsB, self.A_at_rootsB, self.A))
         ]
         value, witness, _ = min(sides, key=lambda t: t[0])
         common = [threshold for side, _, threshold in sides if side < threshold]
         return value, witness, common[0] if common else None
+
+    @cached_property
+    def delta(self) -> float:
+        """delta's value from delta_min; CommonRootError when A and B share
+        a root, which every solver and report that needs delta refuses."""
+        value, _, threshold = self.delta_min
+        if threshold is not None:
+            raise CommonRootError(
+                f"delta = {value:.3e} below common-root threshold {threshold:.3e}"
+            )
+        return value
 
     @cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +262,8 @@ def resultant(pair: Pair) -> ResultantTriple:
     swaps = np.count_nonzero(piv != np.arange(pair.size))
     det = complex(np.prod(np.diag(lu)) * (-1) ** swaps)
     A, B, n, k = pair.A, pair.B, pair.N, pair.K
-    via_b = abs(B.coeff(k)) ** n * float(np.prod([abs(A(b)) for b in pair.rootsB.roots]))
-    via_a = abs(A.coeff(n)) ** k * float(np.prod([abs(B(a)) for a in pair.rootsA.roots]))
+    via_b = abs(B.coeff(k)) ** n * float(np.prod([abs(v) for v in pair.A_at_rootsB]))
+    via_a = abs(A.coeff(n)) ** k * float(np.prod([abs(v) for v in pair.B_at_rootsA]))
     return ResultantTriple(det, via_b, via_a)
 
 
@@ -270,15 +295,15 @@ class InverseNormReport:
         return dict(self.__dict__)
 
 
-def inverse_norm_report(pair: Pair, delta_value: float) -> InverseNormReport:
+def inverse_norm_report(pair: Pair) -> InverseNormReport:
     """Exact max-entry norm of the inverse (via N+K solves against the
-    identity) against the degree- and leading-coefficient-driven bound.
+    identity) against the degree- and leading-coefficient-driven bound at
+    the pair's delta.
 
     The certification norm is max-entry because the underlying estimate
     bounds entries; operator norms are included for convenience only.
     """
-    if delta_value <= 0:
-        raise ValueError("inverse-norm report requires delta > 0")
+    delta = pair.delta
     _factor(pair)
     inv = np.linalg.inv(pair.entries)
     max_entry = float(np.max(np.abs(inv)))
@@ -287,8 +312,8 @@ def inverse_norm_report(pair: Pair, delta_value: float) -> InverseNormReport:
     m_ratio = max(A.norm() / abs(A.coeff(n)), B.norm() / abs(B.coeff(k)))
     exponent = n + k + max(n, k) - 1
     c3 = default_c3(n, k)
-    bound = c3 * m_ratio**exponent / delta_value**2
-    ratio = max_entry * delta_value**2 / m_ratio**exponent
+    bound = c3 * m_ratio**exponent / delta**2
+    ratio = max_entry * delta**2 / m_ratio**exponent
 
     max_norm = max(A.norm(), B.norm())
     normalized = max_norm <= 1 + 1e-12
@@ -299,7 +324,7 @@ def inverse_norm_report(pair: Pair, delta_value: float) -> InverseNormReport:
         op_norm_inf=float(np.linalg.norm(inv, np.inf)),
         M_ratio=m_ratio,
         exponent=exponent,
-        delta=delta_value,
+        delta=delta,
         C3=c3,
         bound_value=bound,
         tightness_ratio=ratio,

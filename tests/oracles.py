@@ -28,7 +28,6 @@ from bezmin.roots import (
     companion_roots,
     find_roots,
 )
-from bezmin.separation import delta
 from bezmin.sylvester import BezoutSolution, Pair, build
 
 # the highest order argument_principle_count evaluates
@@ -42,7 +41,7 @@ def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolut
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
-    delta(pair)
+    pair.delta
     An, Bn, n, k = pair.An, pair.Bn, pair.N, pair.K
     dA, dB = A.derivative(), B.derivative()
 
@@ -315,12 +314,12 @@ def random_pair(
         if require_simple and (rootsA.any_suspect or rootsB.any_suspect):
             continue
         try:
-            rep = delta(pair)
+            d = pair.delta
         except CommonRootError:
             continue
-        if rep.delta < delta_floor:
+        if d < delta_floor:
             continue
-        return Instance(pair, rep.delta, rep.argmin_witness)
+        return Instance(pair, d, pair.delta_min[1])
     raise RuntimeError(
         f"no instance with delta >= {delta_floor} in {max_tries} tries"
     )

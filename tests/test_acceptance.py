@@ -14,11 +14,11 @@ import pytest
 
 from bezmin import backends, sylvester
 from bezmin.cli import main as cli_main
-from bezmin.errors import CommonRootError, DegenerateArrangement
+from bezmin.errors import DegenerateArrangement
 from bezmin.poly import Polynomial
 from bezmin.backends import contour_metrics
 from bezmin.regions import RegionKind, build_region_with_jitter
-from bezmin.separation import check_separation, delta, delta_tilde
+from bezmin.separation import check_separation, delta_tilde
 from bezmin.cli import sharpness_instance, discontinuity_pair
 from oracles import argument_principle_count, random_pair, sample_degrees
 
@@ -111,9 +111,7 @@ def test_criterion_04_sublevel_disjointness(ensemble_100):
     total_joint = 0
     total_points = 0
     for i, inst in enumerate(ensemble_100):
-        rep = check_separation(
-            inst.pair, inst.delta, 100_000, seed=ENSEMBLE_SEED + i
-        )
+        rep = check_separation(inst.pair, 100_000, seed=ENSEMBLE_SEED + i)
         total_joint += rep.joint_hits
         total_points += rep.n_samples
     ok = total_joint == 0
@@ -192,7 +190,7 @@ def test_criterion_08_contour_log_integral():
             )
         except DegenerateArrangement:
             continue
-        m = contour_metrics(g1, inst.pair, inst.delta)
+        m = contour_metrics(g1, inst.pair)
         n, k = inst.A.degree, inst.B.degree
         bound = 6.0 * math.pi * n ** (k + 1)
         ok &= m.log_derivative_integral <= bound * (1 + 1e-9)
@@ -211,7 +209,7 @@ def test_criterion_09_sylvester_inverse_sweep():
     for a in [2.0**-i for i in range(11)]:
         A = Polynomial([0, a])
         B = Polynomial([1, a])
-        rep = sylvester.inverse_norm_report(sylvester.build(A, B), 1.0)
+        rep = sylvester.inverse_norm_report(sylvester.build(A, B))
         want = max(1.0, 1.0 / a)
         worst_err = max(worst_err, abs(rep.max_entry_norm - want))
         ok &= abs(rep.max_entry_norm - want) <= 1e-12 * want
@@ -224,15 +222,12 @@ def test_criterion_09_sylvester_inverse_sweep():
 
 def test_criterion_10_delta_discontinuity():
     A0, B0 = Polynomial([0, 1]), Polynomial([1, -1])
-    base = delta(sylvester.build(A0, B0)).delta
+    base = sylvester.build(A0, B0).delta
     ok = base == 1.0
     worst = 0.0
     for n in range(2, 11):
         An, Bn = discontinuity_pair(n)
-        try:
-            dval = delta(sylvester.build(An, Bn)).delta
-        except CommonRootError as exc:
-            dval = exc.report.delta
+        dval = sylvester.build(An, Bn).delta_min[0]
         worst = max(worst, dval)
         ok &= dval <= 1e-9
         ok &= (An - A0).norm() == 1.0 / n

@@ -25,7 +25,6 @@ from bezmin.errors import (
 from bezmin.poly import Polynomial
 from bezmin.regions import RegionKind, build_region_with_jitter
 from bezmin.roots import RootSet
-from bezmin.separation import delta
 from bezmin.sylvester import build
 from oracles import (
     RefArc,
@@ -406,14 +405,13 @@ def test_certify_sharpness_family():
             A = Polynomial.monomial(n)
             B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
             pair = build(A, B)
-            rep = delta(pair)
             sol = sylvester.solve(pair)
             assert sol.R.norm() == pytest.approx(
-                rep.delta ** (-2.0 + 1.0 / n), rel=1e-8
+                pair.delta ** (-2.0 + 1.0 / n), rel=1e-8
             )
-            cert = certify_main_bound(pair, sol, rep.delta)
-            raw = sol.R.norm() * rep.delta**2
-            assert raw == pytest.approx(rep.delta ** (1.0 / n), rel=1e-8)
+            cert = certify_main_bound(pair, sol)
+            raw = sol.R.norm() * pair.delta**2
+            assert raw == pytest.approx(pair.delta ** (1.0 / n), rel=1e-8)
             assert cert.ratio_r <= raw + 1e-12
             assert cert.ratio_r <= 1.0 + 1e-12
             assert cert.passed is True
@@ -421,9 +419,8 @@ def test_certify_sharpness_family():
 
 def test_certify_trivial_pair():
     pair = build(Z, ONE_MINUS_Z)
-    rep = delta(pair)
     sol = sylvester.solve(pair)
-    cert = certify_main_bound(pair, sol, rep.delta)
+    cert = certify_main_bound(pair, sol)
     assert cert.ratio_r == pytest.approx(1.0)
     assert cert.ratio_s == pytest.approx(1.0)
 
@@ -436,11 +433,10 @@ def test_certify_unnormalized_blowup():
         A1 = Polynomial.monomial(n).scale(a**-2)
         B1 = Polynomial.from_roots([a * w**j for j in range(1, n + 1)]).scale(a**-2)
         pair = build(A1, B1)
-        rep = delta(pair)
         sol = sylvester.solve(pair)
-        raw = sol.R.norm() * rep.delta**2
+        raw = sol.R.norm() * pair.delta**2
         assert raw == pytest.approx(1.0 / a, rel=1e-9)
-        cert = certify_main_bound(pair, sol, rep.delta)
+        cert = certify_main_bound(pair, sol)
         # capped ratio stays bounded even though the raw product blows up
         assert cert.ratio_r <= 1.0 + 1e-9
 

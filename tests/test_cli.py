@@ -573,11 +573,16 @@ def test_overflowing_coefficient_is_usage_error(tmp_path, capsys, command):
 
 
 def test_solve_exits_one_when_a_residual_exceeds_its_tolerance(tmp_path, capsys):
-    # sharpness_instance(4, 0.01) has delta 1e-8 and a Sylvester condition
-    # number near 2e14, so double precision cannot reach the default 1e-9
+    # sharpness_instance(4, 0.02) has delta 1.6e-7 and an ill-conditioned
+    # Sylvester matrix, so double precision cannot reach the default 1e-9
+    from bezmin import sylvester
     from bezmin.cli import sharpness_instance
 
-    A, B = sharpness_instance(4, 0.01)
+    A, B = sharpness_instance(4, 0.02)
+    # far from the singularity rule (a pivot at most 1e-14 times the
+    # largest), so the solve is not refused for a change in LU rounding
+    pivots = np.abs(np.diag(sylvester.build(A, B)._lu[0]))
+    assert pivots.min() >= 10 * 1e-14 * pivots.max()
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps(A.to_json_dict()))

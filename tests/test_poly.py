@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from bezmin.poly import Polynomial
+from bezmin.roots import find_roots
+from bezmin.sylvester import build
 from oracles import translate
 
 
@@ -33,6 +37,25 @@ def test_norm_examples():
     assert Polynomial([1, 2, -3]).norm() == 3
     assert Polynomial([0, 0, 0, 0, 1]).norm() == 1
     assert Polynomial([0, 0.1**2]).norm() == pytest.approx(0.01)
+
+
+# each part is finite, but the modulus is not: |1.5e308 (1 + i)| > 1.8e308
+OVERFLOWING = Polynomial([1, 1.5e308 + 1.5e308j])
+
+
+def test_norm_of_an_overflowing_modulus_is_inf():
+    assert OVERFLOWING.norm() == math.inf
+    # a modulus just below the largest double keeps its value
+    assert Polynomial([1, 1.2e308 + 1.2e308j]).norm() == abs(1.2e308 + 1.2e308j)
+
+
+def test_normalize_refuses_a_non_finite_norm():
+    with pytest.raises(ValueError, match="finite"):
+        OVERFLOWING.normalize()
+    with pytest.raises(ValueError, match="finite"):
+        find_roots(OVERFLOWING)
+    with pytest.raises(ValueError, match="finite"):
+        build(OVERFLOWING, Polynomial([1, 1]))
 
 
 def test_degree_tracks_last_nonzero():

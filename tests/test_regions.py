@@ -32,7 +32,6 @@ from bezmin.regions import (
     winding_numbers,
 )
 from bezmin.roots import RootSet, find_roots
-from bezmin.separation import delta
 from bezmin.sylvester import build
 from bezmin.svgout import render_svg
 from oracles import (
@@ -314,7 +313,7 @@ def test_log_integral_scale_invariance():
         contour = contour_of([arc], [0], 1 + abs(alpha))
         A = Polynomial.from_roots([alpha])
         B = Polynomial.from_roots([3.0 * abs(alpha)])
-        m = contour_metrics(contour, build(A, B), 0.1)
+        m = contour_metrics(contour, build(A, B))
         assert m.log_derivative_integral == pytest.approx(oracle, rel=1e-8)
 
 
@@ -325,7 +324,7 @@ def test_log_integral_raises_when_it_does_not_settle():
     contour = contour_of([arc], [0], 2.0)
     pair = build(Polynomial.from_roots([1.0]), Polynomial.from_roots([3.0]))
     with pytest.raises(QuadratureNotConverged):
-        contour_metrics(contour, pair, 0.1)
+        contour_metrics(contour, pair)
 
 
 def test_regions_imports_no_algebra():
@@ -358,7 +357,7 @@ def test_gamma1_log_integral_bound_random():
             )
         except DegenerateArrangement:
             continue
-        m = contour_metrics(g1, inst.pair, inst.delta)
+        m = contour_metrics(g1, inst.pair)
         n, k = inst.A.degree, inst.B.degree
         assert m.log_derivative_integral <= 6 * math.pi * n ** (k + 1) + 1e-9
         assert m.b_bound_ok

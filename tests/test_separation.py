@@ -1,6 +1,9 @@
 import cmath
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -14,6 +17,7 @@ from scipy import optimize
 from scipy.stats import qmc
 
 import bezmin
+from bezmin import separation
 from bezmin.errors import CommonRootError, SeparationViolation
 from bezmin.poly import Polynomial
 from bezmin.separation import (
@@ -21,7 +25,6 @@ from bezmin.separation import (
     _descent_seeds,
     _scrambled_halton,
     check_separation,
-    delta,
     delta_report,
     delta_tilde,
 )
@@ -32,9 +35,18 @@ Z = Polynomial([0, 1])
 ONE_MINUS_Z = Polynomial([1, -1])
 
 
+def test_delta_is_read_from_the_pair_only():
+    # no public function takes delta next to the pair it comes from
+    for info in pkgutil.iter_modules(bezmin.__path__, "bezmin."):
+        module = importlib.import_module(info.name)
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == info.name and not name.startswith("_"):
+                assert "delta_value" not in inspect.signature(fn).parameters, name
+    assert not hasattr(separation, "delta")
+
+
 def test_delta_monomial_pair():
-    rep = delta(build(Z, ONE_MINUS_Z))
-    assert rep.delta == 1.0
+    assert build(Z, ONE_MINUS_Z).delta == 1.0
 
 
 def test_delta_sharpness_small_case():
@@ -43,13 +55,12 @@ def test_delta_sharpness_small_case():
     w = cmath.exp(2j * cmath.pi / (2 * n - 1))
     A = Polynomial.monomial(n)
     B = Polynomial.from_roots([a * w**j for j in range(1, n + 1)])
-    rep = delta(build(A, B))
-    assert rep.delta == pytest.approx(a**n, abs=1e-12)
+    assert build(A, B).delta == pytest.approx(a**n, abs=1e-12)
 
 
 def test_delta_identical_raises():
     with pytest.raises(CommonRootError):
-        delta(build(Z, Z))
+        build(Z, Z).delta
 
 
 @pytest.mark.parametrize("c", [1e-13, 1e13])
@@ -57,9 +68,9 @@ def test_delta_accepts_a_separated_pair_whatever_the_scale_of_a(c):
     # |B| at a root of A scales with B alone, and |A| at a root of B with A
     # alone, so neither is measured against the larger of the two norms
     A, B = Polynomial([-1, 1]).scale(c), Polynomial([2, 1])
-    rep = delta(build(A, B))
-    assert not rep.common_root
-    assert rep.delta == pytest.approx(3 * min(c, 1), rel=1e-12)
+    pair = build(A, B)
+    assert pair.delta_min[2] is None
+    assert pair.delta == pytest.approx(3 * min(c, 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
@@ -70,7 +81,7 @@ def test_delta_refuses_a_common_root_at_every_scale(c, side):
         A, B = shared, Polynomial([1, 1])
         A, B = (A.scale(c), B) if side == "A" else (A, B.scale(c))
         with pytest.raises(CommonRootError):
-            delta(build(A, B))
+            build(A, B).delta
 
 
 def test_delta_scale_law():
@@ -79,8 +90,8 @@ def test_delta_scale_law():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=1e-3)
         c = 0.3 + 1.7j * rng.random()
-        rep = delta(build(inst.A.scale(c), inst.B.scale(c)))
-        assert rep.delta == pytest.approx(abs(c) * inst.delta, rel=1e-12)
+        pair = build(inst.A.scale(c), inst.B.scale(c))
+        assert pair.delta == pytest.approx(abs(c) * inst.delta, rel=1e-12)
 
 
 def test_delta_translation_invariance():
@@ -89,8 +100,8 @@ def test_delta_translation_invariance():
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=1e-3)
         shift = complex(rng.standard_normal(), rng.standard_normal())
-        rep = delta(build(translate(inst.A, shift), translate(inst.B, shift)))
-        assert rep.delta == pytest.approx(inst.delta, rel=1e-9)
+        pair = build(translate(inst.A, shift), translate(inst.B, shift))
+        assert pair.delta == pytest.approx(inst.delta, rel=1e-9)
 
 
 def test_delta_tilde_monomial_pair():
@@ -274,7 +285,7 @@ def test_sublevel_member():
 
 
 def test_separation_trivial_pair():
-    rep = check_separation(build(Z, ONE_MINUS_Z), 1.0, 20_000, seed=5)
+    rep = check_separation(build(Z, ONE_MINUS_Z), 20_000, seed=5)
     assert rep.joint_hits == 0
     assert rep.hits_a > 0 and rep.hits_b > 0
 
@@ -287,7 +298,7 @@ def test_separation_figure_instance():
     A = A.scale(1.0 / A.norm())
     B = B.scale(1.0 / B.norm())
     pair = build(A, B)
-    rep = check_separation(pair, delta(pair).delta, 100_000, seed=6)
+    rep = check_separation(pair, 100_000, seed=6)
     assert rep.joint_hits == 0
 
 
@@ -296,34 +307,31 @@ def test_separation_random_pairs():
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.01)
-        rep = check_separation(
-            inst.pair, inst.delta, 5_000, seed=int(rng.integers(2**31))
-        )
+        rep = check_separation(inst.pair, 5_000, seed=int(rng.integers(2**31)))
         assert rep.joint_hits == 0
 
 
 def test_separation_violation_raised_for_wrong_delta():
-    # an inflated delta makes the sub-level sets overlap, which must raise
+    # an inflated delta makes the sub-level sets overlap, which must raise;
+    # it is set over the pair's cached delta (its true value is 1)
+    pair = build(Z, ONE_MINUS_Z)
+    object.__setattr__(pair, "delta", 40.0)
     with pytest.raises(SeparationViolation):
-        check_separation(build(Z, ONE_MINUS_Z), 40.0, 20_000, seed=7)
+        check_separation(pair, 20_000, seed=7)
 
 
 def test_separation_requires_normalized_inputs():
     with pytest.raises(ValueError):
-        check_separation(build(Z.scale(3.0), ONE_MINUS_Z), 1.0, 100)
+        check_separation(build(Z.scale(3.0), ONE_MINUS_Z), 100)
 
 
 def test_discontinuity_family():
-    base = delta(build(Z, ONE_MINUS_Z))
-    assert base.delta == 1.0
+    assert build(Z, ONE_MINUS_Z).delta == 1.0
     for n in range(2, 11):
         An = Polynomial([0.0, 1.0, 1.0 / n])
         Bn = Polynomial([1.0, -1.0, -(1.0 / n + 1.0 / n**2)])
-        try:
-            dval = delta(build(An, Bn)).delta
-        except CommonRootError as exc:
-            dval = exc.report.delta
-        assert dval <= 1e-9
+        # A_n and B_n share the root -n, so delta_min reports it unrefused
+        assert build(An, Bn).delta_min[0] <= 1e-9
         assert (An - Z).norm() == 1.0 / n
 
 

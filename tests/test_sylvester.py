@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import lu_factor as lapack_lu_factor
 
 from bezmin import sylvester
-from bezmin.errors import DegreeZeroError, SingularSystemError
+from bezmin.errors import CommonRootError, DegreeZeroError, SingularSystemError
 from bezmin.poly import Polynomial
 from oracles import random_pair, sample_degrees
 
@@ -206,15 +206,16 @@ def test_inverse_norm_remark_family():
     for a in [2.0**-i for i in range(11)]:
         A = Polynomial([0, a])
         B = Polynomial([1, a])
-        rep = sylvester.inverse_norm_report(sylvester.build(A, B), 1.0)
+        rep = sylvester.inverse_norm_report(sylvester.build(A, B))
         assert rep.max_entry_norm == pytest.approx(max(1.0, 1.0 / a), abs=1e-12)
         # M = 1/a, exponent = 2; ratio = (1/a) / (1/a)^2 = a stays bounded
         assert rep.tightness_ratio <= 1.0 + 1e-12
 
 
-def test_inverse_norm_requires_positive_delta():
-    with pytest.raises(ValueError):
-        sylvester.inverse_norm_report(sylvester.build(Z, ONE_MINUS_Z), 0.0)
+def test_inverse_norm_refuses_a_common_root():
+    # the pair's delta refuses before the singular LU is looked at
+    with pytest.raises(CommonRootError):
+        sylvester.inverse_norm_report(sylvester.build(Z, Z))
 
 
 def _monomial_family(M, size):
@@ -232,7 +233,7 @@ def test_monomial_family_assembles_inverse():
          for sol in family]
     ).T
     assert np.max(np.abs(M.entries @ inv - np.eye(M.size))) < 1e-12
-    report = sylvester.inverse_norm_report(M, inst.delta)
+    report = sylvester.inverse_norm_report(M)
     assert np.max(np.abs(inv)) == pytest.approx(report.max_entry_norm, rel=1e-12)
 
 
@@ -244,6 +245,6 @@ def test_residual_bound_invariant():
         M = inst.pair
         P = Polynomial(rng.standard_normal(da + db) + 1j * rng.standard_normal(da + db))
         sol = sylvester.solve(M, P)
-        inv = sylvester.inverse_norm_report(M, inst.delta)
+        inv = sylvester.inverse_norm_report(M)
         cap = 1e-10 * (1.0 + inv.max_entry_norm) * P.norm()
         assert sol.residual <= cap
