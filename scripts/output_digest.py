@@ -12,9 +12,11 @@ Each run calls `bezmin.cli.main` in-process; its digest covers the exit code,
 stdout and stderr, with the temporary directory replaced by a placeholder.
 The families:
 
-* solve-all, solve-monomial, sylvester, delta, regions: `--json solve A B
-  --backend all`, `--json solve A B --rhs monomial:1`, `--json sylvester A
-  B`, `--json delta A B` and `--json regions A B --kind
+* solve-all, solve-reversed, solve-monomial, sylvester, delta, regions:
+  `--json solve A B --backend all`, `--json solve A B --backend reversed`
+  (the reversed backend alone, with no other backend run on the pair
+  first), `--json solve A B --rhs monomial:1`, `--json sylvester A B`,
+  `--json delta A B` and `--json regions A B --kind
   ea,eb,da,gamma1,inverted --svg FILE`, with the SVG file it writes, on the
   first N pairs of
   `bench/pairs.PairPool("solve-d8", 5)` and then of
@@ -70,6 +72,9 @@ REGION_KINDS = "ea,eb,da,gamma1,inverted"
 # argv per family from the two pair files and a directory for what it writes
 PAIR_FAMILIES = {
     "solve-all": lambda a, b, out: ["--json", "solve", a, b, "--backend", "all"],
+    "solve-reversed": lambda a, b, out: [
+        "--json", "solve", a, b, "--backend", "reversed"
+    ],
     "solve-monomial": lambda a, b, out: [
         "--json", "solve", a, b, "--rhs", "monomial:1"
     ],

@@ -2,9 +2,10 @@
 
 Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
 from build(A, B): its degrees, Sylvester entries, and the roots, the values
-of each polynomial at the other's roots, delta and LU factors, each computed
-once on first use; Pair.delta refuses a common root with CommonRootError),
-RootSet (certified roots), DeltaReport (separation quantities),
+of each polynomial at the other's roots, delta and the singular values, each
+computed once on first use; Pair.delta refuses a common root with
+CommonRootError), RootSet (certified roots), DeltaReport (separation
+quantities),
 ContourSystem (a region boundary built for a RegionKind: the arcs between
 cuts of its disk circles whose midpoints lie on the boundary, as one table of
 center, radius, start and end angle arrays plus a loop index per arc), and

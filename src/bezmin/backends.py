@@ -8,11 +8,15 @@ each takes (pair, P) with P = 1 by default:
   so S and R are Lagrange interpolants. This is the well-conditioned form
   of the residue sum.
 * direct quadrature of the contour integrals over constructed arc systems,
-  with Gauss-Legendre rules cached per order and each contour subdivided
-  once per solve.
+  with Gauss-Legendre nodes cached per order. The E_A and E_B contours are
+  integrated in one pass: one arc table, subdivided once per solve, one
+  rule per order, and A and B evaluated at its nodes together.
 * the reversal pipeline: solve the companion identity with right-hand side
   z^(N+K-1) P(1/z) for the coefficient-reversed pair, then reverse back.
-  This is the route that stays bounded when roots are large.
+  This is the route that stays bounded when roots are large. The reversed
+  pair's Sylvester matrix is a row and column permutation of the pair's, so
+  it shares the pair's singularity check and is solved from the permuted
+  entries, with no second build.
 
 Both contour integrals, solve_quadrature's coefficients and contour_metrics'
 integral of |du|/|u|, run build_rule on the _subdivide'd arc table, with the
@@ -25,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -213,10 +218,14 @@ def solve_quadrature(
     (_settle).
 
     The contours are the E_A and E_B region boundaries, whose certificates
-    must give the windings region_probes asks for.
+    must give the windings region_probes asks for. Both are integrated in one
+    pass: their arcs form one table, subdivided once, with one rule per
+    order; A and B are evaluated at its nodes by one stacked Horner, and each
+    contour's moments sum its own nodes' rows of one table of successive
+    powers.
     """
     P = sylvester.right_hand_side(pair, P)
-    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
+    rootsA, rootsB = pair.rootsA, pair.rootsB
     gamma1 = build_region_with_jitter(RegionKind.E_A, rootsA, rootsB)
     gamma2 = build_region_with_jitter(RegionKind.E_B, rootsA, rootsB)
     # build_region certified the windings; no winding query is repeated here
@@ -229,19 +238,36 @@ def solve_quadrature(
                 raise BadContour(f"{who} {what} root {z:.6g}")
     n, k = pair.N, pair.K
     poles = np.array(list(rootsA.roots) + list(rootsB.roots))
-    gamma1, gamma2 = _subdivide(gamma1, poles), _subdivide(gamma2, poles)
-
-    def moments(rule: QuadratureRule, count: int) -> np.ndarray:
-        acc = rule.weights * P(rule.nodes) / (A(rule.nodes) * B(rule.nodes))
-        out = np.empty(count, dtype=complex)
-        for m in range(count):
-            out[m] = np.sum(acc) / (2j * math.pi)
-            acc = acc * rule.nodes
-        return out
+    # contour 2's loops are numbered after contour 1's; _subdivide keeps the
+    # arcs in order, so contour 1's come first
+    both = ContourSystem(
+        *(np.concatenate([getattr(gamma1, col), getattr(gamma2, col)])
+          for col in ("center", "radius", "start", "end")),
+        gamma1.loops + [gamma1.n_loops + i for i in gamma2.loops],
+    )
+    both = _subdivide(both, poles)
+    arcs1 = both.loops.index(gamma1.n_loops)
+    # per power of z, highest first, the column (a_j, b_j): A and B take
+    # Polynomial.__call__'s Horner steps together, the shorter one padded
+    # with zeros on top
+    columns = zip_longest(pair.A.coeffs, pair.B.coeffs, fillvalue=0j)
+    horner = np.array(list(columns)[::-1])[:, :, None]
 
     def solve_at(order: int) -> np.ndarray:
-        m1 = moments(build_rule(gamma1, order), n)
-        m2 = moments(build_rule(gamma2, order), k)
+        rule = build_rule(both, order)
+        z = rule.nodes
+        ab = np.zeros((2, len(z)), dtype=complex)
+        for c in horner:
+            ab *= z
+            ab += c
+        # row m: the integrand times z^m; each contour sums its own columns
+        powers = np.empty((max(n, k), len(z)), dtype=complex)
+        powers[0] = rule.weights * P(z) / (ab[0] * ab[1])
+        for m in range(1, len(powers)):
+            np.multiply(powers[m - 1], z, out=powers[m])
+        cut = arcs1 * order
+        m1 = np.sum(powers[:n, :cut], axis=1) / (2j * math.pi)
+        m2 = np.sum(powers[:k, cut:], axis=1) / (2j * math.pi)
         s = _coefficients_from_integrals(pair.An, m1)
         r = _coefficients_from_integrals(pair.Bn, m2)
         return np.concatenate([r, s])
@@ -332,15 +358,22 @@ def contour_metrics(contour: ContourSystem, pair: Pair) -> ContourMetrics:
 def solve_reversed(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     """Solve via the coefficient-reversed pair and right-hand side
     z^(N+K-1) P(1/z), then reverse the solutions back; A(0) and B(0) must be
-    nonzero (the Sylvester backend solves pairs with a root at the origin)."""
+    nonzero (the Sylvester backend solves pairs with a root at the origin).
+    A singular pair is refused by the pair's own check (SingularSystemError).
+    """
     P = sylvester.right_hand_side(pair, P)
     A, B, n, k = pair.A, pair.B, pair.N, pair.K
     if abs(A(0)) < 1e-12 * A.norm() or abs(B(0)) < 1e-12 * B.norm():
         raise ZeroRootError("A(0) or B(0) vanishes; use the Sylvester backend")
-    inner = sylvester.build(pair.An.reverse(n), pair.Bn.reverse(k))
-    inner_sol = sylvester.solve(inner, P.reverse(n + k - 1))
-    R = Polynomial([inner_sol.R.coeff(k - 1 - i) for i in range(k)])
-    S = Polynomial([inner_sol.S.coeff(n - 1 - i) for i in range(n)])
+    # the Sylvester matrix of the reversed pair holds the pair's entries with
+    # the rows reversed and the columns reversed within each block, so it has
+    # the same singular values and the pair's check decides it
+    sylvester._factor(pair)
+    cols = np.r_[k - 1 : -1 : -1, n + k - 1 : k - 1 : -1]
+    b = np.array(P.reverse(n + k - 1).coeffs)
+    x = sylvester._refined_solve(pair.entries[::-1, cols], b)
+    # x holds the reversed pair's R and S; each reversed gives the pair's
+    R, S = Polynomial(x[k - 1 :: -1]), Polynomial(x[: k - 1 : -1])
     return BezoutSolution.checked(pair, P, R, S, "reversed[sylvester]")
 
 

@@ -79,8 +79,8 @@ def _load_poly(path: str) -> Polynomial:
 
 
 def _load_pair(args) -> sylvester.Pair:
-    """The Pair of the files poly_a and poly_b; its roots, delta and LU
-    factors are computed when a command first needs them."""
+    """The Pair of the files poly_a and poly_b; its roots, delta and
+    singular values are computed when a command first needs them."""
     return sylvester.build(_load_poly(args.poly_a), _load_poly(args.poly_b))
 
 
@@ -245,7 +245,7 @@ def cmd_sylvester(args, tol) -> int:
     triple = sylvester.resultant(pair)
     inv = sylvester.inverse_norm_report(pair)
     out = {
-        "matrix": [[[v.real, v.imag] for v in row] for row in pair.entries],
+        "matrix": pair.entries.view(float).reshape(pair.size, pair.size, 2).tolist(),
         "resultant": {
             "det": [triple.det_value.real, triple.det_value.imag],
             "abs_det": abs(triple.det_value),

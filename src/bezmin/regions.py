@@ -266,8 +266,7 @@ def _split_angles(owner, angle, radii, chord_tol: float):
     within chord_tol / radius of the last kept one on its circle is dropped,
     and so is the last one when it comes that close to the first one a turn
     later. Takes and returns (owner, angle) arrays grouped by owner."""
-    order = np.argsort(angle, kind="stable")
-    order = order[np.argsort(owner[order], kind="stable")]
+    order = np.lexsort((angle, owner))
     owner, angle = owner[order], angle[order]
     tol = chord_tol / radii[owner]
     keep, _ = _group_edges(owner)
@@ -328,13 +327,20 @@ def _crosses(region, mid, owner, centers, radii, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact winding accumulation, all arcs against all query points
 
+_TABLE_FRACTIONS = np.array([[0.0], [1.0], [0.5]])
+
+
+def _arc_points(center, radius, start, end, t):
+    """The points at fraction t of each arc, as arc_point places them; t may
+    be a column of fractions, one row of points each."""
+    return center + radius * np.exp(1j * (start + t * (end - start)))
+
 
 def _table(center, radius, start, end) -> _ArcTable:
-    sweep = end - start
     # start, end and midpoint: arc_point at t = 0, 1 and 0.5
-    theta = start + np.array([[0.0], [1.0], [0.5]]) * sweep
-    p0, p1, mid = center + radius * np.exp(1j * theta)
-    return _ArcTable(np.abs(np.abs(sweep) - 2 * math.pi) < 1e-12, p0, p1, mid)
+    p0, p1, mid = _arc_points(center, radius, start, end, _TABLE_FRACTIONS)
+    full = np.abs(np.abs(end - start) - 2 * math.pi) < 1e-12
+    return _ArcTable(full, p0, p1, mid)
 
 
 def _delta_args(contour: ContourSystem, z: np.ndarray) -> np.ndarray:
@@ -378,7 +384,13 @@ def _windings(contour: ContourSystem, points) -> tuple[np.ndarray, np.ndarray]:
     points at once, and whether the point lies within POINT_TOL * scale of
     the arcs."""
     z = np.array(points, dtype=complex).reshape(-1)
-    near = np.min(_distances(contour, z), axis=1) <= POINT_TOL * contour.scale
+    tol = POINT_TOL * contour.scale
+    # no arc is nearer to a point than its circle, so the arc distances are
+    # needed only when some point is that near a circle
+    circle = np.abs(np.abs(z[:, None] - contour.center) - contour.radius)
+    near = np.min(circle, axis=1) <= tol
+    if near.any():
+        near = np.min(_distances(contour, z), axis=1) <= tol
     return np.sum(_delta_args(contour, z), axis=1) / (2 * math.pi), near
 
 
@@ -468,15 +480,15 @@ def build_region(
 ) -> ContourSystem:
     """Oriented boundary of the requested region as chained circular arcs.
 
-    Identical circles (symmetric configurations produce them) are merged.
     Only the live circles go on (_live_circles with margin
     m = LIVE_MARGIN * scale): near a dead one the region does not depend on
-    its disks, so it can own or end no kept arc. A (near-)tangent pair of
-    live circles raises DegenerateArrangement. Every live circle is split
-    at its intersections with the other live circles, and a sub-arc
+    its disks, so it can own or end no kept arc. Identical live circles
+    (symmetric configurations produce them) are merged. A (near-)tangent
+    pair of live circles raises DegenerateArrangement. Every live circle is
+    split at its intersections with the other live circles, and a sub-arc
     survives iff its midpoint lies on the region's boundary (_crosses): in
-    the region with the arc's own disks counted as holding it, out of it with
-    them counted as missing it. Kept arcs run counterclockwise around their
+    the region with the arc's own disks counted as holding it, out of it
+    with them counted as missing it. Kept arcs run counterclockwise around their
     own circles, so the boundary winds +1 about interior points and 0 about
     exterior ones whatever its loops' nesting; the winding certificate about
     the roots (_certify) is the build's last step. The construction works on
@@ -504,25 +516,25 @@ def build_region(
         )
     # the circles row by row
     centers, radii = np.broadcast_to(centers, radii.shape).ravel(), radii.ravel()
-    keep = _distinct_circles(centers, radii, tol)
-    centers, radii = centers[keep], radii[keep]
     live = _live_circles(centers, radii, region, LIVE_MARGIN * scale)
     centers, radii = centers[live], radii[live]
+    keep = _distinct_circles(centers, radii, tol)
+    centers, radii = centers[keep], radii[keep]
     owner, point = _circle_intersections(centers, radii, scale)
     owner, angle = _split_angles(owner, np.angle(point - centers[owner]), radii, tol)
     owner, t0, t1 = _candidate_arcs(len(radii), owner, angle)
 
     arcs = centers[owner], radii[owner], t0, t1
-    table = _table(*arcs)
-    kept = np.flatnonzero(_crosses(region, table.mid, owner, centers, radii, tol))
+    mid = _arc_points(*arcs, 0.5)
+    kept = np.flatnonzero(_crosses(region, mid, owner, centers, radii, tol))
 
     if not len(kept):
         raise DegenerateArrangement("region boundary is empty")
 
-    order, loops = _chain_loops(table.p0[kept], table.p1[kept], tol)
-    kept = kept[order]
-    contour = ContourSystem(*(col[kept] for col in arcs), loops, scale)
-    contour.table = _ArcTable(*(col[kept] for col in table))
+    table = _table(*(col[kept] for col in arcs))
+    order, loops = _chain_loops(table.p0, table.p1, tol)
+    contour = ContourSystem(*(col[kept[order]] for col in arcs), loops, scale)
+    contour.table = _ArcTable(*(col[order] for col in table))
     _certify(contour, region_probes(kind, rootsA, rootsB))
     return contour
 

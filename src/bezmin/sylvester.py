@@ -4,12 +4,13 @@ checks, and the inverse-norm conditioning report.
 `build(A, B)` gives the one Pair of an input pair: A and B as given, An and
 Bn after normalize() with their degrees N and K, and the Sylvester entries.
 The roots of A and B, the values of B at the roots of A and of A at the
-roots of B, delta (with its witness and the common-root test), and the LU
-factors with partial pivoting are computed on first use and kept. Every
-layer of the package (separation, the solvers, the reports, the contour
-metrics) reads the same Pair, so no per-pair quantity is computed twice:
-delta_min, resultant and the residue backend share the cross values, and
-every report that needs delta reads Pair.delta.
+roots of B, delta (with its witness and the common-root test), and the
+singular values of the Sylvester matrix are computed on first use and kept.
+Every layer of the package (separation, the solvers, the reports, the
+contour metrics) reads the same Pair, so no per-pair quantity is computed
+twice: delta_min, resultant and the residue backend share the cross values,
+every report that needs delta reads Pair.delta, and the sylvester and
+reversed backends and the inverse-norm report share one singularity check.
 
 The matrix layout puts K shifted copies of A's coefficient column first and N
 shifted copies of B's column after, so that S(A,B) @ [r_0..r_{K-1}, s_0..
@@ -18,16 +19,13 @@ for stacked coefficient rows too, which the ceiling calibration uses. The
 inverse's columns are the solutions for P = z^l, l = 0..N+K-1, that is
 solve(pair, Polynomial.monomial(l)).
 
-The LU factors with partial pivoting come from `lu_factor`, a numpy
-version of LAPACK's getf2 that picks the same pivots. It exists so that the
-package needs no scipy: importing scipy.linalg for its LU alone added about
-28 MB of memory and a third of a second to every start. The singularity
-rule (a pivot at most 1e-14 times the largest) and the determinant, the
-product of U's diagonal times the sign of the row permutation, both read
-these factors. Solves call numpy.linalg.solve (LAPACK gesv, the same
-getrf and getrs pair) plus iterative refinement with an extended-precision
-residual; the refinement is what keeps ill-conditioned instances (tiny
-separation) accurate to ~1e-12 relative instead of eps * cond.
+A matrix is refused as singular when its smallest singular value is at most
+1e-14 times its largest, a test that does not depend on the scale of A and
+B. The determinant is numpy.linalg.det (LAPACK getrf). Solves call
+numpy.linalg.solve (LAPACK gesv, the same getrf and getrs pair) plus
+iterative refinement with an extended-precision residual; the refinement is
+what keeps ill-conditioned instances (tiny separation) accurate to ~1e-12
+relative instead of eps * cond.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ COMMON_ROOT_REL = 1e-12
 class Pair:
     """One input pair: A and B as given, An and Bn after normalize() with
     degrees N and K, and the Sylvester entries. The roots, the cross values,
-    delta's value, witness and common-root threshold, and the LU factors are
-    computed on first use and kept."""
+    delta's value, witness and common-root threshold, and the singular values
+    of the entries are computed on first use and kept."""
 
     A: Polynomial
     B: Polynomial
@@ -115,30 +113,9 @@ class Pair:
         return value
 
     @cached_property
-    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
-        return lu_factor(self.entries)
-
-
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of the square matrix a with partial pivoting, as LAPACK's
-    getf2: L (unit diagonal, not stored) below and U on and above the
-    diagonal of one array, and ipiv, where row j was swapped with row
-    ipiv[j] (0-based) at step j. The pivot is the first entry of largest
-    |re| + |im| in its column, as izamax picks it. A zero pivot column is
-    left as it is, so a singular matrix gives a zero on U's diagonal."""
-    lu = np.array(a, dtype=complex)
-    n = len(lu)
-    ipiv = np.arange(n)
-    for j in range(n):
-        col = lu[j:, j]
-        p = j + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
-        ipiv[j] = p
-        if p != j:
-            lu[[j, p]] = lu[[p, j]]
-        if lu[j, j] != 0:
-            lu[j + 1 :, j] /= lu[j, j]
-            lu[j + 1 :, j + 1 :] -= np.outer(lu[j + 1 :, j], lu[j, j + 1 :])
-    return lu, ipiv
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the Sylvester entries, largest first."""
+        return np.linalg.svd(self.entries, compute_uv=False)
 
 
 @dataclass
@@ -196,28 +173,29 @@ def build(A: Polynomial, B: Polynomial) -> Pair:
 
 
 def _factor(pair: Pair) -> None:
-    """Refuse a Sylvester matrix whose LU has a pivot at most 1e-14 times
-    the largest."""
-    diag = np.abs(np.diag(pair._lu[0]))
-    if diag.min() <= 1e-14 * diag.max():
+    """Refuse a Sylvester matrix whose smallest singular value is at most
+    1e-14 times the largest."""
+    sv = pair.singular_values
+    if sv[-1] <= 1e-14 * sv[0]:
         raise SingularSystemError(
             "Sylvester system is singular to working precision "
             "(the polynomials share a root)"
         )
 
 
-def _refined_solve(pair: Pair, b: np.ndarray) -> np.ndarray:
-    """Solve plus up to REFINE_STEPS steps of iterative refinement with
-    clongdouble residuals; each iterate's residual is computed once."""
-    se = pair.entries.astype(np.clongdouble)
+def _refined_solve(entries: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """entries^-1 b by solve plus up to REFINE_STEPS steps of iterative
+    refinement with clongdouble residuals; each iterate's residual is
+    computed once."""
+    se = entries.astype(np.clongdouble)
     be = b.astype(np.clongdouble)
-    best = np.linalg.solve(pair.entries, b)
+    best = np.linalg.solve(entries, b)
     r = be - se @ best.astype(np.clongdouble)
     best_res = float(np.max(np.abs(r)))
     for _ in range(REFINE_STEPS):
         if best_res == 0.0:
             break
-        cand = best + np.linalg.solve(pair.entries, r.astype(complex))
+        cand = best + np.linalg.solve(entries, r.astype(complex))
         r_cand = be - se @ cand.astype(np.clongdouble)
         res = float(np.max(np.abs(r_cand)))
         if res < best_res:
@@ -243,7 +221,7 @@ def solve(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
     P = right_hand_side(pair, P)
     b = np.array([P.coeff(i) for i in range(pair.size)], dtype=complex)
     _factor(pair)
-    x = _refined_solve(pair, b)
+    x = _refined_solve(pair.entries, b)
     R, S = Polynomial(x[: pair.K]), Polynomial(x[pair.K :])
     return BezoutSolution.checked(pair, P, R, S, "sylvester")
 
@@ -258,9 +236,7 @@ def resultant(pair: Pair) -> ResultantTriple:
     """Determinant of the Sylvester matrix and the two root-product formulas
     for its modulus; all three magnitudes must agree for coprime inputs. A
     singular matrix gives det 0."""
-    lu, piv = pair._lu
-    swaps = np.count_nonzero(piv != np.arange(pair.size))
-    det = complex(np.prod(np.diag(lu)) * (-1) ** swaps)
+    det = complex(np.linalg.det(pair.entries))
     A, B, n, k = pair.A, pair.B, pair.N, pair.K
     via_b = abs(B.coeff(k)) ** n * float(np.prod([abs(v) for v in pair.A_at_rootsB]))
     via_a = abs(A.coeff(n)) ** k * float(np.prod([abs(v) for v in pair.B_at_rootsA]))

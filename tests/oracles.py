@@ -1,5 +1,7 @@
 """Reference helpers that only the tests use: the literal residue sum (an
-oracle for the interpolation backend), the translation p(z + z0), a
+oracle for the interpolation backend), the quadrature backend integrating
+one contour at a time (a reference for its one-pass integration), the
+translation p(z + z0), a
 root-free translation point, a sub-level set predicate, the pointwise region
 predicate (membership, a reference for build_region), a per-arc record of a
 contour with the scalar per-arc winding increment, distance and
@@ -16,11 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bezmin.backends import QuadratureRule, _guard_simple, _subdivide, build_rule
+from bezmin.backends import (
+    QuadratureRule,
+    _coefficients_from_integrals,
+    _guard_simple,
+    _settle,
+    _subdivide,
+    build_rule,
+)
 from bezmin.ensemble import random_polynomial
 from bezmin.errors import CommonRootError, QuadratureNotConverged
 from bezmin.poly import Polynomial
-from bezmin.regions import ContourSystem, RegionKind, _region_disks
+from bezmin.regions import (
+    ContourSystem,
+    RegionKind,
+    _region_disks,
+    build_region_with_jitter,
+)
 from bezmin.roots import (
     CLUSTER_TOL_FACTOR,
     DEFAULT_RESIDUAL_TOL,
@@ -28,7 +42,7 @@ from bezmin.roots import (
     companion_roots,
     find_roots,
 )
-from bezmin.sylvester import BezoutSolution, Pair, build
+from bezmin.sylvester import BezoutSolution, Pair, build, right_hand_side
 
 # the highest order argument_principle_count evaluates
 MAX_ORDER = 1024
@@ -66,6 +80,41 @@ def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolut
     R, S = Polynomial(r), Polynomial(s)
     residual = (A * R + B * S - P).norm()
     return BezoutSolution(R=R, S=S, residual=residual, backend="residue:literal")
+
+
+def quadrature_per_contour(
+    pair: Pair, P: Polynomial | None = None, tol: float = 1e-9
+) -> BezoutSolution:
+    """backends.solve_quadrature one contour at a time: E_A and E_B are each
+    subdivided, get their own rule per order, and evaluate P, A and B and
+    every moment sum on their own nodes."""
+    P = right_hand_side(pair, P)
+    A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
+    poles = np.array(list(rootsA.roots) + list(rootsB.roots))
+    gamma1, gamma2 = (
+        _subdivide(build_region_with_jitter(kind, rootsA, rootsB), poles)
+        for kind in (RegionKind.E_A, RegionKind.E_B)
+    )
+
+    def moments(rule: QuadratureRule, count: int) -> np.ndarray:
+        acc = rule.weights * P(rule.nodes) / (A(rule.nodes) * B(rule.nodes))
+        out = np.empty(count, dtype=complex)
+        for m in range(count):
+            out[m] = np.sum(acc) / (2j * math.pi)
+            acc = acc * rule.nodes
+        return out
+
+    def solve_at(order: int) -> np.ndarray:
+        m1 = moments(build_rule(gamma1, order), pair.N)
+        m2 = moments(build_rule(gamma2, order), pair.K)
+        s = _coefficients_from_integrals(pair.An, m1)
+        r = _coefficients_from_integrals(pair.Bn, m2)
+        return np.concatenate([r, s])
+
+    rs = _settle(solve_at, tol, "coefficients")
+    return BezoutSolution.checked(
+        pair, P, Polynomial(rs[: pair.K]), Polynomial(rs[pair.K :]), "quadrature"
+    )
 
 
 def translate(p: Polynomial, z0: complex) -> Polynomial:

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bezmin import backends, sylvester
+from bezmin import backends, regions, sylvester
 from bezmin.backends import (
     _coefficients_from_integrals,
     _subdivide,
@@ -14,9 +16,12 @@ from bezmin.backends import (
     solve_residue,
     solve_reversed,
 )
+from bezmin.cli import BACKENDS, DEFAULT_TOLERANCES
 from bezmin.errors import (
     BadContour,
+    BezminError,
     CommonRootError,
+    DegenerateArrangement,
     IllConditionedInterpolation,
     MultipleRootsError,
     QuadratureNotConverged,
@@ -31,6 +36,7 @@ from oracles import (
     argument_principle_count,
     contour_of,
     integrate,
+    quadrature_per_contour,
     random_pair,
     ref_arcs,
     residue_sum_solution,
@@ -282,6 +288,39 @@ def test_quadrature_stable_under_doubling():
     assert _coeff_diff(a.S, b.S, 4) < 1e-9
 
 
+@pytest.mark.parametrize("rhs", ["one", "monomial", "random", "jittered"])
+def test_quadrature_one_pass_matches_per_contour(rhs, monkeypatch):
+    # both contours in one arc table, one rule per order and one stacked
+    # Horner give the coefficients of the per-contour integration bit for
+    # bit; "jittered" fails every first build, so both contours are built
+    # on jittered roots
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        da, db = sample_degrees(rng, 1, 8)
+        inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
+        pair = inst.pair
+        P = {
+            "monomial": Polynomial.monomial(int(rng.integers(pair.size))),
+            "random": Polynomial(
+                rng.standard_normal(pair.size) + 1j * rng.standard_normal(pair.size)
+            ),
+        }.get(rhs)
+        if rhs == "jittered":
+            build_region = regions.build_region
+
+            def fail_first(kind, rootsA, rootsB, build_region=build_region):
+                if rootsA is pair.rootsA:
+                    raise DegenerateArrangement("forced first failure")
+                return build_region(kind, rootsA, rootsB)
+
+            monkeypatch.setattr(regions, "build_region", fail_first)
+        got, want = solve_quadrature(pair, P), quadrature_per_contour(pair, P)
+        monkeypatch.undo()
+        assert got.R.coeffs == want.R.coeffs
+        assert got.S.coeffs == want.S.coeffs
+        assert got.residual == want.residual
+
+
 def test_quadrature_never_exceeds_max_order(monkeypatch):
     # an unreachable tolerance doubles the order until MAX_ORDER, which is
     # the last order evaluated, and the error names the last two compared
@@ -381,6 +420,55 @@ def test_reversed_inner_residue():
 
 # ---------------------------------------------------------------------------
 # three-way agreement and certification
+
+
+def _outcome(solve, pair, tol):
+    """The solution's (R, S, residual), or the type of the error raised."""
+    try:
+        sol = solve(pair, None, tol)
+    except BezminError as exc:
+        return type(exc)
+    return sol.R.coeffs, sol.S.coeffs, sol.residual
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-40, 40), shared=st.booleans())
+def test_scaling_by_a_power_of_two_scales_every_backend_exactly(seed, k, shared):
+    # c = 2^k scales every coefficient of A and B exactly, so every
+    # backend's R and S scale by exactly 1/c, the residual is the same
+    # float, and the singularity decision (and every refusal) is the same.
+    # The quadrature tolerance is absolute, so it is scaled with R and S.
+    rng = np.random.default_rng(seed)
+    da, db = sample_degrees(rng, 1, 5)
+    if shared:
+        # B shares a root with A: every backend refuses
+        rootsA = rng.standard_normal(da) + 1j * rng.standard_normal(da)
+        rootsB = rng.standard_normal(db - 1) + 1j * rng.standard_normal(db - 1)
+        rootsB = np.append(rootsB, rootsA[0])
+        A, B = Polynomial.from_roots(rootsA), Polynomial.from_roots(rootsB)
+    else:
+        inst = random_pair(rng, da, db, delta_floor=0.05, require_simple=True)
+        A, B = inst.A, inst.B
+    c = 2.0**k
+    pair, scaled = build(A, B), build(A.scale(c), B.scale(c))
+    tol = DEFAULT_TOLERANCES
+    scaled_tol = tol | {"quadrature": tol["quadrature"] / c}
+    for name, solve in BACKENDS.items():
+        if shared and name == "quadrature":
+            continue
+        want = _outcome(solve, pair, tol)
+        got = _outcome(solve, scaled, scaled_tol)
+        if isinstance(want, type):
+            assert got is want, name
+            continue
+        assert not shared, name
+        R, S, residual = want
+        assert got == (
+            tuple(r / c for r in R), tuple(s / c for s in S), residual
+        ), name
+    sv, sv_scaled = pair.singular_values, scaled.singular_values
+    assert (sv[-1] <= 1e-14 * sv[0]) == (sv_scaled[-1] <= 1e-14 * sv_scaled[0])
+    assert (sv[-1] <= 1e-14 * sv[0]) == shared
 
 
 def test_three_way_agreement_batch():

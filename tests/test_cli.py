@@ -168,19 +168,23 @@ def test_sylvester_command(poly_files, capsys):
     assert out["inverse_norm"]["max_entry_norm"] == pytest.approx(1.0)
 
 
-def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypatch):
-    # a certify pair and a sylvester call build the pair once, find the
-    # roots of A and of B once each, evaluate delta at the roots once, factor
-    # the Sylvester matrix once, and read the determinant from that
-    # factorisation
+def test_one_build_and_one_factorisation_per_pair(
+    poly_files, tmp_path, monkeypatch, capsys
+):
+    # a certify pair, a `solve --backend all` and a sylvester call build the
+    # pair once, find the roots of A and of B once each, evaluate delta at
+    # the roots once and take the Sylvester matrix's singular values once,
+    # which the sylvester and reversed backends and the inverse-norm report
+    # share; a certify pair and the sylvester command take one determinant,
+    # and the quadrature backend builds one rule per order for both contours
     import sys
     from functools import cached_property
 
-    import numpy as np
+    from bezmin import backends, sylvester
 
-    from bezmin import sylvester
-
-    calls = {"build": [], "lu_factor": [], "delta_min": [], "find_roots": []}
+    calls = {name: [] for name in (
+        "build", "singular_values", "delta_min", "find_roots", "det", "build_rule"
+    )}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -189,21 +193,19 @@ def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypa
 
         return wrapper
 
-    def no_det(*args, **kwargs):
-        raise AssertionError("np.linalg.det called")
-
     monkeypatch.setattr(sylvester, "build", counted("build", sylvester.build))
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
     monkeypatch.setattr(
-        sylvester, "lu_factor", counted("lu_factor", sylvester.lu_factor)
+        backends, "build_rule", counted("build_rule", backends.build_rule)
     )
-    delta_min = cached_property(counted("delta_min", sylvester.Pair.delta_min.func))
-    delta_min.__set_name__(sylvester.Pair, "delta_min")
-    monkeypatch.setattr(sylvester.Pair, "delta_min", delta_min)
+    for name in ("delta_min", "singular_values"):
+        prop = cached_property(counted(name, getattr(sylvester.Pair, name).func))
+        prop.__set_name__(sylvester.Pair, name)
+        monkeypatch.setattr(sylvester.Pair, name, prop)
     find_roots = sylvester.find_roots
     for name, module in list(sys.modules.items()):
         if name.startswith("bezmin") and getattr(module, "find_roots", None) is find_roots:
             monkeypatch.setattr(module, "find_roots", counted("find_roots", find_roots))
-    monkeypatch.setattr(np.linalg, "det", no_det)
 
     def roots_found_once_per_polynomial():
         rooted = [p for (p,) in calls["find_roots"]]
@@ -212,24 +214,46 @@ def test_one_build_and_one_factorisation_per_pair(poly_files, tmp_path, monkeypa
             assert sum(q is B for q in rooted) == 1
         return len(rooted)
 
+    def counts(*names):
+        return {name: len(calls[name]) for name in names}
+
     out = tmp_path / "c"
     args = ["--out", str(out), "--seed", "3", "certify", "--count", "5",
             "--separation-samples", "200"]
     assert main(args) == 0
     records = json.loads((out / "certify_report.json").read_text())["records"]
     assert len(records) >= 3
-    counts = {name: len(log) for name, log in calls.items() if name != "find_roots"}
-    assert counts == {"build": len(records), "lu_factor": len(records),
-                      "delta_min": len(records)}
+    names = ("build", "singular_values", "delta_min", "det")
+    assert counts(*names) == dict.fromkeys(names, len(records))
     # the other root finds are those of A' and B' among delta_tilde's seeds
     assert roots_found_once_per_polynomial() <= 4 * len(records)
+
+    # nonzero constant terms, so the reversed backend solves too
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    A = Polynomial.from_roots([0.5, -0.4 + 0.3j, 1.2j])
+    B = Polynomial.from_roots([-0.7, 0.9 - 0.2j])
+    a.write_text(json.dumps(A.to_json_dict()))
+    b.write_text(json.dumps(B.to_json_dict()))
+    for log in calls.values():
+        log.clear()
+    capsys.readouterr()
+    assert main(["--json", "solve", str(a), str(b), "--backend", "all"]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert len(solved) == 4 and not any("error" in r for r in solved.values())
+    assert counts("build", "singular_values", "delta_min", "find_roots", "det") == {
+        "build": 1, "singular_values": 1, "delta_min": 1, "find_roots": 2, "det": 0
+    }
+    roots_found_once_per_polynomial()
+    orders = [order for _, order in calls["build_rule"]]
+    assert len(orders) >= 2 and len(set(orders)) == len(orders)
 
     for log in calls.values():
         log.clear()
     a, b = poly_files
     assert main(["--json", "sylvester", a, b]) == 0
-    counts = {name: len(log) for name, log in calls.items()}
-    assert counts == {"build": 1, "lu_factor": 1, "delta_min": 1, "find_roots": 2}
+    assert counts("build", "singular_values", "delta_min", "find_roots", "det") == {
+        "build": 1, "singular_values": 1, "delta_min": 1, "find_roots": 2, "det": 1
+    }
     roots_found_once_per_polynomial()
 
 
@@ -579,10 +603,10 @@ def test_solve_exits_one_when_a_residual_exceeds_its_tolerance(tmp_path, capsys)
     from bezmin.cli import sharpness_instance
 
     A, B = sharpness_instance(4, 0.02)
-    # far from the singularity rule (a pivot at most 1e-14 times the
-    # largest), so the solve is not refused for a change in LU rounding
-    pivots = np.abs(np.diag(sylvester.build(A, B)._lu[0]))
-    assert pivots.min() >= 10 * 1e-14 * pivots.max()
+    # far from the singularity rule (a singular value at most 1e-14 times the
+    # largest), so the solve is not refused for a change in SVD rounding
+    sv = sylvester.build(A, B).singular_values
+    assert sv[-1] >= 10 * 1e-14 * sv[0]
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps(A.to_json_dict()))

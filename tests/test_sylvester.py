@@ -1,10 +1,12 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor as lapack_lu_factor
 
 from bezmin import sylvester
+from bezmin.backends import solve_reversed
+from bezmin.cli import sharpness_instance
 from bezmin.errors import CommonRootError, DegreeZeroError, SingularSystemError
 from bezmin.poly import Polynomial
 from oracles import random_pair, sample_degrees
@@ -160,36 +162,73 @@ def test_resultant_triple_agreement_random():
         assert t.product_via_roots_of_A == pytest.approx(m, rel=1e-6)
 
 
-def test_lu_determinant_matches_numpy_det():
-    # det from the cached LU factors, prod(diag(U)) * (-1)^(row swaps),
-    # against numpy's own determinant, with odd swap counts among the pairs
+def _random_poly(rng, degree):
+    return Polynomial(
+        rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    )
+
+
+def test_resultant_det_matches_high_precision_det():
+    # numpy's LAPACK determinant against mpmath's at 50 digits on the same
+    # entries
     rng = np.random.default_rng(39)
-    odd = 0
-    for _ in range(200):
-        da, db = sample_degrees(rng, 1, 8)
-        A = Polynomial(rng.standard_normal(da + 1) + 1j * rng.standard_normal(da + 1))
-        B = Polynomial(rng.standard_normal(db + 1) + 1j * rng.standard_normal(db + 1))
-        M = sylvester.build(A, B)
-        _, piv = M._lu
-        odd += np.count_nonzero(piv != np.arange(M.size)) % 2
-        got = sylvester.resultant(M).det_value
-        want = np.linalg.det(M.entries)
-        assert abs(got - want) <= 1e-12 * abs(want)
-    assert odd >= 1
+    with mpmath.workdps(50):
+        for _ in range(60):
+            da, db = sample_degrees(rng, 1, 8)
+            M = sylvester.build(_random_poly(rng, da), _random_poly(rng, db))
+            got = sylvester.resultant(M).det_value
+            want = complex(mpmath.det(mpmath.matrix(M.entries.tolist())))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_lu_factor_pivots_as_lapack():
-    # the numpy getf2 picks LAPACK's pivots and gives its factors
+def test_reversed_sylvester_matrix_permutes_the_pairs_entries():
+    # the reversed pair's Sylvester matrix holds the pair's entries with the
+    # rows reversed and the columns reversed within each block, so the
+    # reversed backend may read the pair's singular values
     rng = np.random.default_rng(40)
-    for _ in range(300):
+    for _ in range(100):
         da, db = sample_degrees(rng, 1, 8)
-        A = Polynomial(rng.standard_normal(da + 1) + 1j * rng.standard_normal(da + 1))
-        B = Polynomial(rng.standard_normal(db + 1) + 1j * rng.standard_normal(db + 1))
-        m = sylvester.build(A, B).entries
-        lu, piv = sylvester.lu_factor(m)
-        want_lu, want_piv = lapack_lu_factor(m)
-        assert np.array_equal(piv, want_piv)
-        assert np.allclose(lu, want_lu, rtol=1e-10, atol=1e-12 * np.abs(m).max())
+        M = sylvester.build(_random_poly(rng, da), _random_poly(rng, db))
+        inner = sylvester.build(M.An.reverse(M.N), M.Bn.reverse(M.K))
+        cols = np.r_[M.K - 1 : -1 : -1, M.size - 1 : M.K - 1 : -1]
+        assert np.array_equal(inner.entries, M.entries[::-1, cols])
+        sv, want = inner.singular_values, M.singular_values
+        assert np.max(np.abs(sv - want)) <= 1e-13 * want[0]
+
+
+# nonzero constant terms, so the reversed backend reaches its singularity check
+COMMON_ROOT_PAIRS = [
+    (ONE_MINUS_Z, ONE_MINUS_Z),
+    (Polynomial.from_roots([0.5, -0.25]), Polynomial.from_roots([0.5, 0.8])),
+    (Polynomial.from_roots([1j, -1j, 2]), Polynomial.from_roots([-1j, 0.3])),
+]
+
+
+@pytest.mark.parametrize("A, B", COMMON_ROOT_PAIRS)
+def test_common_root_pairs_are_refused(A, B):
+    pair = sylvester.build(A, B)
+    sv = pair.singular_values
+    assert sv[-1] <= 1e-14 * sv[0]
+    with pytest.raises(SingularSystemError):
+        sylvester.solve(pair)
+    with pytest.raises(SingularSystemError):
+        solve_reversed(pair)
+    with pytest.raises(CommonRootError):
+        sylvester.inverse_norm_report(pair)
+
+
+def test_sharpness_refusal_follows_the_singular_value_ratio():
+    # sharpness_instance(4, 0.01) has delta 1e-8 and singular value ratio
+    # 4.9e-15, at or below the 1e-14 rule; (4, 0.02) has 6.3e-13 and solves
+    refused = sylvester.build(*sharpness_instance(4, 0.01))
+    sv = refused.singular_values
+    assert sv[-1] <= 1e-14 * sv[0]
+    with pytest.raises(SingularSystemError):
+        sylvester.solve(refused)
+    solved = sylvester.build(*sharpness_instance(4, 0.02))
+    sv = solved.singular_values
+    assert sv[-1] >= 10 * 1e-14 * sv[0]
+    assert sylvester.solve(solved).residual < 1e-3
 
 
 def test_resultant_of_common_root_pair_is_zero():
