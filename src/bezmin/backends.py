@@ -29,7 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import zip_longest
 
 import numpy as np
 
@@ -41,10 +40,11 @@ from .errors import (
     QuadratureNotConverged,
     ZeroRootError,
 )
-from .poly import Polynomial
+from .poly import Polynomial, Stack
 from .regions import (
     ContourSystem,
     RegionKind,
+    arc_points,
     build_region_with_jitter,
     region_probes,
 )
@@ -144,7 +144,7 @@ def _subdivide(contour: ContourSystem, poles: np.ndarray) -> ContourSystem:
         sweep = end - start
         split = np.abs(sweep) > math.pi / 2.0
         if len(poles):
-            mid = center + radius * np.exp(1j * (start + 0.5 * sweep))
+            mid = arc_points(center, radius, start, end, 0.5)
             near = np.min(np.abs(poles - mid[:, None]), axis=1)
             split |= (np.abs(sweep) > 1e-3) & (radius * np.abs(sweep) > near)
         if not split.any():
@@ -220,7 +220,7 @@ def solve_quadrature(
     The contours are the E_A and E_B region boundaries, whose certificates
     must give the windings region_probes asks for. Both are integrated in one
     pass: their arcs form one table, subdivided once, with one rule per
-    order; A and B are evaluated at its nodes by one stacked Horner, and each
+    order; A and B are evaluated at its nodes together by one Stack, and each
     contour's moments sum its own nodes' rows of one table of successive
     powers.
     """
@@ -247,22 +247,15 @@ def solve_quadrature(
     )
     both = _subdivide(both, poles)
     arcs1 = both.loops.index(gamma1.n_loops)
-    # per power of z, highest first, the column (a_j, b_j): A and B take
-    # Polynomial.__call__'s Horner steps together, the shorter one padded
-    # with zeros on top
-    columns = zip_longest(pair.A.coeffs, pair.B.coeffs, fillvalue=0j)
-    horner = np.array(list(columns)[::-1])[:, :, None]
+    ab = Stack((pair.A, pair.B))
 
     def solve_at(order: int) -> np.ndarray:
         rule = build_rule(both, order)
         z = rule.nodes
-        ab = np.zeros((2, len(z)), dtype=complex)
-        for c in horner:
-            ab *= z
-            ab += c
+        a, b = ab(z)
         # row m: the integrand times z^m; each contour sums its own columns
         powers = np.empty((max(n, k), len(z)), dtype=complex)
-        powers[0] = rule.weights * P(z) / (ab[0] * ab[1])
+        powers[0] = rule.weights * P(z) / (a * b)
         for m in range(1, len(powers)):
             np.multiply(powers[m - 1], z, out=powers[m])
         cut = arcs1 * order
@@ -323,10 +316,9 @@ def contour_metrics(contour: ContourSystem, pair: Pair) -> ContourMetrics:
     m = np.maximum(16, (64 * np.abs(sweep) / math.pi).astype(int))
     arc = np.repeat(np.arange(len(m)), m)
     sample = np.arange(len(arc)) - np.repeat(np.cumsum(m) - m, m)
-    theta = contour.start[arc] + (sample + 0.5) / m[arc] * sweep[arc]
-    zs = contour.center[arc] + contour.radius[arc] * np.exp(1j * theta)
-    min_a = float(np.min(np.abs(A(zs)), initial=math.inf))
-    min_b = float(np.min(np.abs(B(zs)), initial=math.inf))
+    columns = (contour.center, contour.radius, contour.start, contour.end)
+    zs = arc_points(*(col[arc] for col in columns), (sample + 0.5) / m[arc])
+    min_a, min_b = np.min(np.abs(Stack((A, B))(zs)), axis=1, initial=math.inf).tolist()
 
     eps = 1.0 / (4.0 * (n + k + 2.0))
     c5 = min(1.0, eps**n)

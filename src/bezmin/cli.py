@@ -446,7 +446,7 @@ def _certify_one(task) -> dict:
     }
 
     descent = DescentStats()
-    lo, up, _ = delta_tilde(pair, n_rings=3, n_angles=8, stats=descent)
+    lo, up, _ = delta_tilde(pair, stats=descent)
     record["tilde_lower"] = lo
     record["tilde_upper"] = up
     record["tilde_steps"] = descent.steps

@@ -52,10 +52,7 @@ class Polynomial:
     def __call__(self, z):
         """Evaluate by Horner's scheme; `z` may be a scalar or an ndarray."""
         if isinstance(z, np.ndarray):
-            acc = np.zeros_like(z, dtype=complex)
-            for c in reversed(self._coeffs):
-                acc = acc * z + c
-            return acc
+            return Stack((self,))(z)[0]
         z = complex(z)
         acc = 0j
         for c in reversed(self._coeffs):
@@ -187,6 +184,29 @@ class Polynomial:
             if not math.isfinite(math.hypot(c.real, c.imag)):
                 raise ValueError(f"coefficient {k} has no finite modulus: {c}")
         return cls(coeffs)
+
+
+class Stack:
+    """Polynomials evaluated together on arrays by one Horner pass over their
+    coefficient table (highest power first, shorter ones padded with zeros on
+    top), built once. `evals` counts the points evaluated so far."""
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        width = max(len(p.coeffs) for p in polys)
+        padded = [p.coeffs + (0j,) * (width - len(p.coeffs)) for p in polys]
+        self._rows = np.array(padded, dtype=complex).T[::-1]
+        self.evals = 0
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Shape (len(polys),) + z.shape: each polynomial at z."""
+        self.evals += z.size
+        rows = self._rows.reshape(self._rows.shape + (1,) * z.ndim)
+        acc = np.empty(rows.shape[1:2] + z.shape, dtype=complex)
+        acc[...] = rows[0]
+        for c in rows[1:]:
+            acc *= z
+            acc += c
+        return acc
 
 
 def _as_poly(x) -> Polynomial:

@@ -136,10 +136,11 @@ class ContourSystem:
         }
 
 
-def arc_point(center: complex, radius: float, start: float, end: float,
-              t: float) -> complex:
-    """The point at fraction t of the arc from start to end on the circle."""
-    return center + radius * cmath.exp(1j * (start + t * (end - start)))
+def arc_points(center, radius, start, end, t):
+    """The point at fraction t of the arc from start to end on the circle
+    (center, radius), for scalars or arrays of arcs; t may be a column of
+    fractions, one row of points each."""
+    return center + radius * np.exp(1j * (start + t * (end - start)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +331,9 @@ def _crosses(region, mid, owner, centers, radii, tol: float) -> np.ndarray:
 _TABLE_FRACTIONS = np.array([[0.0], [1.0], [0.5]])
 
 
-def _arc_points(center, radius, start, end, t):
-    """The points at fraction t of each arc, as arc_point places them; t may
-    be a column of fractions, one row of points each."""
-    return center + radius * np.exp(1j * (start + t * (end - start)))
-
-
 def _table(center, radius, start, end) -> _ArcTable:
-    # start, end and midpoint: arc_point at t = 0, 1 and 0.5
-    p0, p1, mid = _arc_points(center, radius, start, end, _TABLE_FRACTIONS)
+    # start, end and midpoint: the points at t = 0, 1 and 0.5
+    p0, p1, mid = arc_points(center, radius, start, end, _TABLE_FRACTIONS)
     full = np.abs(np.abs(end - start) - 2 * math.pi) < 1e-12
     return _ArcTable(full, p0, p1, mid)
 
@@ -475,6 +470,11 @@ def _chain_loops(start, end, tol: float) -> tuple[list[int], list[int]]:
     return order, loop_ids
 
 
+def _scale(rootsA: RootSet, rootsB: RootSet) -> float:
+    """1 + the largest root modulus: the length scale of the arrangement."""
+    return 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
+
+
 def build_region(
     kind: RegionKind, rootsA: RootSet, rootsB: RootSet
 ) -> ContourSystem:
@@ -503,7 +503,7 @@ def build_region(
         _certify(inverted, region_probes(kind, rootsA, rootsB))
         return inverted
 
-    scale = 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
+    scale = _scale(rootsA, rootsB)
     tol = POINT_TOL * scale
     region = _region_disks(kind, rootsA, rootsB)
     centers, radii = region
@@ -525,7 +525,7 @@ def build_region(
     owner, t0, t1 = _candidate_arcs(len(radii), owner, angle)
 
     arcs = centers[owner], radii[owner], t0, t1
-    mid = _arc_points(*arcs, 0.5)
+    mid = arc_points(*arcs, 0.5)
     kept = np.flatnonzero(_crosses(region, mid, owner, centers, radii, tol))
 
     if not len(kept):
@@ -561,6 +561,10 @@ def _certify(contour: ContourSystem, probes: dict[complex, int]) -> None:
 # inversion z -> 1/z
 
 
+# the arc's start, end, midpoint and (read for full circles) quarter point
+_INVERT_FRACTIONS = np.array([0.0, 1.0, 0.5, 0.25])
+
+
 def _invert_arc(c: complex, r: float, t0: float, t1: float, scale: float):
     """The image (center, radius, start, end) of one arc under z -> 1/z."""
     q = abs(c) ** 2 - r * r
@@ -570,15 +574,14 @@ def _invert_arc(c: complex, r: float, t0: float, t1: float, scale: float):
         )
     m = c.conjugate() / q
     rho = r / abs(q)
+    points = arc_points(c, r, t0, t1, _INVERT_FRACTIONS).tolist()
+    w0, w1, wm, wq = [1.0 / p for p in points]
 
     if abs(abs(t1 - t0) - 2 * math.pi) < 1e-12:
-        w0 = 1.0 / arc_point(c, r, t0, t1, 0.0)
-        wq = 1.0 / arc_point(c, r, t0, t1, 0.25)
         phi0 = cmath.phase(w0 - m)
         phiq = cmath.phase((wq - m) / (w0 - m))
         return m, rho, phi0, phi0 + (2 * math.pi if phiq > 0 else -2 * math.pi)
 
-    w0, w1, wm = (1.0 / arc_point(c, r, t0, t1, t) for t in (0.0, 1.0, 0.5))
     phi0 = cmath.phase(w0 - m)
     phi1 = cmath.phase(w1 - m)
     phim = cmath.phase(wm - m)
@@ -613,8 +616,11 @@ def invert_contour(contour: ContourSystem) -> ContourSystem:
             arcs = [(m, rho, t1, t0) for m, rho, t0, t1 in reversed(arcs)]
         image += arcs
         loops += [li] * len(arcs)
-    scale = 1.0 + max(abs(arc_point(*arc, t)) for t in (0.0, 1.0) for arc in image)
-    return ContourSystem(*map(np.array, zip(*image)), loops, scale)
+    arcs = [np.array(col) for col in zip(*image)]
+    # abs() of Python complex numbers: np.abs rounds some moduli differently
+    ends = arc_points(*arcs, _TABLE_FRACTIONS[:2]).ravel().tolist()
+    scale = 1.0 + max(map(abs, ends))
+    return ContourSystem(*arcs, loops, scale)
 
 
 def build_region_with_jitter(
@@ -640,8 +646,7 @@ def build_region_with_jitter(
             return contour
         except DegenerateArrangement as exc:
             last = exc
-            scale = 1.0 + max(abs(r) for r in rootsA.roots + rootsB.roots)
-            step = 1e-9 * scale * (attempt + 1)
+            step = 1e-9 * _scale(rootsA, rootsB) * (attempt + 1)
             ra, rb = (
                 replace(roots, roots=tuple(
                     r + step * cmath.exp(2j * math.pi * (i + turn * attempt) / period)

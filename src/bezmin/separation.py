@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeparationViolation
+from .poly import Stack
 from .roots import find_roots
 from .sylvester import Pair
 
@@ -75,12 +76,16 @@ class DescentStats:
     unconverged: int = 0
 
 
-def _grid_seeds(radius: float, n_rings: int, n_angles: int) -> list[complex]:
+# the polar seed grid over the joint Cauchy disk: rings x angles
+_RINGS, _ANGLES = 3, 8
+
+
+def _grid_seeds(radius: float) -> list[complex]:
     seeds = [0j]
-    for k in range(n_rings):
-        r = radius * np.sqrt((k + 0.5) / n_rings)
-        for m in range(n_angles):
-            theta = 2 * np.pi * (m + 0.5 * (k % 2)) / n_angles
+    for k in range(_RINGS):
+        r = radius * np.sqrt((k + 0.5) / _RINGS)
+        for m in range(_ANGLES):
+            theta = 2 * np.pi * (m + 0.5 * (k % 2)) / _ANGLES
             seeds.append(r * np.exp(1j * theta))
     return seeds
 
@@ -89,45 +94,18 @@ def _cauchy_radius(pair: Pair) -> float:
     return max(pair.rootsA.cauchy_bound, pair.rootsB.cauchy_bound)
 
 
-def _descent_seeds(pair: Pair, n_rings: int, n_angles: int) -> np.ndarray:
+def _descent_seeds(pair: Pair) -> np.ndarray:
     """Roots of A, B, A', B', then the polar grid over the joint Cauchy disk."""
     seeds: list[complex] = list(pair.rootsA.roots) + list(pair.rootsB.roots)
     for p, degree in ((pair.An, pair.N), (pair.Bn, pair.K)):
         if degree >= 2:
             seeds.extend(find_roots(p.derivative()).roots)
-    seeds.extend(_grid_seeds(_cauchy_radius(pair), n_rings, n_angles))
+    seeds.extend(_grid_seeds(_cauchy_radius(pair)))
     return np.array(seeds, dtype=complex)
 
 
-class _Jet:
-    """A, A', A'', B, B', B'' on an array of points, by in-place Horner on
-    the six stacked coefficient vectors at once (shorter ones zero-padded)."""
-
-    def __init__(self, pair: Pair):
-        polys = []
-        for p in (pair.A, pair.B):
-            d1 = p.derivative()
-            polys += [p, d1, d1.derivative()]
-        table = np.zeros((max(len(p.coeffs) for p in polys), 6), dtype=complex)
-        for j, p in enumerate(polys):
-            table[: len(p.coeffs), j] = p.coeffs
-        self._rows = table[::-1]
-        self.evals = 0
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Shape (6,) + z.shape: A, A', A'', B, B', B'' at z."""
-        self.evals += z.size
-        rows = self._rows.reshape(self._rows.shape + (1,) * z.ndim)
-        acc = np.empty((6,) + z.shape, dtype=complex)
-        acc[...] = rows[0]
-        for c in rows[1:]:
-            acc *= z
-            acc += c
-        return acc
-
-
 def _newton_descent(
-    jet: _Jet, seeds: np.ndarray, radius: float
+    jet: Stack, seeds: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Damped Newton from every seed at once on F(z) = (|A|^2 - |B|^2,
     Im(A B' conj(A' B))). Returns each seed's lowest max(|A|, |B|) and the
@@ -201,10 +179,7 @@ def _newton_descent(
 
 
 def delta_tilde(
-    pair: Pair,
-    n_rings: int = 5,
-    n_angles: int = 10,
-    stats: DescentStats | None = None,
+    pair: Pair, stats: DescentStats | None = None
 ) -> tuple[float, float, complex]:
     """Bracket (lower, upper) for the global min of max(|A|, |B|) plus the
     argmin of the upper search.
@@ -223,10 +198,11 @@ def delta_tilde(
     dval = pair.delta_min[0]
     lower = max(dval / 3.0 ** max(pair.N, pair.K), 0.0)
 
-    jet = _Jet(pair)
+    dA, dB = pair.A.derivative(), pair.B.derivative()
+    jet = Stack((pair.A, dA, dA.derivative(), pair.B, dB, dB.derivative()))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals, points, steps, unconverged = _newton_descent(
-            jet, _descent_seeds(pair, n_rings, n_angles), _cauchy_radius(pair)
+            jet, _descent_seeds(pair), _cauchy_radius(pair)
         )
     if stats is not None:
         stats.steps += steps
@@ -309,7 +285,7 @@ def check_separation(pair: Pair, n_samples: int, seed: int = 0) -> SeparationRep
     eps_a = pair.delta / 3.0**pair.N
     eps_b = pair.delta / 3.0**pair.K
 
-    radius = max(rootsA.cauchy_bound, rootsB.cauchy_bound)
+    radius = _cauchy_radius(pair)
     n_disk = max(1, int(0.7 * n_samples))
     uv = _scrambled_halton(n_disk, seed)
     pts_disk = radius * np.sqrt(uv[:, 0]) * np.exp(2j * np.pi * uv[:, 1])
@@ -328,8 +304,7 @@ def check_separation(pair: Pair, n_samples: int, seed: int = 0) -> SeparationRep
     )[:, :, None] * np.exp(1j * ang)
     pts = np.concatenate([pts_disk, rings.ravel()])
 
-    in_a = np.abs(A(pts)) < eps_a
-    in_b = np.abs(B(pts)) < eps_b
+    in_a, in_b = np.abs(Stack((A, B))(pts)) < [[eps_a], [eps_b]]
     joint = int(np.count_nonzero(in_a & in_b))
     report = SeparationReport(
         n_samples=len(pts),

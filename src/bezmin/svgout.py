@@ -9,11 +9,15 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .regions import ContourSystem, arc_point
+import numpy as np
+
+from .regions import ContourSystem, arc_points
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 MARKER_COLOR = "#000000"
 STROKE_WIDTH = 0.01
+# the points of each arc that the view box holds
+_BOX_FRACTIONS = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
 
 
 def _fmt(x: float) -> str:
@@ -28,12 +32,12 @@ def _arc_path(c: complex, r: float, t0: float, t1: float) -> str:
     if abs(t1 - t0) > 1.5 * math.pi:
         mid_angle = t0 + (t1 - t0) / 2.0
         sub = [(t0, mid_angle), (mid_angle, t1)]
-    p0 = arc_point(c, r, *sub[0], 0.0)
+    p0 = arc_points(c, r, *sub[0], 0.0)
     pieces.append(f"M {_fmt(p0.real)} {_fmt(-p0.imag)}")
     for s0, s1 in sub:
         large = 1 if abs(s1 - s0) > math.pi else 0
         sweep_flag = 0 if s1 > s0 else 1
-        p1 = arc_point(c, r, s0, s1, 1.0)
+        p1 = arc_points(c, r, s0, s1, 1.0)
         pieces.append(
             f"A {_fmt(r)} {_fmt(r)} 0 {large} {sweep_flag} "
             f"{_fmt(p1.real)} {_fmt(-p1.imag)}"
@@ -50,11 +54,9 @@ def render_svg(
     xs: list[float] = []
     ys: list[float] = []
     for c in contours:
-        for arc in c.rows():
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                p = arc_point(*arc, t)
-                xs.append(p.real)
-                ys.append(-p.imag)
+        p = arc_points(c.center, c.radius, c.start, c.end, _BOX_FRACTIONS)
+        xs += p.real.ravel().tolist()
+        ys += (-p.imag).ravel().tolist()
     for m in markers:
         xs.append(m.real)
         ys.append(-m.imag)
@@ -79,7 +81,7 @@ def render_svg(
             )
             if direction_ticks:
                 center, radius, t0, t1 = arc
-                mid = arc_point(*arc, 0.5)
+                mid = complex(arc_points(*arc, 0.5))
                 # tangent of the traversal at the midpoint
                 normal = (mid - center) / radius
                 tangent = 1j * normal * (1 if t1 > t0 else -1)

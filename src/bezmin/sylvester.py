@@ -296,7 +296,7 @@ def inverse_norm_report(pair: Pair) -> InverseNormReport:
     report = InverseNormReport(
         max_entry_norm=max_entry,
         op_norm_1=float(np.linalg.norm(inv, 1)),
-        op_norm_2=float(np.linalg.norm(inv, 2)),
+        op_norm_2=float(1.0 / pair.singular_values[-1]),
         op_norm_inf=float(np.linalg.norm(inv, np.inf)),
         M_ratio=m_ratio,
         exponent=exponent,

@@ -2,8 +2,10 @@
 oracle for the interpolation backend), the quadrature backend integrating
 one contour at a time (a reference for its one-pass integration), the
 translation p(z + z0), a
-root-free translation point, a sub-level set predicate, the pointwise region
-predicate (membership, a reference for build_region), a per-arc record of a
+root-free translation point, a sub-level set predicate, the plain Horner
+loop one polynomial at a time (a reference for poly.Stack), the pointwise
+region predicate (membership, a reference for build_region), the scalar arc
+point (a reference for regions.arc_points), a per-arc record of a
 contour with the scalar per-arc winding increment, distance and
 subdivision (references for the array code in regions and backends), a
 quadrature rule's integral of a function, the argument-principle zero count,
@@ -163,6 +165,18 @@ def sublevel_member(p: Polynomial, eps: float, z: complex) -> bool:
     return bool(abs(p(z)) < eps)
 
 
+def horner_reference(polys: list[Polynomial], z: np.ndarray) -> np.ndarray:
+    """Each polynomial at z, one at a time by the allocating Horner loop
+    from zero: the reference for poly.Stack."""
+    out = []
+    for p in polys:
+        acc = np.zeros_like(z, dtype=complex)
+        for c in reversed(p.coeffs):
+            acc = acc * z + c
+        out.append(acc)
+    return np.array(out)
+
+
 def membership(kind: RegionKind, rootsA: RootSet, rootsB: RootSet, z):
     """Pointwise region predicate; `z` may be a scalar or an ndarray."""
     zz = np.asarray(z, dtype=complex)
@@ -189,6 +203,13 @@ def _inside(region: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
     return res
 
 
+def arc_point(center: complex, radius: float, start: float, end: float,
+              t: float) -> complex:
+    """The point at fraction t of the arc from start to end on the circle, on
+    Python numbers: the scalar reference for regions.arc_points."""
+    return center + radius * cmath.exp(1j * (start + t * (end - start)))
+
+
 @dataclass(frozen=True)
 class RefArc:
     """One arc of a contour, as Python numbers: from `start` to `end` (radians,
@@ -208,7 +229,7 @@ class RefArc:
         return abs(abs(self.sweep) - 2 * math.pi) < 1e-12
 
     def point(self, t: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * (self.start + t * self.sweep))
+        return arc_point(self.center, self.radius, self.start, self.end, t)
 
     def reversed(self) -> "RefArc":
         return RefArc(self.center, self.radius, self.end, self.start)
@@ -274,7 +295,7 @@ def subdivide_reference(
     while todo:
         arc, loop = todo.pop()
         sweep = abs(arc.sweep)
-        mid = arc.center + arc.radius * cmath.exp(1j * (arc.start + 0.5 * arc.sweep))
+        mid = arc.point(0.5)
         near = min((abs(p - mid) for p in poles), default=math.inf)
         if sweep > math.pi / 2.0 or (sweep > 1e-3 and arc.radius * sweep > near):
             half = arc.start + arc.sweep / 2.0

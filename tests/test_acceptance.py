@@ -124,7 +124,7 @@ def test_criterion_05_delta_sandwich(ensemble_100):
     ok = True
     for inst in ensemble_100:
         n, k = inst.A.degree, inst.B.degree
-        lower, upper, _ = delta_tilde(inst.pair, n_rings=3, n_angles=8)
+        lower, upper, _ = delta_tilde(inst.pair)
         lo_bound = inst.delta / 3.0 ** max(n, k)
         ok &= lo_bound <= upper + 1e-9 and upper <= inst.delta + 1e-9
         worst_gap = max(worst_gap, lo_bound - upper)

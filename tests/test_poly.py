@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bezmin.poly import Polynomial
+from bezmin.poly import Polynomial, Stack
 from bezmin.roots import find_roots
 from bezmin.sylvester import build
-from oracles import translate
+from oracles import horner_reference, translate
 
 
 def test_eval_linear():
@@ -103,6 +103,22 @@ def test_reverse_preserves_norm():
 
 def test_mul_trivial():
     assert Polynomial([0, 1]) * Polynomial([1, -1]) == Polynomial([0, 1, -1])
+
+
+def test_stack_matches_the_horner_reference_bit_for_bit():
+    # unequal degrees, a constant among them, on 1-D and 3-D points
+    rng = np.random.default_rng(7)
+    polys = [
+        Polynomial(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+        for d in (5, 0, 2, 8)
+    ]
+    stack = Stack(polys)
+    for shape in ((40,), (3, 4, 5)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = stack(z)
+        assert got.shape == (len(polys),) + shape
+        assert got.tobytes() == horner_reference(polys, z).tobytes()
+    assert stack.evals == 40 + 60
 
 
 def test_translate_trivial():

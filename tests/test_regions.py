@@ -26,6 +26,7 @@ from bezmin.regions import (
     _distances,
     _live_circles,
     _region_disks,
+    arc_points,
     build_region,
     build_region_with_jitter,
     invert_contour,
@@ -37,6 +38,7 @@ from bezmin.svgout import render_svg
 from oracles import (
     RefArc,
     arc_delta_arg,
+    arc_point,
     argument_principle_count,
     contour_of,
     membership,
@@ -74,6 +76,16 @@ def _unit_circle_contour() -> ContourSystem:
 
 def _loop(contour: ContourSystem, li: int) -> list[RefArc]:
     return [a for a, l in zip(ref_arcs(contour), contour.loops) if l == li]
+
+
+def test_arc_points_on_scalars_matches_the_scalar_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        c = complex(*(5 * rng.standard_normal(2)))
+        r = 3 * float(rng.random())
+        t0, t1 = rng.uniform(-7, 7, 2).tolist()
+        for t in (0.0, 0.25, 0.5, 1.0, float(rng.random())):
+            assert complex(arc_points(c, r, t0, t1, t)) == arc_point(c, r, t0, t1, t)
 
 
 def test_winding_unit_circle():

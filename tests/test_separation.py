@@ -131,7 +131,7 @@ def test_delta_tilde_double_root_case():
     assert lower == pytest.approx(0.25 / 9.0, rel=1e-9)
 
 
-def _scalar_tilde_upper(pair, n_rings, n_angles, restart_tol=1e-10, max_restarts=8):
+def _scalar_tilde_upper(pair, restart_tol=1e-10, max_restarts=8):
     """Reference for delta_tilde's upper end: one scipy Nelder-Mead run per
     seed, evaluated by scalar Horner, restarted while it gains restart_tol."""
     A, B = pair.A, pair.B
@@ -141,7 +141,7 @@ def _scalar_tilde_upper(pair, n_rings, n_angles, restart_tol=1e-10, max_restarts
         return max(abs(A(z)), abs(B(z)))
 
     best_val = np.inf
-    for s in _descent_seeds(pair, n_rings, n_angles):
+    for s in _descent_seeds(pair):
         x = np.array([s.real, s.imag])
         val = f(x)
         for _ in range(max_restarts):
@@ -160,13 +160,13 @@ def _scalar_tilde_upper(pair, n_rings, n_angles, restart_tol=1e-10, max_restarts
 
 
 def test_delta_tilde_matches_scalar_nelder_mead():
-    # certify's settings: degrees 1..5, delta >= 0.05, 3 rings of 8 seeds
+    # certify's settings: degrees 1..5, delta >= 0.05
     rng = np.random.default_rng(25)
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05)
-        lower, upper, witness = delta_tilde(inst.pair, n_rings=3, n_angles=8)
-        ref = _scalar_tilde_upper(inst.pair, n_rings=3, n_angles=8)
+        lower, upper, witness = delta_tilde(inst.pair)
+        ref = _scalar_tilde_upper(inst.pair)
         assert upper == pytest.approx(ref, rel=1e-9, abs=0)
         assert upper <= ref + 1e-12
         assert lower <= upper <= inst.delta
@@ -180,7 +180,7 @@ def test_delta_tilde_counts_its_work():
     delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
     # each Newton iteration evaluates twelve candidate points per seed, and
     # the seeds themselves are evaluated once
-    n_seeds = len(_descent_seeds(build(Z, ONE_MINUS_Z), 5, 10))
+    n_seeds = len(_descent_seeds(build(Z, ONE_MINUS_Z)))
     assert stats.evals == n_seeds + 12 * stats.steps
     assert stats.steps > 0
     assert stats.unconverged == 0
@@ -191,13 +191,12 @@ def test_delta_tilde_counts_its_work():
 
 def test_delta_tilde_witness_lies_on_the_curve():
     # by the minimum-modulus principle the minimiser of max(|A|, |B|) lies
-    # on |A| = |B|; certify's settings: degrees 1..5, delta >= 0.05, 3 rings
-    # of 8 seeds
+    # on |A| = |B|; certify's settings: degrees 1..5, delta >= 0.05
     rng = np.random.default_rng(26)
     for _ in range(100):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.05)
-        _, upper, w = delta_tilde(inst.pair, n_rings=3, n_angles=8)
+        _, upper, w = delta_tilde(inst.pair)
         assert abs(abs(inst.A(w)) - abs(inst.B(w))) <= 1e-9 * upper
 
 
@@ -208,10 +207,8 @@ def test_delta_tilde_scales_with_the_pair(seed, c):
     rng = np.random.default_rng(seed)
     da, db = sample_degrees(rng, 1, 5)
     inst = random_pair(rng, da, db, delta_floor=0.05)
-    lower, upper, _ = delta_tilde(inst.pair, n_rings=3, n_angles=8)
-    lower_c, upper_c, _ = delta_tilde(
-        build(inst.A.scale(c), inst.B.scale(c)), n_rings=3, n_angles=8
-    )
+    lower, upper, _ = delta_tilde(inst.pair)
+    lower_c, upper_c, _ = delta_tilde(build(inst.A.scale(c), inst.B.scale(c)))
     assert lower_c == pytest.approx(c * lower, rel=1e-9, abs=0)
     assert upper_c == pytest.approx(c * upper, rel=1e-9, abs=0)
 
@@ -227,15 +224,13 @@ def test_delta_tilde_ignores_root_order(data):
     pa = data.draw(st.permutations(range(da)))
     pb = data.draw(st.permutations(range(db)))
     _, upper, _ = delta_tilde(
-        build(Polynomial.from_roots(ra), Polynomial.from_roots(rb)),
-        n_rings=3, n_angles=8,
+        build(Polynomial.from_roots(ra), Polynomial.from_roots(rb))
     )
     _, upper_p, _ = delta_tilde(
         build(
             Polynomial.from_roots([ra[i] for i in pa]),
             Polynomial.from_roots([rb[i] for i in pb]),
-        ),
-        n_rings=3, n_angles=8,
+        )
     )
     assert upper_p == pytest.approx(upper, rel=1e-10, abs=0)
 
