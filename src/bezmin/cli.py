@@ -451,12 +451,10 @@ def _certify_one(task) -> dict:
     record["tilde_upper"] = up
     record["tilde_steps"] = descent.steps
     record["tilde_evals"] = descent.evals
-    record["checks"]["sandwich"] = sandwich_holds(lo, up, delta, tol["sandwich"])
+    record["checks"]["sandwich"] = sandwich_holds(pair, lo, up, tol["sandwich"])
 
     try:
-        check_separation(
-            pair, args.separation_samples, seed=int(rng.integers(2**31))
-        )
+        check_separation(pair)
         record["checks"]["separation"] = True
     except SeparationViolation:
         record["checks"]["separation"] = False
@@ -513,7 +511,6 @@ def cmd_certify(args, tol) -> int:
         ("--min-degree", args.min_degree, 1),
         ("--max-degree", args.max_degree, args.min_degree),
         ("--workers", args.workers, 1),
-        ("--separation-samples", args.separation_samples, 1),
     ):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
@@ -567,7 +564,6 @@ def cmd_certify(args, tol) -> int:
         "ensemble_size": args.count,
         "degree_range": [args.min_degree, args.max_degree],
         "delta_floor": args.delta_floor,
-        "separation_samples": args.separation_samples,
         "tolerances": tol,
     }, "aggregates": aggregates, "records": records}
 
@@ -664,7 +660,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=1)
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--delta-floor", type=float, default=0.05)
-    p.add_argument("--separation-samples", type=int, default=2000)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_certify)
 

@@ -16,7 +16,7 @@ class CommonRootError(BezminError):
 
 
 class SeparationViolation(BezminError):
-    """A sampled point landed in both sub-level sets; indicates a bug."""
+    """Both sub-level sets hold a box centre, or the box search gave up."""
 
 
 class DegenerateArrangement(BezminError):

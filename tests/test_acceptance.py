@@ -111,7 +111,7 @@ def test_criterion_04_sublevel_disjointness(ensemble_100):
     total_joint = 0
     total_points = 0
     for i, inst in enumerate(ensemble_100):
-        rep = check_separation(inst.pair, 100_000, seed=ENSEMBLE_SEED + i)
+        rep = check_separation(inst.pair)
         total_joint += rep.joint_hits
         total_points += rep.n_samples
     ok = total_joint == 0

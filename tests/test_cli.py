@@ -38,7 +38,7 @@ def test_delta_command_applies_the_sandwich_tolerance(poly_files, capsys, monkey
     from bezmin import separation
 
     def loose_upper(pair, **kwargs):
-        return 0.0, pair.delta_min[0] + 1e-6, 0j
+        return 0.4, pair.delta_min[0] + 1e-6, 0j
 
     monkeypatch.setattr(separation, "delta_tilde", loose_upper)
     a, b = poly_files
@@ -46,6 +46,20 @@ def test_delta_command_applies_the_sandwich_tolerance(poly_files, capsys, monkey
     assert json.loads(capsys.readouterr().out)["sandwich_ok"] is False
     assert main(["--json", "--tol", "sandwich=1e-5", "delta", a, b]) == 0
     assert json.loads(capsys.readouterr().out)["sandwich_ok"] is True
+
+
+def test_delta_command_checks_the_papers_lower_bound(poly_files, capsys, monkeypatch):
+    # the paper bounds delta-tilde below by delta / 3^max(N, K), here 1/3;
+    # a lower end under it breaks the sandwich although lower <= upper <= delta
+    from bezmin import separation
+
+    def low_lower(pair, **kwargs):
+        return 1.0 / 3.0 - 1e-3, 0.5, 0.5 + 0j
+
+    monkeypatch.setattr(separation, "delta_tilde", low_lower)
+    a, b = poly_files
+    assert main(["--json", "delta", a, b]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich_ok"] is False
 
 
 def test_solve_all_backends(poly_files, capsys):
@@ -96,7 +110,7 @@ def test_text_output_of_pair_commands(poly_files, capsys):
     assert main(["delta", a, b]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "delta            1"
-    assert lines[2] == "tilde bracket    [0.333333333333, 0.5]"
+    assert lines[2] == "tilde bracket    [0.499123317638, 0.5]"
     assert lines[4:] == ["sandwich_ok      True", "common_root      False"]
 
     assert main(["solve", a, b, "--backend", "all"]) == 0
@@ -218,15 +232,14 @@ def test_one_build_and_one_factorisation_per_pair(
         return {name: len(calls[name]) for name in names}
 
     out = tmp_path / "c"
-    args = ["--out", str(out), "--seed", "3", "certify", "--count", "5",
-            "--separation-samples", "200"]
+    args = ["--out", str(out), "--seed", "3", "certify", "--count", "5"]
     assert main(args) == 0
     records = json.loads((out / "certify_report.json").read_text())["records"]
     assert len(records) >= 3
     names = ("build", "singular_values", "delta_min", "det")
     assert counts(*names) == dict.fromkeys(names, len(records))
-    # the other root finds are those of A' and B' among delta_tilde's seeds
-    assert roots_found_once_per_polynomial() <= 4 * len(records)
+    # delta_tilde and check_separation find no roots of their own
+    assert roots_found_once_per_polynomial() == 2 * len(records)
 
     # nonzero constant terms, so the reversed backend solves too
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -262,7 +275,7 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     # the next call, which sees the default tolerances and prints text
     from bezmin.cli import DEFAULT_TOLERANCES
 
-    args = ["certify", "--count", "1", "--separation-samples", "200"]
+    args = ["certify", "--count", "1"]
     first, second = tmp_path / "first", tmp_path / "second"
     main(["--json", "--tol", "residual=1e-30", "--out", str(first)] + args)
     report = json.loads((first / "certify_report.json").read_text())
@@ -320,8 +333,7 @@ def _strip_timing(report: dict) -> dict:
 def test_certify_small_run_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "c1"
     out2 = tmp_path / "c2"
-    args = ["--seed", "7", "certify", "--count", "12",
-            "--separation-samples", "500"]
+    args = ["--seed", "7", "certify", "--count", "12"]
     assert main(["--out", str(out1)] + args) == 0
     assert main(["--out", str(out2)] + args) == 0
     r1 = _strip_timing(json.loads((out1 / "certify_report.json").read_text()))
@@ -379,11 +391,10 @@ def test_certify_count_below_one_is_usage_error(tmp_path, capsys, count):
     (["--min-degree", "0"], "--min-degree"),
     (["--min-degree", "4", "--max-degree", "2"], "--max-degree"),
     (["--workers", "0"], "--workers"),
-    (["--separation-samples", "-5"], "--separation-samples"),
     (["--delta-floor", "nan"], "--delta-floor"),
     (["--delta-floor", "inf"], "--delta-floor"),
-], ids=["min-degree-0", "max-below-min", "workers-0", "separation-samples-negative",
-        "delta-floor-nan", "delta-floor-inf"])
+], ids=["min-degree-0", "max-below-min", "workers-0", "delta-floor-nan",
+        "delta-floor-inf"])
 def test_certify_bad_flag_values_are_usage_errors(tmp_path, capsys, flags, name):
     # at seed 0, 40 draws include a degree-0 one for --min-degree 0
     code = main(["--out", str(tmp_path), "certify", "--count", "40", *flags])
@@ -427,8 +438,7 @@ def test_unknown_command_exits_two():
 
 
 def test_certify_worker_pool_matches_sequential(tmp_path):
-    args = ["--seed", "11", "certify", "--count", "8",
-            "--separation-samples", "400"]
+    args = ["--seed", "11", "certify", "--count", "8"]
     seq = tmp_path / "seq"
     par = tmp_path / "par"
     assert main(["--out", str(seq)] + args) == 0
@@ -451,7 +461,7 @@ def test_failing_certify_records_replay_with_solve(tmp_path, capsys):
     # pair a record carries gives that record's residual and norm(R)
     out = tmp_path / "c"
     assert main(["--out", str(out), "--tol", "residual=1e-300", "--seed", "7",
-                 "certify", "--count", "4", "--separation-samples", "300"]) == 1
+                 "certify", "--count", "4"]) == 1
     capsys.readouterr()
     records = json.loads((out / "certify_report.json").read_text())["records"]
     assert records
@@ -472,8 +482,7 @@ def test_skipped_analytic_backends_carry_the_pair(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(backends, "solve_quadrature", refuse)
     out = tmp_path / "c"
-    assert main(["--out", str(out), "--seed", "7", "certify", "--count", "4",
-                 "--separation-samples", "300"]) == 0
+    assert main(["--out", str(out), "--seed", "7", "certify", "--count", "4"]) == 0
     capsys.readouterr()
     records = json.loads((out / "certify_report.json").read_text())["records"]
     skipped = [r for r in records if "analytic_backend_skipped" in r]

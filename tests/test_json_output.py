@@ -27,7 +27,6 @@ COMMANDS = {
     "figures": lambda a, b, tmp: ["figures"],
     "certify": lambda a, b, tmp: [
         "certify", "--count", "4", "--max-degree", "3",
-        "--separation-samples", "300",
     ],
 }
 

@@ -14,19 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
-from scipy.stats import qmc
 
 import bezmin
 from bezmin import separation
 from bezmin.errors import CommonRootError, SeparationViolation
 from bezmin.poly import Polynomial
+from bezmin.roots import find_roots
 from bezmin.separation import (
     DescentStats,
-    _descent_seeds,
-    _scrambled_halton,
     check_separation,
     delta_report,
     delta_tilde,
+    sandwich_holds,
 )
 from bezmin.sylvester import build
 from oracles import random_pair, sample_degrees, sublevel_member, translate
@@ -105,10 +104,22 @@ def test_delta_translation_invariance():
 
 
 def test_delta_tilde_monomial_pair():
-    lower, upper, witness = delta_tilde(build(Z, ONE_MINUS_Z))
+    pair = build(Z, ONE_MINUS_Z)
+    lower, upper, witness = delta_tilde(pair)
     assert abs(upper - 0.5) <= 1e-6
     assert abs(witness - 0.5) <= 1e-5
-    assert lower == pytest.approx(1.0 / 3.0)
+    # the paper's bound delta / 3 = 1/3 sits below the certified lower end
+    assert 1.0 / 3.0 <= lower <= 0.5 <= upper
+    assert lower >= 0.99 * upper
+    assert sandwich_holds(pair, lower, upper, 0.0)
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+def test_delta_tilde_brackets_the_exact_value_at_every_scale(scale):
+    # for z, 1 - z the minimum of max(|z|, |1 - z|) is exactly 1/2, at 1/2
+    lower, upper, _ = delta_tilde(build(Z.scale(scale), ONE_MINUS_Z.scale(scale)))
+    assert lower <= 0.5 * scale <= upper
+    assert upper == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
 
 
 def test_delta_tilde_bracket_order():
@@ -126,14 +137,35 @@ def test_delta_tilde_double_root_case():
     w = cmath.exp(2j * cmath.pi / 3)
     A = Polynomial.monomial(2)
     B = Polynomial.from_roots([0.5 * w, 0.5 * w**2])
-    lower, upper, _ = delta_tilde(build(A, B))
+    pair = build(A, B)
+    lower, upper, _ = delta_tilde(pair)
     assert upper <= 0.25 + 1e-9
-    assert lower == pytest.approx(0.25 / 9.0, rel=1e-9)
+    # the paper's bound is delta / 3^2 = 0.25 / 9
+    assert 0.25 / 9.0 <= lower <= upper
+    assert sandwich_holds(pair, lower, upper, 0.0)
+
+
+def _descent_seeds(pair):
+    """The roots of A, B, A' and B', then a polar grid of 3 rings by 8
+    angles over the joint Cauchy disk: the seeds the multistart descent
+    that delta_tilde's box search replaced ran from."""
+    seeds = list(pair.rootsA.roots) + list(pair.rootsB.roots)
+    for p, degree in ((pair.An, pair.N), (pair.Bn, pair.K)):
+        if degree >= 2:
+            seeds.extend(find_roots(p.derivative()).roots)
+    radius = max(pair.rootsA.cauchy_bound, pair.rootsB.cauchy_bound)
+    seeds.append(0j)
+    for k in range(3):
+        r = radius * np.sqrt((k + 0.5) / 3)
+        for m in range(8):
+            seeds.append(r * cmath.exp(2j * np.pi * (m + 0.5 * (k % 2)) / 8))
+    return seeds
 
 
 def _scalar_tilde_upper(pair, restart_tol=1e-10, max_restarts=8):
     """Reference for delta_tilde's upper end: one scipy Nelder-Mead run per
-    seed, evaluated by scalar Horner, restarted while it gains restart_tol."""
+    seed of _descent_seeds, evaluated by scalar Horner, restarted while it
+    gains restart_tol."""
     A, B = pair.A, pair.B
 
     def f(xy):
@@ -160,7 +192,9 @@ def _scalar_tilde_upper(pair, restart_tol=1e-10, max_restarts=8):
 
 
 def test_delta_tilde_matches_scalar_nelder_mead():
-    # certify's settings: degrees 1..5, delta >= 0.05
+    # certify's and criterion 05's settings: degrees 1..5, delta >= 0.05;
+    # the certified lower end lies between the paper's bound and the
+    # Nelder-Mead minimum, within 1% of the upper end
     rng = np.random.default_rng(25)
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 5)
@@ -170,6 +204,8 @@ def test_delta_tilde_matches_scalar_nelder_mead():
         assert upper == pytest.approx(ref, rel=1e-9, abs=0)
         assert upper <= ref + 1e-12
         assert lower <= upper <= inst.delta
+        assert inst.delta / 3.0 ** max(da, db) <= lower <= ref
+        assert lower >= 0.99 * upper
         assert max(abs(inst.A(witness)), abs(inst.B(witness))) == pytest.approx(
             upper, rel=1e-12
         )
@@ -178,10 +214,11 @@ def test_delta_tilde_matches_scalar_nelder_mead():
 def test_delta_tilde_counts_its_work():
     stats = DescentStats()
     delta_tilde(build(Z, ONE_MINUS_Z), stats=stats)
-    # each Newton iteration evaluates twelve candidate points per seed, and
-    # the seeds themselves are evaluated once
-    n_seeds = len(_descent_seeds(build(Z, ONE_MINUS_Z)))
-    assert stats.evals == n_seeds + 12 * stats.steps
+    # the Taylor table is evaluated once at each square's centre and at each
+    # Newton seed (the best point and settled centres), then at four
+    # candidate points per seed and iteration
+    seeds = stats.evals - stats.boxes - 4 * stats.steps
+    assert 1 <= seeds <= stats.boxes + 1
     assert stats.steps > 0
     assert stats.unconverged == 0
     before = stats.evals
@@ -235,16 +272,6 @@ def test_delta_tilde_ignores_root_order(data):
     assert upper_p == pytest.approx(upper, rel=1e-10, abs=0)
 
 
-def test_scrambled_halton_is_as_uniform_as_scipy():
-    for seed in range(4):
-        uv = _scrambled_halton(4096, seed)
-        assert uv.shape == (4096, 2)
-        assert uv.min() >= 0.0 and uv.max() < 1.0
-        ref = qmc.Halton(d=2, scramble=True, seed=seed).random(4096)
-        assert qmc.discrepancy(uv) <= 1.5 * qmc.discrepancy(ref)
-    assert not np.array_equal(_scrambled_halton(64, 0), _scrambled_halton(64, 1))
-
-
 def test_cli_import_skips_scipy_optimize_and_stats(tmp_path):
     # importing the CLI and running certify, solve --backend all and
     # sylvester loads no scipy module at all
@@ -280,9 +307,10 @@ def test_sublevel_member():
 
 
 def test_separation_trivial_pair():
-    rep = check_separation(build(Z, ONE_MINUS_Z), 20_000, seed=5)
+    rep = check_separation(build(Z, ONE_MINUS_Z))
     assert rep.joint_hits == 0
-    assert rep.hits_a > 0 and rep.hits_b > 0
+    assert rep.n_samples > 0
+    assert (rep.eps_a, rep.eps_b) == (1.0 / 3.0, 1.0 / 3.0)
 
 
 def test_separation_figure_instance():
@@ -293,7 +321,7 @@ def test_separation_figure_instance():
     A = A.scale(1.0 / A.norm())
     B = B.scale(1.0 / B.norm())
     pair = build(A, B)
-    rep = check_separation(pair, 100_000, seed=6)
+    rep = check_separation(pair)
     assert rep.joint_hits == 0
 
 
@@ -302,7 +330,7 @@ def test_separation_random_pairs():
     for _ in range(20):
         da, db = sample_degrees(rng, 1, 5)
         inst = random_pair(rng, da, db, delta_floor=0.01)
-        rep = check_separation(inst.pair, 5_000, seed=int(rng.integers(2**31)))
+        rep = check_separation(inst.pair)
         assert rep.joint_hits == 0
 
 
@@ -312,12 +340,47 @@ def test_separation_violation_raised_for_wrong_delta():
     pair = build(Z, ONE_MINUS_Z)
     object.__setattr__(pair, "delta", 40.0)
     with pytest.raises(SeparationViolation):
-        check_separation(pair, 20_000, seed=7)
+        check_separation(pair)
+
+
+def test_the_search_cap_settles_or_refuses_the_squares_left(monkeypatch):
+    # with one level only, delta_tilde folds the start square's bound into
+    # its lower end, and check_separation names the square it left undecided
+    monkeypatch.setattr(separation, "_MAX_DEPTH", 1)
+    pair = build(Z.scale(0.5), ONE_MINUS_Z.scale(0.5))
+    lower, upper, _ = delta_tilde(pair)
+    assert lower == 0.0 and upper == pytest.approx(0.25, rel=1e-12)
+    with pytest.raises(SeparationViolation, match="1 squares undecided"):
+        check_separation(pair)
+
+
+def test_the_search_caps_the_squares_of_a_level():
+    # roots near 1000 give coefficients up to 1e15, so the rounding margin
+    # dwarfs every value near the roots and no square there is decided; the
+    # search stops at the first level of more than _MAX_BOXES squares, so no
+    # level holds more than four times that many
+    A = Polynomial.from_roots([1000, 1001, 1002, 1003, 1004])
+    B = Polynomial.from_roots([1000.5, 1001.5, 1002.5, 1003.5, 1004.5])
+    stats = DescentStats()
+    lower, upper, _ = delta_tilde(build(A, B), stats=stats)
+    assert lower == 0.0 < upper
+    assert stats.boxes <= 4 * separation._MAX_BOXES * separation._MAX_DEPTH
+
+
+def test_delta_report_on_a_near_common_root():
+    # B's root sits 1e-13 from A's, so delta is about 4e-14: the search
+    # stops at its cap with a lower end of 0, and the report still holds
+    A = Polynomial.from_roots([0.3, -0.5])
+    B = Polynomial.from_roots([0.3 + 1e-13, 0.7])
+    rep = delta_report(build(A, B), 1e-9)
+    assert 1e-14 < rep.delta < 1e-13
+    assert 0.0 <= rep.delta_tilde_lower <= rep.delta_tilde_upper <= rep.delta * (1 + 1e-9)
+    assert rep.sandwich_ok
 
 
 def test_separation_requires_normalized_inputs():
     with pytest.raises(ValueError):
-        check_separation(build(Z.scale(3.0), ONE_MINUS_Z), 100)
+        check_separation(build(Z.scale(3.0), ONE_MINUS_Z))
 
 
 def test_discontinuity_family():
