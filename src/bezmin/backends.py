@@ -3,10 +3,11 @@
 Three routes to the same unique minimal-degree pair; like sylvester.solve,
 each takes (pair, P) with P = 1 by default:
 
-* residue/interpolation: for simple roots the contour formulas collapse to
-  values at the roots, S(a_i) = P(a_i)/B(a_i) and R(b_j) = P(b_j)/A(b_j),
-  so S and R are Lagrange interpolants. This is the well-conditioned form
-  of the residue sum.
+* residue: for simple roots the residue theorem evaluates the contour
+  formulas exactly. The moments of P/(A B) are sums over the roots, and
+  the quadrature's kernel (_coefficients_from_integrals) turns them into
+  coefficients, so S and R are the interpolants of P/B at the roots of A
+  and of P/A at the roots of B.
 * direct quadrature of the contour integrals over constructed arc systems,
   with Gauss-Legendre nodes cached per order. The E_A and E_B contours are
   integrated in one pass: one arc table, subdivided once per solve, one
@@ -65,37 +66,32 @@ def _guard_simple(roots: RootSet, who: str) -> None:
 
 
 def _interpolate(nodes, values) -> Polynomial:
-    """Coefficients of the unique interpolant, assembled from deflations of
-    the full node product scaled by barycentric weights."""
+    """The interpolant of values at distinct nodes x_i, as a residue sum: the
+    weights value_i / prod_{j != i}(x_i - x_j) give the moments
+    sum_i weight_i x_i^m, which the quadrature's kernel turns into
+    coefficients over the monic node product."""
     nodes = [complex(x) for x in nodes]
-    full = Polynomial.from_roots(nodes).coeffs
-    n = len(nodes)
-    out = [0j] * n
-    for x, y in zip(nodes, values):
-        # synthetic division of `full` by (z - x)
-        q = [0j] * n
-        acc = 0j
-        for k in range(n, 0, -1):
-            acc = full[k] + x * acc
-            q[k - 1] = acc
-        qx = 0j
-        for c in reversed(q):
-            qx = qx * x + c
-        if qx == 0 or not cmath.isfinite(qx):
+    weights = []
+    for i, (x, y) in enumerate(zip(nodes, values)):
+        d = math.prod(x - t for j, t in enumerate(nodes) if j != i)
+        if d == 0 or not cmath.isfinite(d):
             raise IllConditionedInterpolation(
                 f"repeated or degenerate node {x:.6g}"
             )
-        w = y / qx
+        w = y / d
         if not cmath.isfinite(w):
             raise IllConditionedInterpolation(
                 f"barycentric weight overflow at node {x:.6g}"
             )
-        out = [o + w * c for o, c in zip(out, q)]
-    return Polynomial(out)
+        weights.append(w)
+    moments = [sum(w * x**m for w, x in zip(weights, nodes))
+               for m in range(len(nodes))]
+    omega = Polynomial.from_roots(nodes)
+    return Polynomial(_coefficients_from_integrals(omega, moments))
 
 
 def solve_residue(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
-    """Closed-form evaluation of the contour formulas for simple roots:
+    """The contour formulas for simple roots, summed by the residue theorem:
     interpolate P/B at the roots of A and P/A at the roots of B."""
     P = sylvester.right_hand_side(pair, P)
     _guard_simple(pair.rootsA, "A")
@@ -127,7 +123,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 def _subdivide(contour: ContourSystem, poles: np.ndarray) -> ContourSystem:
@@ -175,7 +170,6 @@ def build_rule(contour: ContourSystem, order: int) -> QuadratureRule:
     return QuadratureRule(
         nodes=(center + radius * e).ravel(),
         weights=(w * (1j * radius * e * half)).ravel(),
-        order=order,
     )
 
 
@@ -201,10 +195,10 @@ def _coefficients_from_integrals(
 ) -> np.ndarray:
     """c_j = sum_{k=j+1}^{n} g_k moments[k-j-1] (the expanded kernel form),
     for g already normalized."""
-    n = g.degree
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        out[j] = sum(g.coeff(kk) * moments[kk - j - 1] for kk in range(j + 1, n + 1))
+    coeffs = g.coeffs
+    out = np.zeros(g.degree, dtype=complex)
+    for j in range(len(out)):
+        out[j] = sum(c * m for c, m in zip(coeffs[j + 1:], moments))
     return out
 
 

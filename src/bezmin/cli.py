@@ -139,7 +139,8 @@ def cmd_delta(args, tol) -> int:
         f"sandwich_ok      {report.sandwich_ok}",
         f"common_root      {report.common_root}",
     ])
-    return EXIT_OK if not report.common_root else EXIT_CHECK_FAILED
+    ok = report.sandwich_ok and not report.common_root
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _parse_rhs(spec: str, n: int, k: int) -> Polynomial:

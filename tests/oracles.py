@@ -51,8 +51,9 @@ MAX_ORDER = 1024
 
 
 def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolution:
-    """Literal residue summation of the coefficient integrals. Identical in
-    exact arithmetic to solve_residue but worse conditioned; debug oracle."""
+    """Literal residue summation of the coefficient integrals, with A'(a)
+    and B'(b) from the derivatives; solve_residue sums the same residues in
+    another order."""
     P = P if P is not None else Polynomial([1.0])
     A, B, rootsA, rootsB = pair.A, pair.B, pair.rootsA, pair.rootsB
     _guard_simple(rootsA, "A")

@@ -158,6 +158,28 @@ def test_residue_matches_sylvester_random():
         assert _coeff_diff(s_lin.S, s_res.S, da) <= 1e-8
 
 
+def test_residue_on_graded_roots():
+    # roots spread over four decades, |root| in 1e-2..1e2, so A and B have
+    # coefficients up to ~1e12 and their roots' differences are graded too
+    rng = np.random.default_rng(54)
+    worst, tried = 0.0, 0
+    while tried < 200:
+        A, B = (
+            Polynomial.from_roots(
+                10.0 ** rng.uniform(-2, 2, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+            )
+            for d in sample_degrees(rng, 1, 6)
+        )
+        pair = build(A, B)
+        if pair.rootsA.any_suspect or pair.rootsB.any_suspect:
+            continue
+        tried += 1
+        sol = solve_residue(pair)
+        scale = A.norm() * sol.R.norm() + B.norm() * sol.S.norm() + 1.0
+        worst = max(worst, sol.residual / scale)
+    assert worst <= 1e-10
+
+
 def test_literal_residue_sum_oracle():
     rng = np.random.default_rng(53)
     for _ in range(10):

@@ -42,7 +42,7 @@ def test_delta_command_applies_the_sandwich_tolerance(poly_files, capsys, monkey
 
     monkeypatch.setattr(separation, "delta_tilde", loose_upper)
     a, b = poly_files
-    assert main(["--json", "delta", a, b]) == 0
+    assert main(["--json", "delta", a, b]) == 1
     assert json.loads(capsys.readouterr().out)["sandwich_ok"] is False
     assert main(["--json", "--tol", "sandwich=1e-5", "delta", a, b]) == 0
     assert json.loads(capsys.readouterr().out)["sandwich_ok"] is True
@@ -58,7 +58,7 @@ def test_delta_command_checks_the_papers_lower_bound(poly_files, capsys, monkeyp
 
     monkeypatch.setattr(separation, "delta_tilde", low_lower)
     a, b = poly_files
-    assert main(["--json", "delta", a, b]) == 0
+    assert main(["--json", "delta", a, b]) == 1
     assert json.loads(capsys.readouterr().out)["sandwich_ok"] is False
 
 

@@ -1,6 +1,8 @@
 """Each array kernel is written once: the in-place Horner step on arrays
 lives in poly.Stack alone, and regions.arc_points is the one arc-point
-formula (no module defines a scalar arc_point beside it)."""
+formula (no module defines a scalar arc_point beside it). The scalar Horner
+step on Python numbers runs only in Polynomial.__call__ and the root
+polish."""
 
 import ast
 from pathlib import Path
@@ -8,10 +10,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bezmin"
 
 
+def _is_horner_step(stmt) -> bool:
+    """Whether stmt is `v = v * z + c` or `v = c + z * v` on one name v,
+    with the factors of the product in either order."""
+    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and isinstance(stmt.value, ast.BinOp)
+            and isinstance(stmt.value.op, ast.Add)):
+        return False
+    name = stmt.targets[0].id
+    return any(
+        isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+        and any(isinstance(f, ast.Name) and f.id == name
+                for f in (term.left, term.right))
+        for term in (stmt.value.left, stmt.value.right)
+    )
+
+
 class _Kernels(ast.NodeVisitor):
     """Each loop that takes an in-place Horner step (`acc *= z` and then
-    `acc += c` on one name) and each definition of arc_point, with the
-    class or function it sits in."""
+    `acc += c` on one name), each loop that takes a scalar Horner step
+    (`v = v * z + c`), and each definition of arc_point, with the class or
+    function it sits in."""
 
     def __init__(self, module: str):
         self.scope = [module]
@@ -39,7 +59,10 @@ class _Kernels(ast.NodeVisitor):
         for i, (op, name) in enumerate(steps):
             if op is ast.Mult and (ast.Add, name) in steps[i + 1:]:
                 self.found.append(("in-place Horner", ".".join(self.scope)))
+        if any(_is_horner_step(s) for s in node.body):
+            self.found.append(("Horner", ".".join(self.scope)))
         self.generic_visit(node)
+
 
 
 def test_src_has_one_array_horner_and_one_arc_point_formula():
@@ -48,4 +71,9 @@ def test_src_has_one_array_horner_and_one_arc_point_formula():
         visitor = _Kernels(path.stem)
         visitor.visit(ast.parse(path.read_text()))
         found += visitor.found
-    assert found == [("in-place Horner", "poly.Stack.__call__")]
+    assert found == [
+        ("Horner", "poly.Polynomial.__call__"),
+        ("in-place Horner", "poly.Stack.__call__"),
+        ("Horner", "roots.find_roots.horner"),
+    ]
+
