@@ -1,18 +1,17 @@
 """Minimal Bezout cofactors for coprime complex polynomials.
 
 Core objects: Polynomial (dense complex coefficients), Pair (one input pair,
-from build(A, B): its degrees, Sylvester entries, and the roots, the values
-of each polynomial at the other's roots, delta and the singular values, each
-computed once on first use; Pair.delta refuses a common root with
-CommonRootError), RootSet (certified roots), DeltaReport (separation
-quantities),
-ContourSystem (a region boundary built for a RegionKind: the arcs between
-cuts of its disk circles whose midpoints lie on the boundary, as one table of
-center, radius, start and end angle arrays plus a loop index per arc), and
-BezoutSolution (the minimal-degree pair R, S with A*R + B*S = P). The
-separation quantities, solvers and reports all take the Pair and read delta
-from it; the monomial family P = z^l is solve(build(A, B),
-Polynomial.monomial(l)).
+from build(A, B): A and B after normalize(), which every layer reads, their
+degrees, Sylvester entries, and the roots, the values of each polynomial at
+the other's roots, delta and the singular values, each computed once on
+first use; Pair.delta refuses a common root with CommonRootError), RootSet
+(certified roots), DeltaReport (separation quantities), ContourSystem (a
+region boundary built for a RegionKind: the arcs between cuts of its disk
+circles whose midpoints lie on the boundary, as one table of center, radius,
+start and end angle arrays plus a loop index per arc), and BezoutSolution
+(the minimal-degree pair R, S with A*R + B*S = P). The separation
+quantities, solvers and reports all take the Pair and read delta from it;
+the monomial family P = z^l is solve(build(A, B), Polynomial.monomial(l)).
 """
 
 from .poly import Polynomial

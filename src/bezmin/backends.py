@@ -255,8 +255,8 @@ def solve_quadrature(
         cut = arcs1 * order
         m1 = np.sum(powers[:n, :cut], axis=1) / (2j * math.pi)
         m2 = np.sum(powers[:k, cut:], axis=1) / (2j * math.pi)
-        s = _coefficients_from_integrals(pair.An, m1)
-        r = _coefficients_from_integrals(pair.Bn, m2)
+        s = _coefficients_from_integrals(pair.A, m1)
+        r = _coefficients_from_integrals(pair.B, m2)
         return np.concatenate([r, s])
 
     rs = _settle(solve_at, tol, "coefficients")

@@ -21,8 +21,8 @@ class Polynomial:
     """Immutable polynomial sum(coeffs[k] * z**k).
 
     Trailing coefficients are kept exactly as given; only `normalize()` trims
-    near-zero trailing terms, so user intent near degenerate leading
-    coefficients is preserved.
+    near-zero trailing terms. `sylvester.build` normalizes both polynomials
+    of a pair, so every layer reads the trimmed ones.
     """
 
     __slots__ = ("_coeffs",)
@@ -73,8 +73,8 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])
 
     def normalize(self) -> "Polynomial":
-        """Trim trailing coefficients below _TRIM_REL * norm(); a norm that
-        is not finite is refused."""
+        """Trim trailing coefficients below _TRIM_REL * norm(), returning
+        self when none is; a norm that is not finite is refused."""
         nrm = self.norm()
         if nrm == 0.0:
             return Polynomial([0])
@@ -85,6 +85,8 @@ class Polynomial:
         for k, c in enumerate(self._coeffs):
             if abs(c) > cut:
                 last = k
+        if last == len(self._coeffs) - 1:
+            return self
         return Polynomial(self._coeffs[: last + 1])
 
     def reverse(self, target_degree: int) -> "Polynomial":

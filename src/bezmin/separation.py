@@ -65,14 +65,15 @@ _QUARTERS = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) / 2
 
 
 def _cover_half_width(p: Polynomial, level: float) -> float:
-    """Half-width of a square about 0 outside of which |p| > level: the
+    """Half-width of a square about 0 outside of which |p| > level, for a
+    normalized p (a Pair's) whose last coefficient is a_n, n = deg p: the
     power of two at or above 3M, M = max_j (c_j/|a_n|)^(1/(n-j)) with
-    c_0 = |a_0| + level, c_j = |a_j| for 0 < j < n = deg p. For |z| = t >= 3M,
+    c_0 = |a_0| + level, c_j = |a_j| for 0 < j < n. For |z| = t >= 3M,
     c_j t^j <= |a_n| t^n 3^(j-n), so sum_j c_j t^j < |a_n| t^n / 2 and
     |p(z)| > level; the factor 2 to spare dwarfs the rounding of M. A power
     of two keeps every centre of the search a dyadic number held exactly.
     It is 0 when no z has |p(z)| < level (level 0, p = a_n z^n)."""
-    cs = np.abs(np.array(p.coeffs[: p.degree + 1]))
+    cs = np.abs(np.array(p.coeffs))
     n = len(cs) - 1
     cs[0] += level
     rho = 3 * np.max((cs[:n] / cs[n]) ** (1.0 / (n - np.arange(n))))
@@ -284,7 +285,6 @@ def delta_report(pair: Pair, sandwich_tol: float) -> DeltaReport:
 @dataclass(frozen=True)
 class SeparationReport:
     n_samples: int
-    joint_hits: int
     eps_a: float
     eps_b: float
 
@@ -320,6 +320,4 @@ def check_separation(pair: Pair) -> SeparationReport:
 
     taylor = _Taylor(pair, eps_a, eps_b)
     taylor.search(drop)
-    return SeparationReport(
-        n_samples=taylor.stack.evals, joint_hits=0, eps_a=eps_a, eps_b=eps_b
-    )
+    return SeparationReport(n_samples=taylor.stack.evals, eps_a=eps_a, eps_b=eps_b)

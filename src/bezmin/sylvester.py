@@ -1,10 +1,11 @@
 """The pair object, the Sylvester matrix's linear-system backend, resultant
 checks, and the inverse-norm conditioning report.
 
-`build(A, B)` gives the one Pair of an input pair: A and B as given, An and
-Bn after normalize() with their degrees N and K, and the Sylvester entries.
-The roots of A and B, the values of B at the roots of A and of A at the
-roots of B, delta (with its witness and the common-root test), and the
+`build(A, B)` gives the one Pair of an input pair: A and B after normalize(),
+their degrees N and K, and the Sylvester entries. It is the one place a pair
+is normalized, so every layer reads the polynomials whose degrees size the
+system. The roots of A and B, the values of B at the roots of A and of A at
+the roots of B, delta (with its witness and the common-root test), and the
 singular values of the Sylvester matrix are computed on first use and kept.
 Every layer of the package (separation, the solvers, the reports, the
 contour metrics) reads the same Pair, so no per-pair quantity is computed
@@ -49,15 +50,13 @@ COMMON_ROOT_REL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Pair:
-    """One input pair: A and B as given, An and Bn after normalize() with
-    degrees N and K, and the Sylvester entries. The roots, the cross values,
-    delta's value, witness and common-root threshold, and the singular values
-    of the entries are computed on first use and kept."""
+    """One input pair: A and B after normalize(), their degrees N and K, and
+    the Sylvester entries. The roots, the cross values, delta's value,
+    witness and common-root threshold, and the singular values of the
+    entries are computed on first use and kept."""
 
     A: Polynomial
     B: Polynomial
-    An: Polynomial
-    Bn: Polynomial
     N: int
     K: int
     entries: np.ndarray
@@ -161,15 +160,15 @@ def layout(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
 
 
 def build(A: Polynomial, B: Polynomial) -> Pair:
-    """The Pair of A and B; degrees are taken after normalize()."""
-    An, Bn = A.normalize(), B.normalize()
-    n, k = An.degree, Bn.degree
+    """The Pair of A and B after normalize()."""
+    A, B = A.normalize(), B.normalize()
+    n, k = A.degree, B.degree
     if n < 1 or k < 1:
         # find_roots's error: a constant input fails the same way whether
         # the pair or its roots come first
         raise DegreeZeroError("cannot extract roots of a constant polynomial")
-    m = layout(np.array(An.coeffs), np.array(Bn.coeffs))
-    return Pair(A=A, B=B, An=An, Bn=Bn, N=n, K=k, entries=m)
+    m = layout(np.array(A.coeffs), np.array(B.coeffs))
+    return Pair(A=A, B=B, N=n, K=k, entries=m)
 
 
 def _factor(pair: Pair) -> None:

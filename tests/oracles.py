@@ -59,7 +59,7 @@ def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolut
     _guard_simple(rootsA, "A")
     _guard_simple(rootsB, "B")
     pair.delta
-    An, Bn, n, k = pair.An, pair.Bn, pair.N, pair.K
+    n, k = pair.N, pair.K
     dA, dB = A.derivative(), B.derivative()
 
     s = np.zeros(n, dtype=complex)
@@ -69,7 +69,7 @@ def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolut
             integral = sum(
                 P(a) * a ** (kk - j - 1) / (dA(a) * B(a)) for a in rootsA.roots
             )
-            acc += An.coeff(kk) * integral
+            acc += A.coeff(kk) * integral
         s[j] = acc
     r = np.zeros(k, dtype=complex)
     for j in range(k):
@@ -78,7 +78,7 @@ def residue_sum_solution(pair: Pair, P: Polynomial | None = None) -> BezoutSolut
             integral = sum(
                 P(b) * b ** (kk - j - 1) / (dB(b) * A(b)) for b in rootsB.roots
             )
-            acc += Bn.coeff(kk) * integral
+            acc += B.coeff(kk) * integral
         r[j] = acc
     R, S = Polynomial(r), Polynomial(s)
     residual = (A * R + B * S - P).norm()
@@ -110,8 +110,8 @@ def quadrature_per_contour(
     def solve_at(order: int) -> np.ndarray:
         m1 = moments(build_rule(gamma1, order), pair.N)
         m2 = moments(build_rule(gamma2, order), pair.K)
-        s = _coefficients_from_integrals(pair.An, m1)
-        r = _coefficients_from_integrals(pair.Bn, m2)
+        s = _coefficients_from_integrals(pair.A, m1)
+        r = _coefficients_from_integrals(pair.B, m2)
         return np.concatenate([r, s])
 
     rs = _settle(solve_at, tol, "coefficients")

@@ -14,7 +14,7 @@ import pytest
 
 from bezmin import backends, sylvester
 from bezmin.cli import main as cli_main
-from bezmin.errors import DegenerateArrangement
+from bezmin.errors import DegenerateArrangement, SeparationViolation
 from bezmin.poly import Polynomial
 from bezmin.backends import contour_metrics
 from bezmin.regions import RegionKind, build_region_with_jitter
@@ -108,15 +108,18 @@ def test_criterion_03_resultant_triple(ensemble_500):
 
 
 def test_criterion_04_sublevel_disjointness(ensemble_100):
-    total_joint = 0
+    proved = 0
     total_points = 0
-    for i, inst in enumerate(ensemble_100):
-        rep = check_separation(inst.pair)
-        total_joint += rep.joint_hits
+    for inst in ensemble_100:
+        try:
+            rep = check_separation(inst.pair)
+        except SeparationViolation:
+            continue
+        proved += 1
         total_points += rep.n_samples
-    ok = total_joint == 0
-    _report(4, ok, f"separation: {total_joint} joint hits over "
-                   f"{total_points} sampled points, 100 instances")
+    ok = proved == len(ensemble_100)
+    _report(4, ok, f"separation: disjointness proved on {proved} of 100 "
+                   f"instances, {total_points} sampled points")
 
 
 def test_criterion_05_delta_sandwich(ensemble_100):

@@ -2,7 +2,8 @@
 lives in poly.Stack alone, and regions.arc_points is the one arc-point
 formula (no module defines a scalar arc_point beside it). The scalar Horner
 step on Python numbers runs only in Polynomial.__call__ and the root
-polish."""
+polish. normalize() is called only by sylvester.build, which normalizes a
+pair once for every layer, and by roots.find_roots."""
 
 import ast
 from pathlib import Path
@@ -30,8 +31,8 @@ def _is_horner_step(stmt) -> bool:
 class _Kernels(ast.NodeVisitor):
     """Each loop that takes an in-place Horner step (`acc *= z` and then
     `acc += c` on one name), each loop that takes a scalar Horner step
-    (`v = v * z + c`), and each definition of arc_point, with the class or
-    function it sits in."""
+    (`v = v * z + c`), each definition of arc_point and each call of a
+    normalize method, with the class or function it sits in."""
 
     def __init__(self, module: str):
         self.scope = [module]
@@ -51,6 +52,11 @@ class _Kernels(ast.NodeVisitor):
             self.found.append(("arc_point =", ".".join(self.scope)))
         self.generic_visit(node)
 
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "normalize":
+            self.found.append(("normalize()", ".".join(self.scope)))
+        self.generic_visit(node)
+
     def visit_For(self, node):
         steps = [
             (type(s.op), s.target.id) for s in node.body
@@ -65,15 +71,24 @@ class _Kernels(ast.NodeVisitor):
 
 
 
-def test_src_has_one_array_horner_and_one_arc_point_formula():
+def _scan() -> list[tuple[str, str]]:
     found = []
     for path in sorted(SRC.glob("*.py")):
         visitor = _Kernels(path.stem)
         visitor.visit(ast.parse(path.read_text()))
         found += visitor.found
-    assert found == [
+    return found
+
+
+def test_src_has_one_array_horner_and_one_arc_point_formula():
+    assert [f for f in _scan() if f[0] != "normalize()"] == [
         ("Horner", "poly.Polynomial.__call__"),
         ("in-place Horner", "poly.Stack.__call__"),
         ("Horner", "roots.find_roots.horner"),
     ]
 
+
+def test_only_build_and_find_roots_normalize():
+    assert [where for what, where in _scan() if what == "normalize()"] == [
+        "roots.find_roots", "sylvester.build", "sylvester.build",
+    ]

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import mpmath
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from bezmin import sylvester
-from bezmin.backends import solve_reversed
-from bezmin.cli import sharpness_instance
+from bezmin.backends import solve_quadrature, solve_residue, solve_reversed
+from bezmin.cli import main, sharpness_instance
 from bezmin.errors import CommonRootError, DegreeZeroError, SingularSystemError
 from bezmin.poly import Polynomial
+from bezmin.separation import check_separation, delta_tilde
 from oracles import random_pair, sample_degrees
 
 Z = Polynomial([0, 1])
@@ -189,7 +191,7 @@ def test_reversed_sylvester_matrix_permutes_the_pairs_entries():
     for _ in range(100):
         da, db = sample_degrees(rng, 1, 8)
         M = sylvester.build(_random_poly(rng, da), _random_poly(rng, db))
-        inner = sylvester.build(M.An.reverse(M.N), M.Bn.reverse(M.K))
+        inner = sylvester.build(M.A.reverse(M.N), M.B.reverse(M.K))
         cols = np.r_[M.K - 1 : -1 : -1, M.size - 1 : M.K - 1 : -1]
         assert np.array_equal(inner.entries, M.entries[::-1, cols])
         sv, want = inner.singular_values, M.singular_values
@@ -287,3 +289,39 @@ def test_residual_bound_invariant():
         inv = sylvester.inverse_norm_report(M)
         cap = 1e-10 * (1.0 + inv.max_entry_norm) * P.norm()
         assert sol.residual <= cap
+
+
+def _tailed(p):
+    """p with one more leading coefficient, 1e-16 of its norm, which
+    normalize() trims."""
+    return Polynomial([*p.coeffs, 1e-16 * p.norm()])
+
+
+def _outputs(pair):
+    """The delta-tilde bracket and witness, the separation report, the
+    roots, each backend's R, S and residual, the resultant and the
+    inverse-norm report of a pair."""
+    solutions = [backend(pair) for backend in
+                 (sylvester.solve, solve_residue, solve_quadrature, solve_reversed)]
+    return (
+        delta_tilde(pair), check_separation(pair), pair.rootsA, pair.rootsB,
+        [(sol.R.coeffs, sol.S.coeffs, sol.residual) for sol in solutions],
+        sylvester.resultant(pair), sylvester.inverse_norm_report(pair).to_json_dict(),
+    )
+
+
+def test_a_negligible_leading_coefficient_changes_no_output(tmp_path, capsys):
+    # build trims the tails, and every layer reads the trimmed polynomials
+    rng = np.random.default_rng(7)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for _ in range(60):
+        pair = random_pair(rng, *sample_degrees(rng, 1, 5), delta_floor=0.05).pair
+        tails = _tailed(pair.A), _tailed(pair.B)
+        assert _outputs(sylvester.build(*tails)) == _outputs(pair)
+        printed = []
+        for A, B in ((pair.A, pair.B), tails):
+            a.write_text(json.dumps(A.to_json_dict()))
+            b.write_text(json.dumps(B.to_json_dict()))
+            assert main(["--json", "delta", str(a), str(b)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
