@@ -31,11 +31,9 @@ class OnContourError(BezminError):
 
 
 class OriginTooClose(BezminError):
-    """Inversion z -> 1/z requested for a contour passing through 0."""
-
-
-class OriginInRegionError(OriginTooClose):
-    """A region construction that requires inversion found 0 on the contour."""
+    """Inversion z -> 1/z requested for a contour that passes within
+    tolerance of 0, or one of whose circles passes through 0 (its image would
+    be a line); the inverted region kind raises it for such a GAMMA1."""
 
 
 class SingularSystemError(BezminError):

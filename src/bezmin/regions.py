@@ -42,6 +42,11 @@ or subdivision is involved. The queries take the contour's endpoints and
 midpoints (ContourSystem.table, derived once per contour) and run all arcs
 against all query points in one pass (winding_numbers); a build checks its
 certificate in one such pass.
+
+The inverted region is GAMMA1's image under z -> 1/z, mapped arc by arc
+(invert_contour). The map is conformal, so each image arc keeps the image
+region on its left. GAMMA1 lies in D_A, which leaves out 0, so the image
+winds about the images of the roots as GAMMA1 winds about the roots.
 """
 
 from __future__ import annotations
@@ -55,12 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateArrangement,
-    OnContourError,
-    OriginInRegionError,
-    OriginTooClose,
-)
+from .errors import DegenerateArrangement, OnContourError, OriginTooClose
 from .roots import RootSet
 
 TANGENCY_TOL = 1e-12
@@ -495,11 +495,7 @@ def build_region(
     arrays.
     """
     if kind == RegionKind.GAMMA1_INVERTED:
-        inner = build_region(RegionKind.GAMMA1, rootsA, rootsB)
-        try:
-            inverted = invert_contour(inner)
-        except OriginTooClose as exc:
-            raise OriginInRegionError(str(exc)) from exc
+        inverted = invert_contour(build_region(RegionKind.GAMMA1, rootsA, rootsB))
         _certify(inverted, region_probes(kind, rootsA, rootsB))
         return inverted
 
@@ -561,66 +557,38 @@ def _certify(contour: ContourSystem, probes: dict[complex, int]) -> None:
 # inversion z -> 1/z
 
 
-# the arc's start, end, midpoint and (read for full circles) quarter point
-_INVERT_FRACTIONS = np.array([0.0, 1.0, 0.5, 0.25])
-
-
-def _invert_arc(c: complex, r: float, t0: float, t1: float, scale: float):
-    """The image (center, radius, start, end) of one arc under z -> 1/z."""
-    q = abs(c) ** 2 - r * r
-    if abs(q) < 1e-12 * scale * scale:
-        raise OriginTooClose(
-            "parent circle passes through the origin; image would be a line"
-        )
-    m = c.conjugate() / q
-    rho = r / abs(q)
-    points = arc_points(c, r, t0, t1, _INVERT_FRACTIONS).tolist()
-    w0, w1, wm, wq = [1.0 / p for p in points]
-
-    if abs(abs(t1 - t0) - 2 * math.pi) < 1e-12:
-        phi0 = cmath.phase(w0 - m)
-        phiq = cmath.phase((wq - m) / (w0 - m))
-        return m, rho, phi0, phi0 + (2 * math.pi if phiq > 0 else -2 * math.pi)
-
-    phi0 = cmath.phase(w0 - m)
-    phi1 = cmath.phase(w1 - m)
-    phim = cmath.phase(wm - m)
-    ccw_sweep = (phi1 - phi0) % (2 * math.pi)
-    mid_ccw = (phim - phi0) % (2 * math.pi)
-    if mid_ccw <= ccw_sweep:
-        return m, rho, phi0, phi0 + ccw_sweep
-    return m, rho, phi0, phi0 - (phi0 - phi1) % (2 * math.pi)
-
-
 def invert_contour(contour: ContourSystem) -> ContourSystem:
-    """Image of the contour under z -> 1/z (circles map to circles).
+    """Image of the contour under z -> 1/z, all arcs in one pass.
 
-    Requires the origin to be strictly off the arcs; parent circles through
-    the origin would invert to lines and are rejected. Inversion is conformal
-    away from 0, so loops not enclosing the origin keep their windings at
-    image points. A loop that does enclose the origin has every image winding
-    shifted by its winding about 0 (Delta arg(1/z - 1/z0) = Delta arg(z0 - z)
-    - Delta arg(z)); such loops are flipped so their bounded side winds +1.
+    The arc on (c, r) maps onto the circle (conj(c) / q, r / |q|),
+    q = |c|^2 - r^2, run from the image of its start to the image of its
+    end: the way the arc runs when its disk leaves out 0 and the other way
+    when the disk holds 0, so the image region stays on its left. Loops keep
+    their ids and order. Windings carry over as Delta arg(1/z - 1/z0) =
+    Delta arg(z - z0) - Delta arg(z): the image of a region holding 0 is
+    unbounded and winds -1 about the points outside it. Raises
+    OriginTooClose when the contour passes within POINT_TOL * scale of 0 or
+    one of its circles passes through 0 (its image would be a line).
     """
     origin = np.zeros(1, dtype=complex)
     if np.min(_distances(contour, origin)) <= POINT_TOL * contour.scale:
         raise OriginTooClose("origin lies on (or within tolerance of) the contour")
-    about_origin = _delta_args(contour, origin)[0]
-    rows = list(contour.rows())
-    loop_of = np.array(contour.loops)
-    image, loops = [], []
-    for li in range(contour.n_loops):
-        block = np.flatnonzero(loop_of == li)
-        arcs = [_invert_arc(*rows[i], contour.scale) for i in block.tolist()]
-        if round(float(np.sum(about_origin[block]) / (2 * math.pi))) != 0:
-            arcs = [(m, rho, t1, t0) for m, rho, t0, t1 in reversed(arcs)]
-        image += arcs
-        loops += [li] * len(arcs)
-    arcs = [np.array(col) for col in zip(*image)]
+    c, t = contour, contour.table
+    q = np.abs(c.center) ** 2 - c.radius * c.radius
+    if np.any(np.abs(q) < 1e-12 * c.scale * c.scale):
+        raise OriginTooClose(
+            "parent circle passes through the origin; image would be a line"
+        )
+    m = np.conj(c.center) / q
+    rho = c.radius / np.abs(q)
+    phi0, phi1 = np.angle(1.0 / t.p0 - m), np.angle(1.0 / t.p1 - m)
+    turn = np.sign(q) * np.sign(c.end - c.start)
+    sweep = np.where(t.full, 2 * math.pi, (turn * (phi1 - phi0)) % (2 * math.pi))
+    arcs = m, rho, phi0, phi0 + turn * sweep
     # abs() of Python complex numbers: np.abs rounds some moduli differently
     ends = arc_points(*arcs, _TABLE_FRACTIONS[:2]).ravel().tolist()
     scale = 1.0 + max(map(abs, ends))
-    return ContourSystem(*arcs, loops, scale)
+    return ContourSystem(*arcs, list(c.loops), scale)
 
 
 def build_region_with_jitter(

@@ -34,8 +34,9 @@ def _arc_path(c: complex, r: float, t0: float, t1: float) -> str:
         sub = [(t0, mid_angle), (mid_angle, t1)]
     p0 = arc_points(c, r, *sub[0], 0.0)
     pieces.append(f"M {_fmt(p0.real)} {_fmt(-p0.imag)}")
+    # a split half spans pi at most, so only an unsplit arc can be large
+    large = 1 if len(sub) == 1 and abs(t1 - t0) > math.pi else 0
     for s0, s1 in sub:
-        large = 1 if abs(s1 - s0) > math.pi else 0
         sweep_flag = 0 if s1 > s0 else 1
         p1 = arc_points(c, r, s0, s1, 1.0)
         pieces.append(

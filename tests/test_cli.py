@@ -173,6 +173,20 @@ def test_regions_command(poly_files, tmp_path, capsys):
     assert {"center", "radius", "start_angle", "end_angle"} <= set(first)
 
 
+def test_regions_command_inverts_an_annulus(tmp_path, capsys):
+    # GAMMA1 is an annulus about 0; its inversion builds and is certified
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    ring = [np.exp(2j * np.pi * (j + 0.1) / 8) for j in range(8)]
+    a.write_text(json.dumps(Polynomial.from_roots(ring).to_json_dict()))
+    b.write_text(json.dumps(
+        Polynomial.from_roots([10, 0.3 + 10j, -10 + 0.1j]).to_json_dict()
+    ))
+    code = main(["--json", "regions", str(a), str(b), "--kind", "gamma1,inverted"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["D_A&E_A"]["n_loops"] == out["inverted"]["n_loops"] == 2
+
+
 def test_sylvester_command(poly_files, capsys):
     a, b = poly_files
     assert main(["--json", "sylvester", a, b]) == 0

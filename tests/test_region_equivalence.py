@@ -11,6 +11,9 @@
   build: with the live-circle test switched off (every circle kept), random
   arrangements give the same error type or the same bytes, for all five
   kinds; and every circle that owns a kept arc passes the test.
+* Whenever GAMMA1 builds, its inversion is refused as too close to the
+  origin or the inverted region builds and is certified, and the image of
+  each point of an arc lies on that arc's image.
 * One E_A construction on a large degree-8 arrangement must stay under 1 MB
   of traced allocations.
 
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 
 from bezmin import regions
 from bezmin.cli import FIG1_ALPHAS, FIG1_BETAS, FIG45_ALPHAS, FIG45_BETAS
-from bezmin.errors import BezminError
+from bezmin.errors import BezminError, OriginTooClose
 from bezmin.regions import (
     LIVE_MARGIN,
     ContourSystem,
@@ -182,6 +185,25 @@ def test_pruned_build_matches_the_build_on_every_circle(pair):
     assert pruned == full
 
 
+@settings(max_examples=60, deadline=None)
+@given(pair=root_pairs())
+def test_inversion_builds_and_maps_every_arc_onto_its_image(pair):
+    rootsA, rootsB = pair
+    try:
+        g1 = build_region(RegionKind.GAMMA1, rootsA, rootsB)
+    except (BezminError, ArithmeticError):
+        return
+    try:
+        inv = regions.invert_contour(g1)
+    except OriginTooClose:
+        return
+    # the inverted build certifies its windings about the images of the roots
+    build_region(RegionKind.GAMMA1_INVERTED, rootsA, rootsB)
+    for arc, image in zip(ref_arcs(g1), ref_arcs(inv)):
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert distance_to_arc(image, 1.0 / arc.point(t)) <= 1e-9 * inv.scale
+
+
 def test_circles_with_kept_arcs_are_live():
     kinds = [k for k in RegionKind if k != RegionKind.GAMMA1_INVERTED]
     owners = 0
@@ -212,8 +234,8 @@ def test_circles_with_kept_arcs_are_live():
 
 def _query_contour(rng: np.random.Generator) -> ContourSystem:
     """Closed loops: circles cut into two or three arcs run counterclockwise,
-    or clockwise (inverted, as the inversion flips loops), plus one full
-    circle each way."""
+    or clockwise (as the image of an arc runs when its disk holds 0), plus
+    one full circle each way."""
     arcs, loops = [], []
     for li in range(6):
         c = complex(rng.standard_normal(), rng.standard_normal())

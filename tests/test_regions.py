@@ -30,6 +30,7 @@ from bezmin.regions import (
     build_region,
     build_region_with_jitter,
     invert_contour,
+    region_probes,
     winding_numbers,
 )
 from bezmin.roots import RootSet, find_roots
@@ -411,7 +412,9 @@ def test_invert_circle_example():
     assert len(inv.radius) == 1
     assert inv.radius[0] == pytest.approx(0.5)
     assert abs(inv.center[0]) < 1e-14
-    assert winding_numbers(inv, [0.0])[0] == 1
+    # the disk |z| < 2 holds 0, so its image is |w| > 1/2: the image circle
+    # runs clockwise with that region on its left
+    assert winding_numbers(inv, [0.0, 2.0]).tolist() == [-1, 0]
 
 
 def test_invert_requires_origin_clear():
@@ -432,6 +435,40 @@ def test_inverted_region_windings():
         assert winding_numbers(inv, [1.0 / a])[0] == 1
     for b in rb.roots:
         assert winding_numbers(inv, [1.0 / b])[0] == 0
+
+
+# A's roots on a ring about 0, B's far out: GAMMA1 is an annulus about 0
+RING_ALPHAS = [cmath.exp(2j * math.pi * (j + 0.1) / 8) for j in range(8)]
+RING_BETAS = [10, 0.3 + 10j, -10 + 0.1j]
+
+
+def test_inverted_annulus_keeps_its_windings():
+    # the outer loop winds +1 about 0 and the hole -1; z -> 1/z shifts each
+    # loop's windings by minus its winding about 0, and those cancel
+    ra = find_roots(Polynomial.from_roots(RING_ALPHAS))
+    rb = find_roots(Polynomial.from_roots(RING_BETAS))
+    g1 = build_region(RegionKind.GAMMA1, ra, rb)
+    assert g1.n_loops == 2
+    assert winding_numbers(g1, [0.0]).tolist() == [0]
+    inv = build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
+    assert inv.n_loops == 2
+    assert inv.orientation_certificate == region_probes(
+        RegionKind.GAMMA1_INVERTED, ra, rb
+    )
+
+
+def test_inverted_full_circle_passing_near_the_origin():
+    # GAMMA1 is the one D_A circle |z - a| = 3/8, which passes 1/8 from 0:
+    # a quarter of it maps to more than half of its image
+    ra = find_roots(Polynomial.from_roots([0.5 * cmath.exp(1j * math.pi / 4)]))
+    rb = find_roots(Polynomial.from_roots([3 + 1j, -2 - 2j]))
+    g1 = build_region(RegionKind.GAMMA1, ra, rb)
+    assert len(g1.radius) == 1 and g1.n_loops == 1
+    inv = build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
+    assert len(inv.radius) == 1
+    assert inv.orientation_certificate == region_probes(
+        RegionKind.GAMMA1_INVERTED, ra, rb
+    )
 
 
 def test_inverted_region_leaves_roots_at_the_origin_out_of_its_probes():
@@ -483,14 +520,11 @@ def test_inverted_build_near_origin_root_raises():
     # within the origin tolerance, so the inversion request must refuse
     from dataclasses import replace
 
-    from bezmin.errors import OriginInRegionError, OriginTooClose
-
-    assert issubclass(OriginInRegionError, OriginTooClose)
     A = Polynomial.from_roots([4.5e-9, 0.5])
     B = Polynomial.from_roots([1.0, 2j])
     ra, rb = find_roots(A), find_roots(B)
     ra = replace(ra, roots=(4.5e-9 + 0j, 0.5 + 0j))
-    with pytest.raises(OriginInRegionError):
+    with pytest.raises(OriginTooClose):
         build_region(RegionKind.GAMMA1_INVERTED, ra, rb)
 
 
